@@ -45,6 +45,11 @@ def _check_h(h: float, lower: float = 0.75):
         raise _fail(f"--H must be in ({lower}, 1], got {h}")
 
 
+def _check_seed(params: dict):
+    if params["seed"] < 0:
+        raise _fail(f"--seed must be >= 0, got {params['seed']}")
+
+
 def _check_n(n: int):
     if n < 64 or n > 4096 or n & (n - 1) != 0:
         raise _fail(f"--n must be a power of two in [64, 4096], got {n}")
@@ -124,6 +129,7 @@ def _cmd_solve_kernel(args) -> int:
 def run_simulate(params: dict) -> int:
     _check_h(params["H"], lower=0.0)
     _check_n(params["n"])
+    _check_seed(params)
     grid = Grid(params["T"], params["n"])
     if params["paths"] < 1:
         raise _fail("--paths must be >= 1")
@@ -163,11 +169,10 @@ def run_decompose(params: dict) -> int:
     _check_n(params["n"])
     if params["decimation"] < 1 or params["n"] % params["decimation"] != 0:
         raise _fail(f"--decimation must divide n={params['n']}")
+    _check_seed(params)
     grid = Grid(params["T"], params["n"])
     path = simulate(grid, params["H"], params["seed"])
-    drift, innovation = decompose(
-        path, decimation=params["decimation"], threads=params["threads"]
-    )
+    drift, innovation = decompose(path, decimation=params["decimation"])
     subset = drift.s_subset
     csv = out.write_csv(
         _out_path(params, ".csv"),
@@ -194,6 +199,7 @@ def _cmd_decompose(args) -> int:
 def _variogram_from(params: dict):
     _check_h(params["H"])
     _check_n(params["n"])
+    _check_seed(params)
     try:
         return build_variogram(
             params["H"], params["t0"], params["lags"], params["n"],

@@ -132,12 +132,11 @@ def decompose(
     path: SamplePath,
     decimation: int = 8,
     sweep: Optional[SweepSolver] = None,
-    threads=None,
 ):
     """Full decomposition of one path: returns (DriftPath, InnovationPath).
 
-    Solves both kernel families at every `decimation`-th node (sharing one
-    factorization) and assembles drift, martingale, innovation and
+    Solves both kernel families at every `decimation`-th node (one Levinson
+    pass per family) and assembles drift, martingale, innovation and
     residual on that subset.
     """
     decimation = int(decimation)
@@ -147,8 +146,8 @@ def decompose(
     if sweep is None:
         sweep = SweepSolver(path.grid, Alpha.from_h(path.h))
     indices = list(range(decimation, n + 1, decimation))
-    l_fields = sweep.L_sweep(indices, threads=threads)
-    g_fields = sweep.g_sweep(indices, threads=threads)
+    l_fields = sweep.L_sweep(indices)
+    g_fields = sweep.g_sweep(indices)
     drift = compute_phi(path, l_fields)
     innovation = compute_innovation(path, g_fields, drift=drift, g_diagonal=sweep.g_diagonal(g_fields))
     return drift, innovation

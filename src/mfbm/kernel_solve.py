@@ -3,17 +3,19 @@
 All four equation families share one discretization: piecewise-constant
 densities on grid cells, collocation at cell midpoints, and the exact
 kernel moments from :mod:`mfbm.quadrature`.  For upper limit t_k the
-collocation matrix is I + coeff * W[:k, :k], the leading block of a single
-full-grid matrix, which `SweepSolver` exploits to serve whole families of
-upper limits from one factorization.
+collocation matrix is I + coeff * W[:k, :k], the leading block of one
+symmetric positive definite Toeplitz matrix stored as its first column.
+Every solve runs through one Levinson-Durbin recursion (:func:`_levinson`),
+which returns the solutions of any set of leading blocks in a single
+O(K**2) pass and checks the residual of each by FFT matvec.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .exceptions import NumericalError
 from .quadrature import Alpha, Grid, WeightMatrix, build_weight_matrix, edge_fit, power_moment, riesz_moment
@@ -31,6 +33,9 @@ __all__ = [
 
 #: Max-norm residual bound for the linear solve, relative to the rhs scale.
 RESIDUAL_TOL = 1e-10
+
+#: Floats per batched FFT block of the residual check (16 MB).
+_CHUNK_FLOATS = 1 << 21
 
 
 @dataclass
@@ -59,24 +64,115 @@ class KernelField:
         return self.grid.midpoints[: self.s_index]
 
 
-def _solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LU with partial pivoting, one step of iterative refinement if needed."""
-    try:
-        lu, piv = sla.lu_factor(matrix, check_finite=False)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"collocation matrix factorization failed: {exc}") from exc
-    x = sla.lu_solve((lu, piv), rhs, check_finite=False)
-    scale = max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 1.0)
-    residual = rhs - matrix @ x
-    if np.max(np.abs(residual)) > RESIDUAL_TOL * scale:
-        x = x + sla.lu_solve((lu, piv), residual, check_finite=False)
-        residual = rhs - matrix @ x
-        if np.max(np.abs(residual)) > RESIDUAL_TOL * scale:
-            raise NumericalError(
-                f"linear solve residual {np.max(np.abs(residual)):.3e} "
-                f"exceeds tolerance after refinement"
-            )
-    return x
+def _embedding_size(k: int) -> int:
+    """Smallest power of two >= 2k - 1: a circulant that embeds a k x k Toeplitz block."""
+    return 1 << max(1, (2 * k - 2).bit_length())
+
+
+def _circulant_symbol(column: np.ndarray, size: int) -> np.ndarray:
+    """Real FFT of the length-`size` circulant whose leading size/2 block is
+    toeplitz(column[:size // 2]) (zero-padded if the column is shorter)."""
+    m = min(size // 2, column.size)
+    embed = np.zeros(size)
+    embed[:m] = column[:m]
+    embed[size - m + 1:] = column[m - 1:0:-1]
+    return np.fft.rfft(embed)
+
+
+def toeplitz_matvec(column: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """toeplitz(column[:k]) @ values for k = len(values), by FFT in O(k log k)."""
+    k = values.shape[0]
+    size = _embedding_size(k)
+    product = np.fft.irfft(np.fft.rfft(values, n=size) * _circulant_symbol(column, size), n=size)
+    return product[:k]
+
+
+def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict) -> None:
+    """Raise NumericalError unless every max|rhs[:k] - T_k x_k| <= RESIDUAL_TOL * max(1, max|rhs[:k]|).
+
+    Columns are grouped by embedding size and multiplied in batched FFT
+    blocks of at most `_CHUNK_FLOATS` floats.
+    """
+    scale = np.maximum(1.0, np.maximum.accumulate(np.abs(rhs)))
+    by_size = defaultdict(list)
+    for k in sorted(solutions):
+        by_size[_embedding_size(k)].append(k)
+    for size, ks in by_size.items():
+        symbol = _circulant_symbol(column, size)
+        width = min(size // 2, rhs.size)
+        step = max(1, _CHUNK_FLOATS // size)
+        for start in range(0, len(ks), step):
+            chunk = np.array(ks[start:start + step])
+            block = np.zeros((chunk.size, size))
+            for row, k in enumerate(chunk):
+                block[row, :k] = solutions[k]
+            spectrum = np.fft.rfft(block, axis=1)
+            spectrum *= symbol
+            product = np.fft.irfft(spectrum, n=size, axis=1)[:, :width]
+            residual = np.abs(rhs[:width] - product)
+            residual[np.arange(width)[None, :] >= chunk[:, None]] = 0.0
+            relative = residual.max(axis=1) / scale[chunk - 1]
+            bad = np.flatnonzero(relative > RESIDUAL_TOL)
+            if bad.size:
+                raise NumericalError(
+                    f"linear solve residual {relative[bad[0]]:.3e} (relative) exceeds "
+                    f"tolerance {RESIDUAL_TOL:g} at block size {chunk[bad[0]]}"
+                )
+
+
+def _levinson(column, rhs, keep) -> dict:
+    """Solutions of toeplitz(column)[:k, :k] x = rhs[:k] for every k in `keep`.
+
+    `column` is the first column of a symmetric positive definite Toeplitz
+    matrix T.  One Levinson-Durbin pass up to K = max(keep) grows the
+    forward vector f (T_k f = e_1) and the solution x one order at a time;
+    the backward vector (T_k b = e_k) is f reversed because T_k is
+    persymmetric.  O(K**2) time, O(K) work space.  Returns {k: x_k}, with
+    every x_k's residual checked (see :func:`_check_residuals`).  Raises
+    NumericalError if the recursion breaks down (a diagonal <= 0 or
+    beta = 1 - eps**2 <= 0, impossible for a positive definite T).
+    """
+    keep = sorted({int(k) for k in keep})
+    if not keep:
+        return {}
+    column = np.asarray(column, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    size = keep[-1]
+    if keep[0] < 1 or size > min(column.size, rhs.size):
+        raise ValueError(f"block sizes must be in [1, {min(column.size, rhs.size)}], got {keep}")
+    if not column[0] > 0.0:
+        raise NumericalError(f"Toeplitz diagonal {column[0]:.3e} is not positive")
+    # lags[size - 1 - k:size - 1] is column[k], ..., column[1]
+    lags = column[size - 1:0:-1].copy()
+    f = np.zeros(size)
+    x = np.zeros(size)
+    f[0] = 1.0 / column[0]
+    x[0] = rhs[0] * f[0]
+    wanted = set(keep)
+    out = {1: x[:1].copy()} if 1 in wanted else {}
+    for k in range(1, size):
+        lag = lags[size - 1 - k:]
+        eps = float(lag @ f[:k])
+        beta = 1.0 - eps * eps
+        if not beta > 0.0:
+            raise NumericalError(f"Levinson recursion broke down at order {k + 1} (beta = {beta:.3e})")
+        f[: k + 1] = (f[: k + 1] - eps * f[k::-1]) / beta
+        x[: k + 1] += (rhs[k] - float(lag @ x[:k])) * f[k::-1]
+        if k + 1 in wanted:
+            out[k + 1] = x[: k + 1].copy()
+    _check_residuals(column, rhs, out)
+    return out
+
+
+def _system_column(alpha: Alpha, weights: WeightMatrix) -> np.ndarray:
+    """First column of the collocation matrix I + coeff * W."""
+    column = alpha.coeff * weights.column
+    column[0] += 1.0
+    return column
+
+
+def _ones(r):
+    return np.ones_like(np.asarray(r, dtype=float))
 
 
 def solve_q(
@@ -103,8 +199,7 @@ def solve_q(
     f = np.broadcast_to(np.asarray(rhs(mids), dtype=float), (k,)).copy()
     if not np.all(np.isfinite(f)):
         raise ValueError("rhs must be finite at all collocation midpoints")
-    matrix = np.eye(k) + alpha.coeff * weights.entries[:k, :k]
-    x = _solve_dense(matrix, f)
+    x = _levinson(_system_column(alpha, weights), f, [k])[k]
     return KernelField(kind=kind, alpha=alpha, grid=grid, s_index=k, values=x, aux=aux, rhs=rhs)
 
 
@@ -126,11 +221,7 @@ def solve_L(grid: Grid, alpha: Alpha, s_index: int, weights: Optional[WeightMatr
 
 def solve_g(grid: Grid, alpha: Alpha, t_index: int, weights: Optional[WeightMatrix] = None) -> KernelField:
     """Martingale kernel on [0, t_k]: rhs identically 1 (constant 1/(1+t) at a=0)."""
-
-    def rhs(r):
-        return np.ones_like(np.asarray(r, dtype=float))
-
-    return solve_q(grid, alpha, t_index, rhs, weights=weights, kind="G")
+    return solve_q(grid, alpha, t_index, _ones, weights=weights, kind="G")
 
 
 def _tail_integral(L_t: KernelField, s_index: int, r):
@@ -225,63 +316,25 @@ def nystrom_eval(field: KernelField, r: float) -> float:
 
 
 class SweepSolver:
-    """Solve families of upper limits against one shared factorization.
+    """Solve families of upper limits on one grid.
 
-    The symmetrized full-grid matrix is positive definite for this kernel
-    family, and the Cholesky factor of a leading block is the leading block
-    of the full Cholesky factor.  Zero-padding the right-hand sides lets a
-    whole family of upper limits run as two full-size triangular solves
-    (padding stays zero through back substitution), so a sweep costs one
-    factorization plus level-3 solves.  Residuals are checked per column
-    against the literal (unsymmetrized) blocks; failures fall back to an
-    independent dense solve per index.
+    The collocation matrices for all upper limits are the leading blocks of
+    one symmetric positive definite Toeplitz matrix I + coeff * W, so a
+    single Levinson pass up to the largest requested index (see
+    :func:`_levinson`) returns every requested field: O(K**2) time for the
+    whole family and O(n) matrix storage, with the residual of every
+    returned field checked against `RESIDUAL_TOL`.
     """
 
     def __init__(self, grid: Grid, alpha: Alpha, weights: Optional[WeightMatrix] = None):
         self.grid = grid
         self.alpha = alpha
         self.weights = weights if weights is not None else build_weight_matrix(grid, alpha)
-        entries = self.weights.entries
-        full = np.eye(grid.cells) + alpha.coeff * 0.5 * (entries + entries.T)
-        try:
-            self._chol = sla.cholesky(full, lower=False, check_finite=False)
-        except sla.LinAlgError:
-            self._chol = None
-        self._node_moments = None
-
-    def solve_columns(self, indices, rhs_columns: np.ndarray) -> np.ndarray:
-        """Solve the leading-block system for every index at once.
-
-        `rhs_columns` has shape (cells, len(indices)); column j must be
-        zero at and beyond indices[j].  Returns the solutions in the same
-        zero-padded layout.
-        """
-        indices = np.asarray(list(indices), dtype=int)
-        f = np.asarray(rhs_columns, dtype=float)
-        n = self.grid.cells
-        valid = np.arange(n)[:, None] < indices[None, :]
-        scale = np.maximum(1.0, np.max(np.abs(f), axis=0))
-        if self._chol is not None:
-            z = sla.solve_triangular(self._chol, f, trans="T", lower=False, check_finite=False)
-            z *= valid
-            x = sla.solve_triangular(self._chol, z, trans="N", lower=False, check_finite=False)
-            x *= valid
-            residual = np.where(valid, f - x - self.alpha.coeff * (self.weights.entries @ x), 0.0)
-            bad = np.max(np.abs(residual), axis=0) > RESIDUAL_TOL * scale
-        else:
-            x = np.zeros_like(f)
-            bad = np.ones(len(indices), dtype=bool)
-        for j in np.nonzero(bad)[0]:
-            k = indices[j]
-            matrix = np.eye(k) + self.alpha.coeff * self.weights.entries[:k, :k]
-            x[:k, j] = _solve_dense(matrix, f[:k, j])
-        return x
+        self._system = _system_column(alpha, self.weights)
 
     def solve_values(self, s_index: int, rhs_values: np.ndarray) -> np.ndarray:
         k = int(s_index)
-        padded = np.zeros((self.grid.cells, 1))
-        padded[:k, 0] = np.asarray(rhs_values, dtype=float)
-        return self.solve_columns([k], padded)[:k, 0]
+        return _levinson(self._system, rhs_values, [k])[k]
 
     def L_field(self, s_index: int) -> KernelField:
         return self.L_sweep([s_index])[int(s_index)]
@@ -289,54 +342,45 @@ class SweepSolver:
     def g_field(self, t_index: int) -> KernelField:
         return self.g_sweep([t_index])[int(t_index)]
 
-    def _fields_from_columns(self, kind, indices, columns, rhs_for) -> dict:
-        out = {}
-        for j, k in enumerate(indices):
-            out[k] = KernelField(
-                kind=kind, alpha=self.alpha, grid=self.grid, s_index=k,
-                values=columns[:k, j].copy(), rhs=rhs_for(k),
-            )
-        return out
+    def _fields(self, kind, solutions, rhs_for) -> dict:
+        return {
+            k: KernelField(kind=kind, alpha=self.alpha, grid=self.grid, s_index=k,
+                           values=values, rhs=rhs_for(k))
+            for k, values in solutions.items()
+        }
 
-    def L_sweep(self, indices: Iterable[int], threads=None) -> dict:
-        indices = [int(i) for i in indices]
-        n = self.grid.cells
-        mids = self.grid.midpoints
-        rhs_fns = {k: _l_rhs(self.alpha, float(self.grid.nodes[k])) for k in indices}
-        f = np.zeros((n, len(indices)))
-        for j, k in enumerate(indices):
-            f[:k, j] = rhs_fns[k](mids[:k])
-        x = self.solve_columns(indices, f)
-        return self._fields_from_columns("L", indices, x, rhs_fns.__getitem__)
+    def L_sweep(self, indices: Iterable[int]) -> dict:
+        """Drift-kernel fields for every index in one pass.
 
-    def g_sweep(self, indices: Iterable[int], threads=None) -> dict:
-        indices = [int(i) for i in indices]
-        n = self.grid.cells
-        f = np.zeros((n, len(indices)))
-        for j, k in enumerate(indices):
-            f[:k, j] = 1.0
+        The rhs at index k is v[k - 1 - i] with v_j = -coeff * m_j**(-a),
+        the reversed k-prefix of one vector; the matrix is persymmetric, so
+        each field is the reversed prefix solution for v.
+        """
+        indices = {int(i) for i in indices}
+        mids = self.grid.midpoints[: max(indices, default=0)]
+        v = -self.alpha.coeff * mids ** (-self.alpha.value)
+        prefix = _levinson(self._system, v, indices)
+        solutions = {k: x[::-1].copy() for k, x in prefix.items()}
+        return self._fields("L", solutions, lambda k: _l_rhs(self.alpha, float(self.grid.nodes[k])))
 
-        def rhs_for(_k):
-            def rhs(r):
-                return np.ones_like(np.asarray(r, dtype=float))
-
-            return rhs
-
-        x = self.solve_columns(indices, f)
-        return self._fields_from_columns("G", indices, x, rhs_for)
+    def g_sweep(self, indices: Iterable[int]) -> dict:
+        """Martingale-kernel fields (rhs identically 1) for every index in one pass."""
+        indices = {int(i) for i in indices}
+        solutions = _levinson(self._system, np.ones(max(indices, default=0)), indices)
+        return self._fields("G", solutions, lambda _k: _ones)
 
     def g_diagonal(self, g_fields: dict) -> dict:
-        """Endpoint values g(t_k, t_k) by Nystrom interpolation, per index."""
-        if self._node_moments is None:
-            nodes = self.grid.nodes
-            self._node_moments = riesz_moment(
-                nodes[None, :-1], nodes[None, 1:], nodes[1:, None], self.alpha
-            )
-        out = {}
-        for k, fld in g_fields.items():
-            row = self._node_moments[k - 1, :k]
-            out[k] = 1.0 - self.alpha.coeff * float(row @ fld.values)
-        return out
+        """Endpoint values g(t_k, t_k) by Nystrom interpolation, per index.
+
+        The moment of cell j against node t_k depends on k - 1 - j only, so
+        one vector of first-cell moments against the nodes serves every k.
+        """
+        nodes = self.grid.nodes
+        moments = riesz_moment(nodes[0], nodes[1], nodes[1:], self.alpha)
+        return {
+            k: 1.0 - self.alpha.coeff * float(moments[k - 1::-1] @ fld.values)
+            for k, fld in g_fields.items()
+        }
 
 
 def check_L_from_g(

@@ -9,7 +9,9 @@ form and serve as the test oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,8 +76,8 @@ class Grid:
     midpoints: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.cells < 2:
             raise ValueError(f"need at least 2 cells, got {self.cells}")
         h = self.horizon / self.cells
@@ -140,31 +142,39 @@ def power_moment(a, b, upper, beta: float):
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Cell moments W[i, j] = integral over cell j of |m_i - tau|**(-a)."""
+    """Cell moments W[i, j] = integral over cell j of |m_i - tau|**(-a).
+
+    On a uniform grid W[i, j] depends on |i - j| only, so W is the symmetric
+    Toeplitz matrix of its first column, which is all that is stored.
+    """
 
     alpha: Alpha
     grid: Grid
-    entries: np.ndarray = field(repr=False, compare=False)
+    column: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense n x n table, built on first access (a test and tracing aid)."""
+        from scipy.linalg import toeplitz
+
+        return toeplitz(self.column)
 
     def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
+        # row i sums column[0..i] and column[1..n-1-i]
+        partial = np.cumsum(self.column)
+        return partial + partial[::-1] - self.column[0]
 
 
 def build_weight_matrix(grid: Grid, alpha: Alpha) -> WeightMatrix:
-    """Moment table for all midpoint/cell pairs of the grid.
+    """Moments of the first cell against every midpoint: the first column of W.
 
     Row sums obey the closed-form identity
     sum_j W[i, j] = (m_i**(1-a) + (T - m_i)**(1-a)) / (1-a).
     """
-    entries = riesz_moment(
-        grid.nodes[None, :-1],
-        grid.nodes[None, 1:],
-        grid.midpoints[:, None],
-        alpha,
-    )
-    if not np.all(np.isfinite(entries)) or np.any(entries <= 0.0):
+    column = riesz_moment(grid.nodes[0], grid.nodes[1], grid.midpoints, alpha)
+    if not np.all(np.isfinite(column)) or np.any(column <= 0.0):
         raise ValueError("weight matrix entries must be finite and positive")
-    return WeightMatrix(alpha=alpha, grid=grid, entries=entries)
+    return WeightMatrix(alpha=alpha, grid=grid, column=column)
 
 
 def edge_fit(values, beta: float, h: float):

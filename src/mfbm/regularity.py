@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .kernel_solve import KernelField, SweepSolver
+from .kernel_solve import KernelField, SweepSolver, toeplitz_matvec
 from .parallelism import parallel_map
 from .quadrature import Alpha, Grid, WeightMatrix, edge_fit, integrate_with_edge, power_moment
 from .gaussian_paths import simulate_ensemble
@@ -56,9 +56,10 @@ def phi_cross_gram(L_s: KernelField, L_t: KernelField, weights: WeightMatrix) ->
 
     Independence of the two noise components splits the moment into a
     plain product integral plus the kernel-weighted double integral; the
-    double integral uses weight-matrix rows (exact inner moments) and the
-    edge-corrected midpoint rule outside.  The integrand behaves like
-    (s - r)**(-2a) at r = s when s = t and like (s - r)**(-a) otherwise.
+    double integral uses weight-matrix rows (exact inner moments, applied
+    as a Toeplitz matvec) and the edge-corrected midpoint rule outside.
+    The integrand behaves like (s - r)**(-2a) at r = s when s = t and like
+    (s - r)**(-a) otherwise.
     """
     _check_pair(L_s, L_t)
     grid, alpha = L_s.grid, L_s.alpha
@@ -66,7 +67,7 @@ def phi_cross_gram(L_s: KernelField, L_t: KernelField, weights: WeightMatrix) ->
     beta = 2.0 * alpha.value if ka == kb else alpha.value
     plain = L_s.values * L_t.values[:ka]
     t1 = integrate_with_edge(plain, grid, ka, beta)
-    inner = weights.entries[:ka, :kb] @ L_t.values
+    inner = toeplitz_matvec(weights.column, L_t.values)[:ka]
     t2 = integrate_with_edge(L_s.values * inner, grid, ka, beta)
     return t1 + alpha.coeff * t2
 
@@ -248,7 +249,7 @@ def mc_increment_variances(
     sweep = SweepSolver(fine, alpha)
     t_indices = [int(k) for k in t_indices]
     fine_indices = sorted({int(s_index) * refine, *[k * refine for k in t_indices]})
-    fields = sweep.L_sweep(fine_indices, threads=threads)
+    fields = sweep.L_sweep(fine_indices)
     weights = {k: phi_mc_weights(fields[k]) for k in fine_indices}
     fbm_paths, bm_paths, _ = simulate_ensemble(fine, h, seed, n_paths, threads=threads)
     fgn = np.diff(fbm_paths, axis=1)
@@ -287,6 +288,8 @@ def build_variogram(
     """
     if method not in ("gram", "reduced", "monte_carlo"):
         raise ValueError(f"unknown variogram method {method!r}")
+    if method == "monte_carlo" and n_paths < 2:
+        raise ValueError(f"monte carlo needs at least 2 paths, got {n_paths}")
     grid = Grid(horizon, n)
     alpha = Alpha.from_h(h)
     k0 = grid.node_index(t0, name="t0")
@@ -311,7 +314,7 @@ def build_variogram(
     else:
         sweep = SweepSolver(grid, alpha)
         indices = sorted({k0, *[k0 + c for c in lag_cells]})
-        fields = sweep.L_sweep(indices, threads=threads)
+        fields = sweep.L_sweep(indices)
         base = fields[k0]
         if method == "reduced":
             values = np.array(parallel_map(
@@ -447,13 +450,14 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
         q_bounded = solve_q(grid, alpha, kt, lambda r: np.ones_like(np.asarray(r, dtype=float)),
                             weights=sweep.weights)
         out["i"] = _fitted_constant(q_bounded.values, np.ones(kt))
-        q_drift = sweep.L_field(ks)
+        drift_fields = sweep.L_sweep([ks, kt])
+        q_drift = drift_fields[ks]
         out["ii"] = _fitted_constant(q_drift.values * (s_node - mids_s) ** a, np.ones(ks))
         shape = (s_node - mids_s) ** (-a) - (t_node - mids_s) ** (-a)
         q_diff = solve_q(grid, alpha, ks, lambda r: (s_node - np.asarray(r, dtype=float)) ** (-a)
                          - (t_node - np.asarray(r, dtype=float)) ** (-a), weights=sweep.weights)
         out["iii"] = _fitted_constant(q_diff.values, shape)
-        d_field = solve_D(grid, alpha, ks, kt, weights=sweep.weights, L_t=sweep.L_field(kt))
+        d_field = solve_D(grid, alpha, ks, kt, weights=sweep.weights, L_t=drift_fields[kt])
         composite_shape = shape + (t_node - s_node) ** (1.0 - a) * (s_node - mids_s) ** (-a)
         out["composite"] = _fitted_constant(d_field.values, composite_shape)
         return out

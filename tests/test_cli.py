@@ -61,6 +61,41 @@ class TestSolveKernel:
         assert main(["nonsense"]) == 1
 
 
+class TestBadInput:
+    """Bad input exits 1 with the CLI's own message and no traceback."""
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--H", "0.85"],
+        ["decompose", "--H", "0.85"],
+        ["variogram", "--H", "0.85"],
+    ])
+    def test_nonfinite_horizon(self, tmp_path, capsys, command, horizon):
+        code = main([*command, "--T", horizon, "--n", "64", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "horizon" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_monte_carlo_needs_two_paths(self, tmp_path, capsys):
+        code = main(["variogram", "--H", "0.85", "--n", "256", "--lags", "4",
+                     "--method", "monte-carlo", "--paths", "1", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "paths" in err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--H", "0.85", "--n", "64"],
+        ["decompose", "--H", "0.85", "--n", "64"],
+        ["variogram", "--H", "0.85", "--n", "256", "--lags", "4"],
+    ])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        code = main([*command, "--seed", "-1", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--seed must be >= 0" in err and "non-negative" not in err
+
+
 class TestSimulate:
     def test_single_path_schema(self, tmp_path):
         code = main(["simulate", "--H", "0.85", "--n", "128", "--seed", "7",

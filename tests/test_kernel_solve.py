@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import toeplitz
 
-from mfbm.quadrature import Alpha, Grid, build_weight_matrix
+from mfbm import kernel_solve
+from mfbm.cli import main as cli_main
+from mfbm.exceptions import NumericalError
+from mfbm.quadrature import Alpha, Grid, build_weight_matrix, riesz_moment
 from mfbm.kernel_solve import (
     SweepSolver,
+    _levinson,
+    toeplitz_matvec,
     check_L_from_g,
     nystrom_eval,
     solve_D,
@@ -235,3 +242,105 @@ class TestSweepSolver:
         f = field.rhs(grid512.midpoints[:k])
         residual = f - field.values - ALPHA85.coeff * (weights512.entries[:k, :k] @ field.values)
         assert np.max(np.abs(residual)) <= 1e-10 * max(1.0, np.max(np.abs(f)))
+
+
+def dense_oracle(weights, alpha, k, f):
+    """Dense solve of the leading k x k collocation system."""
+    matrix = np.eye(k) + alpha.coeff * toeplitz(weights.column[:k])
+    return np.linalg.solve(matrix, f)
+
+
+def assert_matches_oracle(values, oracle):
+    assert np.max(np.abs(values - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+
+
+H_CORE = (0.76, 0.85, 1.0)
+K_CORE = (1, 2, 3, 17, 101, 255, 256)
+
+
+class TestLevinsonCore:
+    """Every solve goes through one Levinson pass; the dense solve is the oracle."""
+
+    @pytest.mark.parametrize("h", H_CORE)
+    def test_drift_fields_match_dense_oracle(self, h):
+        grid, alpha = Grid(1.0, 256), Alpha.from_h(h)
+        sweep = SweepSolver(grid, alpha)
+        fields = sweep.L_sweep(K_CORE)
+        for k in K_CORE:
+            f = fields[k].rhs(grid.midpoints[:k])
+            assert_matches_oracle(fields[k].values, dense_oracle(sweep.weights, alpha, k, f))
+
+    @pytest.mark.parametrize("h", H_CORE)
+    def test_martingale_fields_match_dense_oracle(self, h):
+        grid, alpha = Grid(1.0, 256), Alpha.from_h(h)
+        sweep = SweepSolver(grid, alpha)
+        fields = sweep.g_sweep(K_CORE)
+        for k in K_CORE:
+            assert_matches_oracle(fields[k].values, dense_oracle(sweep.weights, alpha, k, np.ones(k)))
+
+    @pytest.mark.parametrize("h", H_CORE)
+    @pytest.mark.parametrize("k", K_CORE)
+    def test_generic_rhs_matches_dense_oracle(self, h, k):
+        grid, alpha = Grid(1.0, 256), Alpha.from_h(h)
+        weights = build_weight_matrix(grid, alpha)
+        rhs = lambda r: np.cos(7.0 * np.asarray(r)) - np.asarray(r) ** 2
+        field = solve_q(grid, alpha, k, rhs, weights=weights)
+        oracle = dense_oracle(weights, alpha, k, rhs(grid.midpoints[:k]))
+        assert_matches_oracle(field.values, oracle)
+
+    @pytest.mark.parametrize("h", H_CORE)
+    @pytest.mark.parametrize("n", [64, 512, 1024])
+    def test_column_reproduces_moment_table_bitwise(self, h, n):
+        grid, alpha = Grid(1.0, n), Alpha.from_h(h)
+        table = riesz_moment(grid.nodes[None, :-1], grid.nodes[None, 1:], grid.midpoints[:, None], alpha)
+        assert np.array_equal(toeplitz(build_weight_matrix(grid, alpha).column), table)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 64, 65, 200])
+    def test_toeplitz_matvec_matches_dense(self, k):
+        weights = build_weight_matrix(Grid(1.0, 256), ALPHA85)
+        values = np.sin(np.arange(k) + 1.0)
+        dense = toeplitz(weights.column[:k]) @ values
+        assert np.max(np.abs(toeplitz_matvec(weights.column, values) - dense)) <= 1e-13
+
+    def test_residual_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(kernel_solve, "RESIDUAL_TOL", 0.0)
+        solver = SweepSolver(Grid(1.0, 64), ALPHA85)
+        with pytest.raises(NumericalError):
+            solver.g_sweep([64])
+
+    def test_residual_failure_exits_two(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(kernel_solve, "RESIDUAL_TOL", 0.0)
+        code = cli_main(["solve-kernel", "--kind", "g", "--H", "0.85", "--t", "1", "--n", "64",
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "residual" in capsys.readouterr().err
+
+    def test_breakdown_raises(self):
+        # an indefinite Toeplitz matrix: eps = 2 at order 2, beta = -3
+        with pytest.raises(NumericalError):
+            _levinson(np.array([1.0, 2.0]), np.ones(2), [2])
+
+    def test_rejects_out_of_range_sizes(self):
+        with pytest.raises(ValueError):
+            _levinson(np.array([2.0, 1.0]), np.ones(2), [3])
+        with pytest.raises(ValueError):
+            _levinson(np.array([2.0, 1.0]), np.ones(2), [0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        h=st.floats(min_value=0.76, max_value=1.0),
+        n=st.sampled_from([8, 64, 128]),
+        sizes=st.lists(st.integers(min_value=1, max_value=128), min_size=1, max_size=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_every_kept_size_matches_dense_oracle(self, h, n, sizes, seed):
+        grid, alpha = Grid(1.0, n), Alpha.from_h(h)
+        weights = build_weight_matrix(grid, alpha)
+        keep = sorted({min(k, n) for k in sizes})
+        rhs = np.random.default_rng(seed).standard_normal(n)
+        column = alpha.coeff * weights.column
+        column[0] += 1.0
+        solutions = _levinson(column, rhs, keep)
+        assert sorted(solutions) == keep
+        for k in keep:
+            assert_matches_oracle(solutions[k], dense_oracle(weights, alpha, k, rhs[:k]))

@@ -57,6 +57,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1.0, 1)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_rejects_nonfinite_or_nonpositive_horizon(self, horizon):
+        with pytest.raises(ValueError):
+            Grid(horizon, 8)
+
     def test_node_index(self):
         g = Grid(1.0, 64)
         assert g.node_index(0.5) == 32
