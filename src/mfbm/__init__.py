@@ -28,7 +28,6 @@ from .kernel_solve import (
     solve_q,
 )
 from .gaussian_paths import (
-    FbmCovariance,
     SamplePath,
     fbm_cov,
     fgn_autocov,
@@ -75,7 +74,6 @@ __all__ = [
     "solve_L",
     "solve_g",
     "solve_q",
-    "FbmCovariance",
     "SamplePath",
     "fbm_cov",
     "fgn_autocov",

@@ -15,11 +15,10 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import NumericalError
-from .parallelism import parallel_map, resolve_threads
+from .parallelism import parallel_map
 from .quadrature import Grid
 
 __all__ = [
-    "FbmCovariance",
     "SamplePath",
     "fbm_cov",
     "fgn_autocov",
@@ -31,6 +30,10 @@ __all__ = [
 #: Substream component tags for the two independent noise sources.
 FBM_STREAM = 0
 BM_STREAM = 1
+
+#: Paths synthesized together; a constant, so block contents never depend
+#: on the worker count.
+BLOCK = 64
 
 #: Relative eigenvalue floor below which the embedding is declared invalid.
 EIG_TOL = 1e-9
@@ -48,20 +51,6 @@ def fbm_cov(s, t, h: float):
     two_h = 2.0 * h
     out = 0.5 * (t ** two_h + s ** two_h - np.abs(t - s) ** two_h)
     return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class FbmCovariance:
-    """Covariance function of the long-memory component at fixed H."""
-
-    h: float
-
-    def __post_init__(self):
-        if not 0.0 < self.h <= 1.0:
-            raise ValueError(f"H must be in (0, 1], got {self.h}")
-
-    def at(self, s, t):
-        return fbm_cov(s, t, self.h)
 
 
 def fgn_autocov(k, h: float, dt: float = 1.0):
@@ -129,103 +118,94 @@ def _increment_cholesky(n: int, h: float, dt: float):
     return chol
 
 
-def _fgn_increments(n: int, h: float, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """One exact draw of n stationary long-memory increments."""
-    lam = _embedding_eigenvalues(n, h, dt)
-    if lam is None:
-        chol = _increment_cholesky(n, h, dt)
-        return chol @ rng.standard_normal(n)
-    m = 2 * n
-    z = rng.standard_normal(m)
-    amp = np.zeros(m, dtype=complex)
-    amp[0] = np.sqrt(lam[0]) * z[0]
-    amp[n] = np.sqrt(lam[n]) * z[1]
-    amp[1:n] = np.sqrt(0.5 * lam[1:n]) * (z[2 : n + 1] + 1j * z[n + 1 :])
-    amp[n + 1 :] = np.conj(amp[1:n][::-1])
-    synth = np.fft.ifft(amp) * np.sqrt(m)
-    return synth.real[:n]
+def _increments(grid: Grid, h: float, seed: int, first: int, count: int):
+    """Long-memory and Brownian increments of paths first .. first+count-1.
 
-
-def _one_path(grid: Grid, h: float, seed: int, path_index: int) -> SamplePath:
-    n = grid.cells
-    dt = grid.h
-    rng_fbm = _substream(seed, FBM_STREAM, path_index)
-    rng_bm = _substream(seed, BM_STREAM, path_index)
+    Returns two (count, n) arrays.  Path p reads its normals from the
+    substreams (seed, component, p) alone, so a path's increments do not
+    depend on which block it is synthesized in.  The circulant branch
+    draws 2n normals per path for the half spectrum of the order-2n
+    embedding and synthesizes with one real inverse FFT.
+    """
+    n, dt = grid.cells, grid.h
+    lam = None if h == 1.0 else _embedding_eigenvalues(n, h, dt)
+    # Normals per path: one slope at H = 1, n for the Cholesky fallback.
+    width = 1 if h == 1.0 else (n if lam is None else 2 * n)
+    z = np.empty((count, width))
+    white = np.empty((count, n))
+    for i, p in enumerate(range(first, first + count)):
+        z[i] = _substream(seed, FBM_STREAM, p).standard_normal(width)
+        white[i] = _substream(seed, BM_STREAM, p).standard_normal(n)
+    white *= np.sqrt(dt)
     if h == 1.0:
         # Degenerate covariance: the path is xi * t for one standard Gaussian.
-        xi = float(rng_fbm.standard_normal())
-        fbm_path = xi * grid.nodes
-    else:
-        incr = _fgn_increments(n, h, dt, rng_fbm)
-        fbm_path = np.concatenate([[0.0], np.cumsum(incr)])
-    bm_path = np.concatenate([[0.0], np.cumsum(rng_bm.standard_normal(n) * np.sqrt(dt))])
-    return SamplePath(grid=grid, h=h, seed=int(seed), fbm=fbm_path, bm=bm_path, mixed=fbm_path + bm_path)
+        return np.repeat(z * dt, n, axis=1), white
+    if lam is None:
+        chol = _increment_cholesky(n, h, dt)
+        return np.array([chol @ row for row in z]), white
+    m = 2 * n
+    # irfft with norm="forward" applies no 1/m, so sqrt(m) / m goes here.
+    amp = np.sqrt(lam[: n + 1] / m)
+    amp[1:n] *= np.sqrt(0.5)
+    half = np.zeros((count, n + 1), dtype=complex)
+    half.real[:, 0] = amp[0] * z[:, 0]
+    half.real[:, n] = amp[n] * z[:, 1]
+    half.real[:, 1:n] = amp[1:n] * z[:, 2 : n + 1]
+    half.imag[:, 1:n] = amp[1:n] * z[:, n + 1 :]
+    return np.fft.irfft(half, n=m, axis=1, norm="forward")[:, :n], white
+
+
+def map_blocks(fn, grid: Grid, h: float, seed: int, n_paths: int, threads=None) -> list:
+    """[fn(first, fgn, white) for each block of paths], in path order.
+
+    Blocks hold BLOCK paths (the last one may hold fewer) whatever the
+    worker count, so a caller that reduces each block right away keeps
+    O(BLOCK * n) memory and gets results independent of `threads`.
+    """
+    def one(first):
+        return fn(first, *_increments(grid, h, seed, first, min(BLOCK, n_paths - first)))
+
+    return parallel_map(one, range(0, n_paths, BLOCK), threads=threads)
+
+
+def _check_h(h: float):
+    if not 0.0 < h <= 1.0:
+        raise ValueError(f"H must be in (0, 1], got {h}")
 
 
 def simulate(grid: Grid, h: float, seed: int, path_index: int = 0) -> SamplePath:
     """Seeded realization of (B^H, B, X) at the grid nodes.
 
     Deterministic for fixed (seed, n, h, path_index); the two components
-    come from disjoint substreams of the seed.
+    come from disjoint substreams of the seed.  Bit-identical to row
+    `path_index` of :func:`simulate_ensemble`.
     """
-    if not 0.0 < h <= 1.0:
-        raise ValueError(f"H must be in (0, 1], got {h}")
-    return _one_path(grid, h, seed, int(path_index))
+    _check_h(h)
+    fgn, white = _increments(grid, h, seed, int(path_index), 1)
+    fbm_path = np.concatenate([[0.0], np.cumsum(fgn[0])])
+    bm_path = np.concatenate([[0.0], np.cumsum(white[0])])
+    return SamplePath(grid=grid, h=h, seed=int(seed), fbm=fbm_path, bm=bm_path, mixed=fbm_path + bm_path)
 
 
 def simulate_ensemble(grid: Grid, h: float, seed: int, n_paths: int, threads=None):
     """Stacked node values (fbm, bm, mixed), each of shape (n_paths, n + 1).
 
     Path p uses substreams (seed, component, p), so the ensemble content
-    does not depend on chunking or worker count.
+    does not depend on blocking or worker count.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if not 0.0 < h <= 1.0:
-        raise ValueError(f"H must be in (0, 1], got {h}")
-    n = grid.cells
-    dt = grid.h
-    lam = None if h == 1.0 else _embedding_eigenvalues(n, h, dt)
+    _check_h(h)
+    fbm = np.zeros((n_paths, grid.cells + 1))
+    bm = np.zeros_like(fbm)
 
-    def build_chunk(bounds):
-        lo, hi = bounds
-        count = hi - lo
-        fbm_inc = np.empty((count, n))
-        bm_inc = np.empty((count, n))
-        if h == 1.0:
-            for i, p in enumerate(range(lo, hi)):
-                xi = float(_substream(seed, FBM_STREAM, p).standard_normal())
-                fbm_inc[i] = xi * dt
-                bm_inc[i] = _substream(seed, BM_STREAM, p).standard_normal(n) * np.sqrt(dt)
-            return fbm_inc, bm_inc
-        if lam is None:
-            for i, p in enumerate(range(lo, hi)):
-                fbm_inc[i] = _fgn_increments(n, h, dt, _substream(seed, FBM_STREAM, p))
-                bm_inc[i] = _substream(seed, BM_STREAM, p).standard_normal(n) * np.sqrt(dt)
-            return fbm_inc, bm_inc
-        m = 2 * n
-        z = np.empty((count, m))
-        for i, p in enumerate(range(lo, hi)):
-            z[i] = _substream(seed, FBM_STREAM, p).standard_normal(m)
-            bm_inc[i] = _substream(seed, BM_STREAM, p).standard_normal(n) * np.sqrt(dt)
-        amp = np.zeros((count, m), dtype=complex)
-        amp[:, 0] = np.sqrt(lam[0]) * z[:, 0]
-        amp[:, n] = np.sqrt(lam[n]) * z[:, 1]
-        amp[:, 1:n] = np.sqrt(0.5 * lam[1:n]) * (z[:, 2 : n + 1] + 1j * z[:, n + 1 :])
-        amp[:, n + 1 :] = np.conj(amp[:, 1:n][:, ::-1])
-        fbm_inc[:] = (np.fft.ifft(amp, axis=1) * np.sqrt(m)).real[:, :n]
-        return fbm_inc, bm_inc
+    def cumulate(first, fgn, white):
+        rows = slice(first, first + len(fgn))
+        np.cumsum(fgn, axis=1, out=fbm[rows, 1:])
+        np.cumsum(white, axis=1, out=bm[rows, 1:])
 
-    n_workers = resolve_threads(threads)
-    chunk = max(1, -(-n_paths // n_workers))
-    bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    pieces = parallel_map(build_chunk, bounds, threads=threads)
-    fbm_inc = np.vstack([p[0] for p in pieces])
-    bm_inc = np.vstack([p[1] for p in pieces])
-    zeros = np.zeros((n_paths, 1))
-    fbm_paths = np.hstack([zeros, np.cumsum(fbm_inc, axis=1)])
-    bm_paths = np.hstack([zeros, np.cumsum(bm_inc, axis=1)])
-    return fbm_paths, bm_paths, fbm_paths + bm_paths
+    map_blocks(cumulate, grid, h, seed, n_paths, threads=threads)
+    return fbm, bm, fbm + bm
 
 
 def restrict(path: SamplePath, factor: int) -> SamplePath:

@@ -32,9 +32,7 @@ class Alpha:
     """Kernel exponent a in [0, 1/2) with its derived coefficients.
 
     The long-memory parameter is H = 1 - a/2, and the kernel coupling
-    H*(2H - 1) equals (1 - a/2)*(1 - a).  Both conventional spellings
-    (`c_coeff` for the H form, `b_coeff` for the a form) name the same
-    quantity, so they are aliases of a single stored float.
+    `coeff` = H*(2H - 1) equals (1 - a/2)*(1 - a).
     """
 
     value: float
@@ -56,10 +54,6 @@ class Alpha:
     @property
     def coeff(self) -> float:
         return (1.0 - 0.5 * self.value) * (1.0 - self.value)
-
-    # The two names used in the literature for the same constant.
-    c_coeff = coeff
-    b_coeff = coeff
 
 
 @dataclass(frozen=True)

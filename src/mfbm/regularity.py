@@ -23,7 +23,8 @@ import numpy as np
 from .kernel_solve import KernelField, SweepSolver, toeplitz_matvec
 from .parallelism import parallel_map
 from .quadrature import Alpha, Grid, WeightMatrix, edge_fit, integrate_with_edge, power_moment
-from .gaussian_paths import simulate_ensemble
+from .gaussian_paths import map_blocks
+from .gaussian_paths import simulate_ensemble  # unused here; perfbench/spans.py patches this name
 
 __all__ = [
     "Variogram",
@@ -250,18 +251,21 @@ def mc_increment_variances(
     t_indices = [int(k) for k in t_indices]
     fine_indices = sorted({int(s_index) * refine, *[k * refine for k in t_indices]})
     fields = sweep.L_sweep(fine_indices)
-    weights = {k: phi_mc_weights(fields[k]) for k in fine_indices}
-    fbm_paths, bm_paths, _ = simulate_ensemble(fine, h, seed, n_paths, threads=threads)
-    fgn = np.diff(fbm_paths, axis=1)
-    white = np.diff(bm_paths, axis=1)
+    # Column j of (a_w, b_w) weighs the two increment streams for phi at
+    # fine_indices[j]; rows past that index stay zero.
+    a_w = np.zeros((fine.cells, len(fine_indices)))
+    b_w = np.zeros_like(a_w)
+    for j, k in enumerate(fine_indices):
+        a_w[:k, j], b_w[:k, j] = phi_mc_weights(fields[k])
 
-    def phi_at(k_fine):
-        a_w, b_w = weights[k_fine]
-        return fgn[:, :k_fine] @ a_w + white[:, :k_fine] @ b_w
+    def phi_block(first, fgn, white):
+        # einsum, not BLAS: OpenBLAS threads spin against the pool workers.
+        return np.einsum("pi,ij->pj", fgn, a_w) + np.einsum("pi,ij->pj", white, b_w)
 
-    ks_fine = int(s_index) * refine
-    phi_s = phi_at(ks_fine)
-    variances = [float(np.var(phi_at(k * refine) - phi_s, ddof=1)) for k in t_indices]
+    phi = np.vstack(map_blocks(phi_block, fine, h, seed, n_paths, threads=threads))
+    column = {k: j for j, k in enumerate(fine_indices)}
+    phi_s = phi[:, column[int(s_index) * refine]]
+    variances = [float(np.var(phi[:, column[k * refine]] - phi_s, ddof=1)) for k in t_indices]
     return np.array(variances), float(np.var(phi_s, ddof=1))
 
 

@@ -6,7 +6,6 @@ import pytest
 import mfbm.gaussian_paths as gp
 from mfbm.quadrature import Grid
 from mfbm.gaussian_paths import (
-    FbmCovariance,
     fbm_cov,
     fgn_autocov,
     restrict,
@@ -35,12 +34,6 @@ class TestCovariance:
             fbm_cov(-0.1, 0.5, 0.8)
         with pytest.raises(ValueError):
             fbm_cov(0.1, 0.5, 1.2)
-        with pytest.raises(ValueError):
-            FbmCovariance(0.0)
-
-    def test_wrapper(self):
-        cov = FbmCovariance(0.8)
-        assert cov.at(0.4, 0.9) == fbm_cov(0.4, 0.9, 0.8)
 
 
 class TestIncrementAutocovariance:
@@ -91,20 +84,27 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(Grid(1.0, 64), 1.5, 0)
 
-    def test_ensemble_matches_single_paths(self):
+    def test_ensemble_matches_single_paths(self, monkeypatch):
         grid = Grid(1.0, 64)
-        fbm, bm, mixed = simulate_ensemble(grid, 0.85, 99, 5)
-        for p in range(5):
-            path = simulate(grid, 0.85, 99, path_index=p)
-            assert np.array_equal(path.fbm, fbm[p])
-            assert np.array_equal(path.bm, bm[p])
-            assert np.array_equal(path.mixed, mixed[p])
+        n_paths = gp.BLOCK + 5  # a full block and a partial one
+        for h, cholesky in ((0.85, False), (1.0, False), (0.85, True)):
+            with monkeypatch.context() as patch:
+                if cholesky:
+                    patch.setattr(gp, "_embedding_eigenvalues", lambda *a: None)
+                fbm, bm, mixed = simulate_ensemble(grid, h, 99, n_paths)
+                for p in (0, 1, 4, gp.BLOCK - 1, gp.BLOCK, n_paths - 1):
+                    path = simulate(grid, h, 99, path_index=p)
+                    assert np.array_equal(path.fbm, fbm[p])
+                    assert np.array_equal(path.bm, bm[p])
+                    assert np.array_equal(path.mixed, mixed[p])
 
     def test_ensemble_independent_of_thread_count(self):
         grid = Grid(1.0, 64)
-        _, _, one = simulate_ensemble(grid, 0.85, 99, 64, threads=1)
-        _, _, four = simulate_ensemble(grid, 0.85, 99, 64, threads=4)
-        assert np.array_equal(one, four)
+        n_paths = 2 * gp.BLOCK + 7  # two full blocks and a partial one
+        one = simulate_ensemble(grid, 0.85, 99, n_paths, threads=1)
+        four = simulate_ensemble(grid, 0.85, 99, n_paths, threads=4)
+        for a, b in zip(one, four):
+            assert np.array_equal(a, b)
 
     def test_cholesky_fallback_agrees_in_law(self, monkeypatch):
         grid = Grid(1.0, 64)

@@ -35,9 +35,8 @@ class TestAlpha:
     def test_coefficient_names_agree_exactly(self):
         for a in (0.0, 0.1, 0.3, 0.4, 0.49):
             alpha = Alpha(a)
-            assert alpha.b_coeff == alpha.c_coeff
             h = alpha.h
-            assert alpha.c_coeff == pytest.approx(h * (2 * h - 1), rel=1e-15)
+            assert alpha.coeff == pytest.approx(h * (2 * h - 1), rel=1e-15)
             assert 0.75 < h <= 1.0
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from mfbm.quadrature import Alpha, Grid
 from mfbm.kernel_solve import SweepSolver
+from mfbm.gaussian_paths import BLOCK, simulate_ensemble
 from mfbm.regularity import (
     Variogram,
     audit_lemma_bounds,
@@ -11,6 +12,7 @@ from mfbm.regularity import (
     fit_holder,
     mc_increment_variances,
     phi_cross_gram,
+    phi_mc_weights,
     phi_variance_gram,
     second_moment_gram,
     second_moment_reduced,
@@ -214,6 +216,31 @@ class TestMcMachinery:
                                           n_paths=3000, refine=2)
         se = target * np.sqrt(2.0 / 2999)
         assert abs(var_s - target) <= 3.0 * se
+
+    def test_streamed_moments_match_ensemble_oracle(self):
+        # Oracle: whole ensemble, increments by differencing the node paths.
+        h, seed, refine = 0.85, 3, 2
+        n_paths = 2 * BLOCK + 3
+        grid = Grid(1.0, 64)
+        ks, kts = 32, [36, 40, 48]
+        fine = Grid(1.0, 64 * refine)
+        fine_ks, fine_kts = ks * refine, [k * refine for k in kts]
+        fields = SweepSolver(fine, Alpha.from_h(h)).L_sweep([fine_ks, *fine_kts])
+        fbm, bm, _ = simulate_ensemble(fine, h, seed, n_paths)
+        fgn, white = np.diff(fbm, axis=1), np.diff(bm, axis=1)
+
+        def phi(k):
+            a_w, b_w = phi_mc_weights(fields[k])
+            return fgn[:, :k] @ a_w + white[:, :k] @ b_w
+
+        want = [np.var(phi(k) - phi(fine_ks), ddof=1) for k in fine_kts]
+        runs = [mc_increment_variances(h, ks, kts, grid, seed, n_paths, refine=refine,
+                                       threads=threads) for threads in (1, 2)]
+        variances, var_s = runs[0]
+        np.testing.assert_allclose(variances, want, rtol=1e-12, atol=0.0)
+        assert var_s == pytest.approx(np.var(phi(fine_ks), ddof=1), rel=1e-12)
+        assert variances.tobytes() == runs[1][0].tobytes()
+        assert var_s == runs[1][1]
 
     def test_rejects_bad_refine(self, sweep_h85):
         with pytest.raises(ValueError):
