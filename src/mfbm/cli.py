@@ -114,14 +114,14 @@ def run_solve_kernel(params: dict) -> int:
     return _finish("solve-kernel", params, [csv])
 
 
-def _cmd_solve_kernel(args) -> int:
+def _solve_kernel_params(args) -> dict:
     params = _resolve_common(args)
     params.pop("seed", None)
     upper = args.s if args.s is not None else args.t
     if upper is None or (args.s is not None and args.t is not None):
         raise _fail("pass exactly one of --s / --t")
     params.update({"kind": args.kind, "H": float(args.H), "upper": float(upper)})
-    return run_solve_kernel(params)
+    return params
 
 
 # ------------------------------------------------------------------- simulate
@@ -156,10 +156,10 @@ def run_simulate(params: dict) -> int:
     return _finish("simulate", params, [csv])
 
 
-def _cmd_simulate(args) -> int:
+def _simulate_params(args) -> dict:
     params = _resolve_common(args)
     params.update({"H": float(args.H), "paths": int(args.paths)})
-    return run_simulate(params)
+    return params
 
 
 # ------------------------------------------------------------------ decompose
@@ -188,10 +188,10 @@ def run_decompose(params: dict) -> int:
     return _finish("decompose", params, [csv])
 
 
-def _cmd_decompose(args) -> int:
+def _decompose_params(args) -> dict:
     params = _resolve_common(args)
     params.update({"H": float(args.H), "decimation": int(args.decimation)})
-    return run_decompose(params)
+    return params
 
 
 # ------------------------------------------------------- variogram and holder
@@ -277,18 +277,14 @@ def _variogram_params(args) -> dict:
     return params
 
 
-def _cmd_variogram(args) -> int:
-    return run_variogram(_variogram_params(args))
-
-
-def _cmd_holder(args) -> int:
+def _holder_params(args) -> dict:
     params = _variogram_params(args)
     params.update({
         "window_min": None if args.window_min is None else float(args.window_min),
         "window_max": None if args.window_max is None else float(args.window_max),
         "svg": bool(args.svg),
     })
-    return run_holder(params)
+    return params
 
 
 # --------------------------------------------------------------- audit-bounds
@@ -319,7 +315,7 @@ def run_audit_bounds(params: dict) -> int:
     return _finish("audit-bounds", params, [report])
 
 
-def _cmd_audit_bounds(args) -> int:
+def _audit_bounds_params(args) -> dict:
     params = _resolve_common(args)
     params.pop("seed", None)
     params.pop("n", None)
@@ -328,7 +324,7 @@ def _cmd_audit_bounds(args) -> int:
     except ValueError:
         raise _fail(f"cannot parse --n-sweep {args.n_sweep!r}")
     params.update({"H": float(args.H), "s": float(args.s), "t": float(args.t), "n_sweep": sweep})
-    return run_audit_bounds(params)
+    return params
 
 
 # -------------------------------------------------------------------- wiring
@@ -356,20 +352,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", type=float, default=None, help="upper limit (drift kernel)")
     p.add_argument("--t", type=float, default=None, help="upper limit (martingale kernel)")
     _add_common(p, "solve_kernel", with_seed=False)
-    p.set_defaults(func=_cmd_solve_kernel)
+    p.set_defaults(resolve=_solve_kernel_params)
 
     p = sub.add_parser("simulate", help="simulate component paths or an ensemble summary")
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--paths", type=int, default=1)
     _add_common(p, "simulate")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(resolve=_simulate_params)
 
     p = sub.add_parser("decompose", help="drift / martingale / innovation split of one path")
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--decimation", type=int, default=8,
                    help="solve the kernel families every this many nodes (default 8)")
     _add_common(p, "decompose")
-    p.set_defaults(func=_cmd_decompose)
+    p.set_defaults(resolve=_decompose_params)
 
     for name, helptext in (
         ("variogram", "second moments of drift increments over geometric lags"),
@@ -390,7 +386,7 @@ def _build_parser() -> _Parser:
                            help="largest lag in the fit (default t0 / 4)")
             p.add_argument("--svg", action="store_true", help="also write a log-log plot")
         _add_common(p, name)
-        p.set_defaults(func=_cmd_variogram if name == "variogram" else _cmd_holder)
+        p.set_defaults(resolve=_variogram_params if name == "variogram" else _holder_params)
 
     p = sub.add_parser("audit-bounds", help="refinement stability of the solution-bound constants")
     p.add_argument("--H", type=float, required=True)
@@ -398,9 +394,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=float, default=0.625)
     p.add_argument("--n-sweep", default="128,256,512,1024")
     _add_common(p, "audit_bounds", with_seed=False)
-    p.set_defaults(func=_cmd_audit_bounds)
+    p.set_defaults(resolve=_audit_bounds_params)
 
     return parser
+
+
+def _run(command: str, params: dict) -> int:
+    """Run one subcommand on its resolved parameters, fresh or replayed."""
+    threads = params.get("threads")
+    if threads is not None and threads < 1:
+        raise _fail(f"--threads must be >= 1, got {threads}")
+    return _RUNNERS[command](params)
 
 
 def _replay(manifest_path: str) -> int:
@@ -411,7 +415,7 @@ def _replay(manifest_path: str) -> int:
     params = dict(manifest["parameters"])
     if "method" in params and params["method"] == "monte-carlo":
         params["method"] = "monte_carlo"
-    return _RUNNERS[command](params)
+    return _run(command, params)
 
 
 def main(argv=None) -> int:
@@ -426,7 +430,7 @@ def main(argv=None) -> int:
         else:
             if getattr(args, "method", None) == "monte-carlo":
                 args.method = "monte_carlo"
-            code = args.func(args)
+            code = _run(args.command, args.resolve(args))
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

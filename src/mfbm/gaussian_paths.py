@@ -118,52 +118,106 @@ def _increment_cholesky(n: int, h: float, dt: float):
     return chol
 
 
-def _increments(grid: Grid, h: float, seed: int, first: int, count: int):
-    """Long-memory and Brownian increments of paths first .. first+count-1.
+def _amplitudes(n: int, h: float, dt: float):
+    """Half-spectrum amplitudes of the order-2n embedding, or None if indefinite.
 
-    Returns two (count, n) arrays.  Path p reads its normals from the
-    substreams (seed, component, p) alone, so a path's increments do not
-    depend on which block it is synthesized in.  The circulant branch
-    draws 2n normals per path for the half spectrum of the order-2n
-    embedding and synthesizes with one real inverse FFT.
+    Entry k scales the normals of frequency k in both the synthesis and its
+    transpose; irfft with norm="forward" applies no 1/m, so sqrt(m) / m is
+    folded in here.
     """
-    n, dt = grid.cells, grid.h
-    lam = None if h == 1.0 else _embedding_eigenvalues(n, h, dt)
-    # Normals per path: one slope at H = 1, n for the Cholesky fallback.
-    width = 1 if h == 1.0 else (n if lam is None else 2 * n)
+    lam = _embedding_eigenvalues(n, h, dt)
+    if lam is None:
+        return None
+    amp = np.sqrt(lam[: n + 1] / (2 * n))
+    amp[1:n] *= np.sqrt(0.5)
+    return amp
+
+
+def _normals(grid: Grid, h: float, seed: int, first: int, count: int):
+    """Standard normals (z, white) of paths first .. first+count-1.
+
+    The only reader of the substreams: path p draws z from (seed, FBM_STREAM,
+    p) and white from (seed, BM_STREAM, p), so its normals do not depend on
+    which block it is drawn in.  z holds one slope per path at H = 1, n
+    normals for the Cholesky fallback and 2n for the half spectrum of the
+    order-2n circulant embedding; white holds n.
+    """
+    n = grid.cells
+    if h == 1.0:
+        width = 1
+    else:
+        width = n if _embedding_eigenvalues(n, h, grid.h) is None else 2 * n
     z = np.empty((count, width))
     white = np.empty((count, n))
     for i, p in enumerate(range(first, first + count)):
-        z[i] = _substream(seed, FBM_STREAM, p).standard_normal(width)
-        white[i] = _substream(seed, BM_STREAM, p).standard_normal(n)
-    white *= np.sqrt(dt)
+        _substream(seed, FBM_STREAM, p).standard_normal(out=z[i])
+        _substream(seed, BM_STREAM, p).standard_normal(out=white[i])
+    return z, white
+
+
+def _increments(grid: Grid, h: float, z: np.ndarray, white: np.ndarray):
+    """Long-memory and Brownian increments, two (count, n) arrays, of the
+    normals from :func:`_normals`.
+
+    The circulant branch synthesizes from the half spectrum with one real
+    inverse FFT.  Both maps are linear; :func:`increments_transpose` is
+    their transpose.
+    """
+    n, dt = grid.cells, grid.h
+    white = white * np.sqrt(dt)
     if h == 1.0:
         # Degenerate covariance: the path is xi * t for one standard Gaussian.
         return np.repeat(z * dt, n, axis=1), white
-    if lam is None:
+    amp = _amplitudes(n, h, dt)
+    if amp is None:
         chol = _increment_cholesky(n, h, dt)
         return np.array([chol @ row for row in z]), white
-    m = 2 * n
-    # irfft with norm="forward" applies no 1/m, so sqrt(m) / m goes here.
-    amp = np.sqrt(lam[: n + 1] / m)
-    amp[1:n] *= np.sqrt(0.5)
-    half = np.zeros((count, n + 1), dtype=complex)
+    half = np.zeros((len(z), n + 1), dtype=complex)
     half.real[:, 0] = amp[0] * z[:, 0]
     half.real[:, n] = amp[n] * z[:, 1]
     half.real[:, 1:n] = amp[1:n] * z[:, 2 : n + 1]
     half.imag[:, 1:n] = amp[1:n] * z[:, n + 1 :]
-    return np.fft.irfft(half, n=m, axis=1, norm="forward")[:, :n], white
+    return np.fft.irfft(half, n=2 * n, axis=1, norm="forward")[:, :n], white
+
+
+def increments_transpose(grid: Grid, h: float, a: np.ndarray, b: np.ndarray):
+    """Weights (A, B) on the normals with z @ A.T + white @ B.T equal to
+    fgn @ a.T + dB @ b.T, where (fgn, dB) = _increments(grid, h, z, white).
+
+    Each row of a and b (length n) weighs the two increment streams for one
+    linear functional of a path; mapped once, the functional is read off
+    each path's raw normals with no synthesis.  In the circulant branch A
+    is one forward real FFT of the zero-padded rows of a, scaled by the
+    synthesis amplitudes.
+    """
+    n, dt = grid.cells, grid.h
+    b = b * np.sqrt(dt)
+    if h == 1.0:
+        return dt * a.sum(axis=-1, keepdims=True), b
+    amp = _amplitudes(n, h, dt)
+    if amp is None:
+        return a @ _increment_cholesky(n, h, dt), b
+    spec = np.fft.rfft(a, n=2 * n, axis=-1)
+    out = np.empty(a.shape[:-1] + (2 * n,))
+    out[..., 0] = amp[0] * spec[..., 0].real
+    out[..., 1] = amp[n] * spec[..., n].real
+    out[..., 2 : n + 1] = 2.0 * amp[1:n] * spec[..., 1:n].real
+    out[..., n + 1 :] = 2.0 * amp[1:n] * spec[..., 1:n].imag
+    return out, b
 
 
 def map_blocks(fn, grid: Grid, h: float, seed: int, n_paths: int, threads=None) -> list:
-    """[fn(first, fgn, white) for each block of paths], in path order.
+    """[fn(first, z, white) for each block of paths], in path order.
 
-    Blocks hold BLOCK paths (the last one may hold fewer) whatever the
-    worker count, so a caller that reduces each block right away keeps
-    O(BLOCK * n) memory and gets results independent of `threads`.
+    z and white are the block's raw normals from :func:`_normals`; callers
+    synthesize increments with :func:`_increments` or reduce the normals
+    directly through :func:`increments_transpose`.  Blocks hold BLOCK paths
+    (the last one may hold fewer) whatever the worker count, so a caller
+    that reduces each block right away keeps O(BLOCK * n) memory and gets
+    results independent of `threads`.
     """
     def one(first):
-        return fn(first, *_increments(grid, h, seed, first, min(BLOCK, n_paths - first)))
+        return fn(first, *_normals(grid, h, seed, first, min(BLOCK, n_paths - first)))
 
     return parallel_map(one, range(0, n_paths, BLOCK), threads=threads)
 
@@ -181,7 +235,7 @@ def simulate(grid: Grid, h: float, seed: int, path_index: int = 0) -> SamplePath
     `path_index` of :func:`simulate_ensemble`.
     """
     _check_h(h)
-    fgn, white = _increments(grid, h, seed, int(path_index), 1)
+    fgn, white = _increments(grid, h, *_normals(grid, h, seed, int(path_index), 1))
     fbm_path = np.concatenate([[0.0], np.cumsum(fgn[0])])
     bm_path = np.concatenate([[0.0], np.cumsum(white[0])])
     return SamplePath(grid=grid, h=h, seed=int(seed), fbm=fbm_path, bm=bm_path, mixed=fbm_path + bm_path)
@@ -199,10 +253,11 @@ def simulate_ensemble(grid: Grid, h: float, seed: int, n_paths: int, threads=Non
     fbm = np.zeros((n_paths, grid.cells + 1))
     bm = np.zeros_like(fbm)
 
-    def cumulate(first, fgn, white):
-        rows = slice(first, first + len(fgn))
+    def cumulate(first, z, white):
+        fgn, dB = _increments(grid, h, z, white)
+        rows = slice(first, first + len(z))
         np.cumsum(fgn, axis=1, out=fbm[rows, 1:])
-        np.cumsum(white, axis=1, out=bm[rows, 1:])
+        np.cumsum(dB, axis=1, out=bm[rows, 1:])
 
     map_blocks(cumulate, grid, h, seed, n_paths, threads=threads)
     return fbm, bm, fbm + bm

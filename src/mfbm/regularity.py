@@ -23,7 +23,7 @@ import numpy as np
 from .kernel_solve import KernelField, SweepSolver, toeplitz_matvec
 from .parallelism import parallel_map
 from .quadrature import Alpha, Grid, WeightMatrix, edge_fit, integrate_with_edge, power_moment
-from .gaussian_paths import map_blocks
+from .gaussian_paths import increments_transpose, map_blocks
 from .gaussian_paths import simulate_ensemble  # unused here; perfbench/spans.py patches this name
 
 __all__ = [
@@ -251,16 +251,22 @@ def mc_increment_variances(
     t_indices = [int(k) for k in t_indices]
     fine_indices = sorted({int(s_index) * refine, *[k * refine for k in t_indices]})
     fields = sweep.L_sweep(fine_indices)
-    # Column j of (a_w, b_w) weighs the two increment streams for phi at
-    # fine_indices[j]; rows past that index stay zero.
-    a_w = np.zeros((fine.cells, len(fine_indices)))
+    # Row j of (a_w, b_w) weighs the two increment streams for phi at
+    # fine_indices[j]; entries past that index stay zero.
+    a_w = np.zeros((len(fine_indices), fine.cells))
     b_w = np.zeros_like(a_w)
     for j, k in enumerate(fine_indices):
-        a_w[:k, j], b_w[:k, j] = phi_mc_weights(fields[k])
+        a_w[j, :k], b_w[j, :k] = phi_mc_weights(fields[k])
+    # phi is linear in each path's normals: weigh the normals directly, so
+    # no path is ever synthesized.
+    a_z, b_z = increments_transpose(fine, h, a_w, b_w)
 
-    def phi_block(first, fgn, white):
-        # einsum, not BLAS: OpenBLAS threads spin against the pool workers.
-        return np.einsum("pi,ij->pj", fgn, a_w) + np.einsum("pi,ij->pj", white, b_w)
+    def phi_block(first, z, white):
+        # einsum over contiguous weight rows, not BLAS @: alone @ is faster
+        # per block, but its threads spin against the pool workers.  On 2
+        # cores (threads=2, 5000 paths, 2048 fine cells, 5 functionals) the
+        # whole call took 0.75-0.85 s with einsum and 0.89-1.16 s with @.
+        return np.einsum("pi,ji->pj", z, a_z) + np.einsum("pi,ji->pj", white, b_z)
 
     phi = np.vstack(map_blocks(phi_block, fine, h, seed, n_paths, threads=threads))
     column = {k: j for j, k in enumerate(fine_indices)}
@@ -292,6 +298,8 @@ def build_variogram(
     """
     if method not in ("gram", "reduced", "monte_carlo"):
         raise ValueError(f"unknown variogram method {method!r}")
+    if int(n_lags) < 1:
+        raise ValueError(f"need at least one lag, got {n_lags}")
     if method == "monte_carlo" and n_paths < 2:
         raise ValueError(f"monte carlo needs at least 2 paths, got {n_paths}")
     grid = Grid(horizon, n)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,53 @@ class TestBadInput:
         assert code == 1
         err = capsys.readouterr().err
         assert "--seed must be >= 0" in err and "non-negative" not in err
+
+    @pytest.mark.parametrize("lags", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["variogram", "holder"])
+    def test_lags_below_one(self, tmp_path, capsys, command, lags):
+        code = main([command, "--H", "0.85", "--n", "256", "--lags", lags,
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "lag" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [
+        ["solve-kernel", "--kind", "L", "--H", "0.85", "--s", "0.5", "--n", "64"],
+        ["simulate", "--H", "0.85", "--n", "64"],
+        ["simulate", "--H", "0.85", "--n", "64", "--paths", "3"],
+        ["decompose", "--H", "0.85", "--n", "64"],
+        ["variogram", "--H", "0.85", "--n", "256", "--lags", "4"],
+        ["holder", "--H", "0.85", "--n", "256", "--lags", "4"],
+        ["audit-bounds", "--H", "0.85", "--n-sweep", "64,128"],
+    ])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, tmp_path, capsys, command, threads):
+        code = main([*command, "--threads", threads, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "--threads must be >= 1" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_replayed_threads_below_one(self, tmp_path, capsys):
+        assert main(["simulate", "--H", "0.85", "--n", "64", "--out-dir", str(tmp_path)]) == 0
+        manifest = tmp_path / "simulate_manifest.json"
+        record = json.loads(manifest.read_text())
+        record["parameters"]["threads"] = 0
+        manifest.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(["--manifest", str(manifest)]) == 1
+        assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # Start-up cost: scipy is only for tests and the benchmark tracer.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, mfbm.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "False"
 
 
 class TestSimulate:

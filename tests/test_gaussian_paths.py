@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mfbm.gaussian_paths as gp
 from mfbm.quadrature import Grid
@@ -126,6 +127,35 @@ class TestSimulate:
             exact = fbm_cov(0.5, 1.0, h)
             se = math.sqrt((fbm_cov(0.5, 0.5, h) * 1.0 + exact ** 2) / n_paths)
             assert abs(emp - exact) <= 3.0 * se
+
+
+class TestIncrementsTranspose:
+    """increments_transpose is the transpose of the synthesis in _increments."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        branch=st.sampled_from(["circulant", "h_one", "cholesky"]),
+        h=st.floats(min_value=0.51, max_value=0.99),
+        n=st.sampled_from([2, 8, 64, 256]),
+        horizon=st.floats(min_value=0.25, max_value=4.0),
+        rows=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_functionals_of_normals_match_synthesized_paths(self, branch, h, n, horizon, rows, seed):
+        grid = Grid(horizon, n)
+        h = 1.0 if branch == "h_one" else h
+        a, b = np.random.default_rng(seed).standard_normal((2, rows, n))
+        with pytest.MonkeyPatch.context() as patch:
+            if branch == "cholesky":
+                patch.setattr(gp, "_embedding_eigenvalues", lambda *args: None)
+            z, white = gp._normals(grid, h, seed, 0, 3)
+            fgn, dB = gp._increments(grid, h, z, white)
+            A, B = gp.increments_transpose(grid, h, a, b)
+        want = fgn @ a.T + dB @ b.T
+        # Scale of the sums: the error bound of a dot product is relative to it.
+        scale = np.abs(fgn) @ np.abs(a.T) + np.abs(dB) @ np.abs(b.T)
+        assert A.shape == (rows, z.shape[1]) and B.shape == (rows, n)
+        assert np.all(np.abs(z @ A.T + white @ B.T - want) <= 1e-12 * scale)
 
 
 class TestRestrict:
