@@ -300,7 +300,7 @@ def run_audit_bounds(params: dict) -> int:
         raise _fail("need 0 < s < t <= T")
     reports = audit_lemma_bounds(
         Alpha.from_h(params["H"]), params["s"], params["t"], sweep,
-        horizon=params["T"], threads=params["threads"],
+        horizon=params["T"],
     )
     payload = {
         part: {

@@ -136,7 +136,7 @@ def decompose(
     """Full decomposition of one path: returns (DriftPath, InnovationPath).
 
     Solves both kernel families at every `decimation`-th node (one Levinson
-    pass per family) and assembles drift, martingale, innovation and
+    pass serves both) and assembles drift, martingale, innovation and
     residual on that subset.
     """
     decimation = int(decimation)
@@ -146,8 +146,7 @@ def decompose(
     if sweep is None:
         sweep = SweepSolver(path.grid, Alpha.from_h(path.h))
     indices = list(range(decimation, n + 1, decimation))
-    l_fields = sweep.L_sweep(indices)
-    g_fields = sweep.g_sweep(indices)
+    l_fields, g_fields = sweep.L_g_sweep(indices)
     drift = compute_phi(path, l_fields)
     innovation = compute_innovation(path, g_fields, drift=drift, g_diagonal=sweep.g_diagonal(g_fields))
     return drift, innovation

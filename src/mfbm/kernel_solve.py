@@ -6,8 +6,9 @@ kernel moments from :mod:`mfbm.quadrature`.  For upper limit t_k the
 collocation matrix is I + coeff * W[:k, :k], the leading block of one
 symmetric positive definite Toeplitz matrix stored as its first column.
 Every solve runs through one Levinson-Durbin recursion (:func:`_levinson`),
-which returns the solutions of any set of leading blocks in a single
-O(K**2) pass and checks the residual of each by FFT matvec.
+which returns the solutions of any set of leading blocks, for one or
+several right-hand sides, in a single O(K**2) pass and checks the residual
+of each by FFT matvec.
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ __all__ = [
 #: Max-norm residual bound for the linear solve, relative to the rhs scale.
 RESIDUAL_TOL = 1e-10
 
-#: Floats per batched FFT block of the residual check (16 MB).
-_CHUNK_FLOATS = 1 << 21
+#: Floats per batched FFT block of the residual check (4 MB).
+_CHUNK_FLOATS = 1 << 19
 
 
 @dataclass
@@ -69,10 +70,23 @@ def _embedding_size(k: int) -> int:
     return 1 << max(1, (2 * k - 2).bit_length())
 
 
+def _smooth_size(k: int) -> int:
+    """Smallest 2**a * 3**b >= max(2, 2k - 1): the shortest fast FFT length
+    that embeds a k x k block, longer than k."""
+    target = max(2, 2 * k - 1)
+    best = 1 << (target - 1).bit_length()
+    power3 = 3
+    while power3 < best:
+        best = min(best, power3 << (-(-target // power3) - 1).bit_length())
+        power3 *= 3
+    return best
+
+
 def _circulant_symbol(column: np.ndarray, size: int) -> np.ndarray:
-    """Real FFT of the length-`size` circulant whose leading size/2 block is
-    toeplitz(column[:size // 2]) (zero-padded if the column is shorter)."""
-    m = min(size // 2, column.size)
+    """Real FFT of the length-`size` symmetric circulant whose leading
+    (size + 1) // 2 block is toeplitz(column[:(size + 1) // 2]) (zero-padded
+    if the column is shorter)."""
+    m = min((size + 1) // 2, column.size)
     embed = np.zeros(size)
     embed[:m] = column[:m]
     embed[size - m + 1:] = column[m - 1:0:-1]
@@ -87,48 +101,66 @@ def toeplitz_matvec(column: np.ndarray, values: np.ndarray) -> np.ndarray:
     return product[:k]
 
 
-def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict) -> None:
-    """Raise NumericalError unless every max|rhs[:k] - T_k x_k| <= RESIDUAL_TOL * max(1, max|rhs[:k]|).
+def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, reverse=()) -> None:
+    """Raise NumericalError unless every row j of every kept block size k has
+    max|rhs[j, :k] - T_k x_k[j]| <= RESIDUAL_TOL * max(1, max|rhs[j, :k]|).
 
-    Columns are grouped by embedding size and multiplied in batched FFT
-    blocks of at most `_CHUNK_FLOATS` floats.
+    `rhs` is (m, K) and `solutions` maps k to the (m, k) solutions, rows in
+    `reverse` stored reversed.  Block sizes are grouped by their smallest
+    2**a * 3**b embedding, whose symmetric circulant has a real symbol, and
+    all rows of a group are multiplied in batched FFT blocks of at most
+    `_CHUNK_FLOATS` floats.
     """
-    scale = np.maximum(1.0, np.maximum.accumulate(np.abs(rhs)))
+    m = rhs.shape[0]
+    scale = np.maximum(1.0, np.maximum.accumulate(np.abs(rhs), axis=1))
     by_size = defaultdict(list)
     for k in sorted(solutions):
-        by_size[_embedding_size(k)].append(k)
+        by_size[_smooth_size(k)].append(k)
     for size, ks in by_size.items():
-        symbol = _circulant_symbol(column, size)
-        width = min(size // 2, rhs.size)
-        step = max(1, _CHUNK_FLOATS // size)
+        symbol = _circulant_symbol(column, size).real
+        step = max(1, _CHUNK_FLOATS // (m * size))
         for start in range(0, len(ks), step):
-            chunk = np.array(ks[start:start + step])
-            block = np.zeros((chunk.size, size))
+            chunk = ks[start:start + step]
+            width = chunk[-1]
+            block = np.zeros((len(chunk), m, width))
             for row, k in enumerate(chunk):
-                block[row, :k] = solutions[k]
-            spectrum = np.fft.rfft(block, axis=1)
+                block[row, :, :k] = solutions[k]
+                for j in reverse:
+                    block[row, j, :k] = solutions[k][j, ::-1]
+            spectrum = np.fft.rfft(block, n=size)
             spectrum *= symbol
-            product = np.fft.irfft(spectrum, n=size, axis=1)[:, :width]
-            residual = np.abs(rhs[:width] - product)
-            residual[np.arange(width)[None, :] >= chunk[:, None]] = 0.0
-            relative = residual.max(axis=1) / scale[chunk - 1]
+            product = np.fft.irfft(spectrum, n=size)
+            residual = product[..., :width]
+            residual -= rhs[:, :width]
+            np.abs(residual, out=residual)
+            # Ragged per-row maximum over the first k entries: segments
+            # [r * size, r * size + k) of the flat product, gaps dropped.
+            sizes = np.repeat(chunk, m)
+            starts = np.arange(sizes.size) * size
+            bounds = np.stack([starts, starts + sizes], axis=1).ravel()
+            worst = np.maximum.reduceat(product.ravel(), bounds)[::2]
+            relative = worst / scale[np.tile(np.arange(m), len(chunk)), sizes - 1]
             bad = np.flatnonzero(relative > RESIDUAL_TOL)
             if bad.size:
                 raise NumericalError(
                     f"linear solve residual {relative[bad[0]]:.3e} (relative) exceeds "
-                    f"tolerance {RESIDUAL_TOL:g} at block size {chunk[bad[0]]}"
+                    f"tolerance {RESIDUAL_TOL:g} at block size {sizes[bad[0]]}"
                 )
 
 
-def _levinson(column, rhs, keep) -> dict:
-    """Solutions of toeplitz(column)[:k, :k] x = rhs[:k] for every k in `keep`.
+def _levinson(column, rhs, keep, reverse=()) -> dict:
+    """Solutions of toeplitz(column)[:k, :k] x = rhs[..., :k] for every k in `keep`.
 
     `column` is the first column of a symmetric positive definite Toeplitz
-    matrix T.  One Levinson-Durbin pass up to K = max(keep) grows the
-    forward vector f (T_k f = e_1) and the solution x one order at a time;
-    the backward vector (T_k b = e_k) is f reversed because T_k is
-    persymmetric.  O(K**2) time, O(K) work space.  Returns {k: x_k}, with
-    every x_k's residual checked (see :func:`_check_residuals`).  Raises
+    matrix T; `rhs` is one right-hand side (K,) or a stack of m of them
+    (m, K).  One Levinson-Durbin pass up to K = max(keep) grows the forward
+    vector f (T_k f = e_1), shared by every row, and each row's solution
+    one order at a time; the backward vector (T_k b = e_k) is f reversed
+    because T_k is persymmetric.  Each row keeps its own dot product, so
+    its solutions are bit-identical to a pass over that row alone.  O(m K**2)
+    time, O(m K) work space.  Returns {k: x_k} with x_k of shape
+    rhs.shape[:-1] + (k,), rows listed in `reverse` stored reversed, and
+    every row's residual checked (see :func:`_check_residuals`).  Raises
     NumericalError if the recursion breaks down (a diagonal <= 0 or
     beta = 1 - eps**2 <= 0, impossible for a positive definite T).
     """
@@ -137,31 +169,37 @@ def _levinson(column, rhs, keep) -> dict:
         return {}
     column = np.asarray(column, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
+    rows = np.atleast_2d(rhs)
     size = keep[-1]
-    if keep[0] < 1 or size > min(column.size, rhs.size):
-        raise ValueError(f"block sizes must be in [1, {min(column.size, rhs.size)}], got {keep}")
+    if keep[0] < 1 or size > min(column.size, rows.shape[1]):
+        raise ValueError(f"block sizes must be in [1, {min(column.size, rows.shape[1])}], got {keep}")
     if not column[0] > 0.0:
         raise NumericalError(f"Toeplitz diagonal {column[0]:.3e} is not positive")
     # lags[size - 1 - k:size - 1] is column[k], ..., column[1]
     lags = column[size - 1:0:-1].copy()
+    m = rows.shape[0]
     f = np.zeros(size)
-    x = np.zeros(size)
+    x = np.zeros((m, size))
     f[0] = 1.0 / column[0]
-    x[0] = rhs[0] * f[0]
+    x[:, 0] = rows[:, 0] * f[0]
     wanted = set(keep)
-    out = {1: x[:1].copy()} if 1 in wanted else {}
-    for k in range(1, size):
-        lag = lags[size - 1 - k:]
-        eps = float(lag @ f[:k])
-        beta = 1.0 - eps * eps
-        if not beta > 0.0:
-            raise NumericalError(f"Levinson recursion broke down at order {k + 1} (beta = {beta:.3e})")
-        f[: k + 1] = (f[: k + 1] - eps * f[k::-1]) / beta
-        x[: k + 1] += (rhs[k] - float(lag @ x[:k])) * f[k::-1]
+    out = {}
+    for k in range(size):
+        if k > 0:
+            lag = lags[size - 1 - k:]
+            eps = float(lag @ f[:k])
+            beta = 1.0 - eps * eps
+            if not beta > 0.0:
+                raise NumericalError(f"Levinson recursion broke down at order {k + 1} (beta = {beta:.3e})")
+            f[: k + 1] = (f[: k + 1] - eps * f[k::-1]) / beta
+            gap = rows[:, k] - [lag @ x[j, :k] for j in range(m)]
+            x[:, : k + 1] += gap[:, None] * f[k::-1]
         if k + 1 in wanted:
-            out[k + 1] = x[: k + 1].copy()
-    _check_residuals(column, rhs, out)
-    return out
+            out[k + 1] = x[:, : k + 1].copy()
+            for j in reverse:
+                out[k + 1][j] = x[j, k::-1]
+    _check_residuals(column, rows[:, :size], out, reverse)
+    return out if rhs.ndim > 1 else {k: x_k[0] for k, x_k in out.items()}
 
 
 def _system_column(alpha: Alpha, weights: WeightMatrix) -> np.ndarray:
@@ -321,9 +359,10 @@ class SweepSolver:
     The collocation matrices for all upper limits are the leading blocks of
     one symmetric positive definite Toeplitz matrix I + coeff * W, so a
     single Levinson pass up to the largest requested index (see
-    :func:`_levinson`) returns every requested field: O(K**2) time for the
-    whole family and O(n) matrix storage, with the residual of every
-    returned field checked against `RESIDUAL_TOL`.
+    :func:`_levinson`) returns every requested field of one family, or of
+    both (:meth:`L_g_sweep`): O(K**2) time per family and O(n) matrix
+    storage, with the residual of every returned field checked against
+    `RESIDUAL_TOL`.
     """
 
     def __init__(self, grid: Grid, alpha: Alpha, weights: Optional[WeightMatrix] = None):
@@ -342,32 +381,38 @@ class SweepSolver:
     def g_field(self, t_index: int) -> KernelField:
         return self.g_sweep([t_index])[int(t_index)]
 
-    def _fields(self, kind, solutions, rhs_for) -> dict:
-        return {
-            k: KernelField(kind=kind, alpha=self.alpha, grid=self.grid, s_index=k,
-                           values=values, rhs=rhs_for(k))
-            for k, values in solutions.items()
-        }
+    def _sweep(self, indices: Iterable[int], kinds: str) -> tuple:
+        """Fields of each family in `kinds` ('L', 'G') at every index, from one pass.
 
-    def L_sweep(self, indices: Iterable[int]) -> dict:
-        """Drift-kernel fields for every index in one pass.
-
-        The rhs at index k is v[k - 1 - i] with v_j = -coeff * m_j**(-a),
+        The L rhs at index k is v[k - 1 - i] with v_j = -coeff * m_j**(-a),
         the reversed k-prefix of one vector; the matrix is persymmetric, so
-        each field is the reversed prefix solution for v.
+        each L field is the reversed prefix solution for v, which the pass
+        stores reversed.  The g rhs is identically 1.
         """
         indices = {int(i) for i in indices}
         mids = self.grid.midpoints[: max(indices, default=0)]
-        v = -self.alpha.coeff * mids ** (-self.alpha.value)
-        prefix = _levinson(self._system, v, indices)
-        solutions = {k: x[::-1].copy() for k, x in prefix.items()}
-        return self._fields("L", solutions, lambda k: _l_rhs(self.alpha, float(self.grid.nodes[k])))
+        rows = [-self.alpha.coeff * mids ** (-self.alpha.value) if kind == "L" else np.ones(mids.size)
+                for kind in kinds]
+        solutions = _levinson(self._system, np.array(rows), indices,
+                              reverse=[j for j, kind in enumerate(kinds) if kind == "L"])
+        return tuple(
+            {k: KernelField(kind=kind, alpha=self.alpha, grid=self.grid, s_index=k, values=x[j],
+                            rhs=_l_rhs(self.alpha, float(self.grid.nodes[k])) if kind == "L" else _ones)
+             for k, x in solutions.items()}
+            for j, kind in enumerate(kinds)
+        )
+
+    def L_g_sweep(self, indices: Iterable[int]) -> tuple:
+        """(drift-kernel fields, martingale-kernel fields) at every index, from one pass."""
+        return self._sweep(indices, "LG")
+
+    def L_sweep(self, indices: Iterable[int]) -> dict:
+        """Drift-kernel fields for every index in one pass."""
+        return self._sweep(indices, "L")[0]
 
     def g_sweep(self, indices: Iterable[int]) -> dict:
         """Martingale-kernel fields (rhs identically 1) for every index in one pass."""
-        indices = {int(i) for i in indices}
-        solutions = _levinson(self._system, np.ones(max(indices, default=0)), indices)
-        return self._fields("G", solutions, lambda _k: _ones)
+        return self._sweep(indices, "G")[0]
 
     def g_diagonal(self, g_fields: dict) -> dict:
         """Endpoint values g(t_k, t_k) by Nystrom interpolation, per index.
@@ -405,11 +450,9 @@ def check_L_from_g(
         raise ValueError("dt pushes the shifted upper limits off the grid")
     if weights is None:
         weights = build_weight_matrix(grid, alpha)
-    solver = SweepSolver(grid, alpha, weights=weights)
-    g_plus = solver.g_field(k + step)
-    g_minus = solver.g_field(k - step)
-    g_mid = solver.g_field(k)
-    l_ref = solver.L_field(k)
+    l_fields, g_fields = SweepSolver(grid, alpha, weights=weights).L_g_sweep([k - step, k, k + step])
+    g_plus, g_minus, g_mid = g_fields[k + step], g_fields[k - step], g_fields[k]
+    l_ref = l_fields[k]
     s = float(grid.nodes[k])
     g_ss = nystrom_eval(g_mid, s)
     if g_ss <= 0.0:

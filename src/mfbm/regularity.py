@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .kernel_solve import KernelField, SweepSolver, toeplitz_matvec
-from .parallelism import parallel_map
+from .parallelism import parallel_map  # unused here; perfbench/spans.py patches this name
 from .quadrature import Alpha, Grid, WeightMatrix, edge_fit, integrate_with_edge, power_moment
 from .gaussian_paths import increments_transpose, map_blocks
 from .gaussian_paths import simulate_ensemble  # unused here; perfbench/spans.py patches this name
@@ -329,15 +329,11 @@ def build_variogram(
         fields = sweep.L_sweep(indices)
         base = fields[k0]
         if method == "reduced":
-            values = np.array(parallel_map(
-                lambda c: second_moment_reduced(t0, t0 + c * grid.h, base, fields[k0 + c]).value,
-                lag_cells, threads=threads,
-            ))
+            values = np.array([second_moment_reduced(t0, t0 + c * grid.h, base, fields[k0 + c]).value
+                               for c in lag_cells])
         else:
-            values = np.array(parallel_map(
-                lambda c: second_moment_gram(t0, t0 + c * grid.h, base, fields[k0 + c], sweep.weights),
-                lag_cells, threads=threads,
-            ))
+            values = np.array([second_moment_gram(t0, t0 + c * grid.h, base, fields[k0 + c], sweep.weights)
+                               for c in lag_cells])
     return Variogram(
         h=h, base_point=t0, lags=lags, values=values, method=method,
         stderr=stderr, grid_cells=n, horizon=horizon,
@@ -427,8 +423,7 @@ def _stability_ratio(constants) -> float:
     return float(np.max(arr) / np.min(arr))
 
 
-def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float = 1.0,
-                       threads=None) -> dict:
+def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float = 1.0) -> dict:
     """Numerical audit of the a-priori solution bounds across grid refinement.
 
     For each grid size the fitted constants are:
@@ -459,10 +454,8 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
         s_node, t_node = grid.nodes[ks], grid.nodes[kt]
         mids_s = grid.midpoints[:ks]
         out = {}
-        q_bounded = solve_q(grid, alpha, kt, lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                            weights=sweep.weights)
-        out["i"] = _fitted_constant(q_bounded.values, np.ones(kt))
-        drift_fields = sweep.L_sweep([ks, kt])
+        drift_fields, g_fields = sweep.L_g_sweep([ks, kt])
+        out["i"] = _fitted_constant(g_fields[kt].values, np.ones(kt))
         q_drift = drift_fields[ks]
         out["ii"] = _fitted_constant(q_drift.values * (s_node - mids_s) ** a, np.ones(ks))
         shape = (s_node - mids_s) ** (-a) - (t_node - mids_s) ** (-a)
@@ -474,7 +467,7 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
         out["composite"] = _fitted_constant(d_field.values, composite_shape)
         return out
 
-    per_size = parallel_map(constants_for, n_sweep, threads=threads)
+    per_size = [constants_for(n) for n in n_sweep]
     reports = {}
     envelope_i = 2.0 * t ** (1.0 - a) / (1.0 - 2.0 * a) + 1.0
     for part in ("i", "ii", "iii", "composite"):

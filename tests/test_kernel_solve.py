@@ -8,8 +8,11 @@ from mfbm.cli import main as cli_main
 from mfbm.exceptions import NumericalError
 from mfbm.quadrature import Alpha, Grid, build_weight_matrix, riesz_moment
 from mfbm.kernel_solve import (
+    RESIDUAL_TOL,
     SweepSolver,
+    _check_residuals,
     _levinson,
+    _smooth_size,
     toeplitz_matvec,
     check_L_from_g,
     nystrom_eval,
@@ -344,3 +347,77 @@ class TestLevinsonCore:
         assert sorted(solutions) == keep
         for k in keep:
             assert_matches_oracle(solutions[k], dense_oracle(weights, alpha, k, rhs[:k]))
+
+
+SPARSE_KEEP = (1, 2, 3, 17, 101, 255, 256)
+BOUNDARY_SIZES = (64, 65, 96, 97, 128, 129)  # each pair straddles a check embedding size
+
+
+class TestFusedPass:
+    """One Levinson pass serves both kernel families, bit for bit."""
+
+    @pytest.mark.parametrize("h", H_CORE)
+    @pytest.mark.parametrize("keep", [range(1, 257), SPARSE_KEEP], ids=["all_prefix", "sparse"])
+    def test_fields_equal_single_family_sweeps(self, h, keep):
+        sweep = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))
+        l_fields, g_fields = sweep.L_g_sweep(keep)
+        l_alone, g_alone = sweep.L_sweep(keep), sweep.g_sweep(keep)
+        assert sorted(l_fields) == sorted(g_fields) == sorted(keep)
+        for k in keep:
+            assert np.array_equal(l_fields[k].values, l_alone[k].values)
+            assert np.array_equal(g_fields[k].values, g_alone[k].values)
+            assert (l_fields[k].kind, g_fields[k].kind) == ("L", "G")
+
+    def test_smooth_sizes_are_minimal(self):
+        smooth = [n for n in range(2, 2400) if _is_3_smooth(n)]
+        for k in range(1, 600):
+            target = max(2, 2 * k - 1)
+            assert _smooth_size(k) == min(n for n in smooth if n >= target)
+
+
+def _is_3_smooth(n):
+    for p in (2, 3):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _fused_solutions(keep):
+    """Solutions of a fused L/g pass at H = 0.85, n = 256, with their rhs rows."""
+    grid, alpha = Grid(1.0, 256), ALPHA85
+    sweep = SweepSolver(grid, alpha)
+    rows = np.array([-alpha.coeff * grid.midpoints ** (-alpha.value), np.ones(grid.cells)])
+    column = sweep._system
+    return column, rows, _levinson(column, rows, keep, reverse=[0])
+
+
+class TestResidualCheck:
+    """The batched all-prefix check catches a bad entry in any row of any family."""
+
+    @pytest.mark.parametrize("chunk_floats", [None, 1], ids=["default_blocks", "one_size_per_block"])
+    def test_unperturbed_solutions_pass(self, monkeypatch, chunk_floats):
+        if chunk_floats is not None:
+            monkeypatch.setattr(kernel_solve, "_CHUNK_FLOATS", chunk_floats)
+        column, rows, solutions = _fused_solutions(range(1, 257))
+        _check_residuals(column, rows, solutions, reverse=[0])
+
+    @pytest.mark.parametrize("chunk_floats", [None, 1], ids=["default_blocks", "one_size_per_block"])
+    @pytest.mark.parametrize("k", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("row", [0, 1], ids=["L", "g"])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_perturbed_entry_raises(self, monkeypatch, chunk_floats, k, row, position):
+        if chunk_floats is not None:
+            monkeypatch.setattr(kernel_solve, "_CHUNK_FLOATS", chunk_floats)
+        keep = sorted({*BOUNDARY_SIZES, k - 1, k + 1, 256})
+        column, rows, solutions = _fused_solutions(keep)
+        _check_residuals(column, rows, solutions, reverse=[0])
+        entry = 0 if position == "first" else k - 1
+        scale = max(1.0, float(np.max(np.abs(rows[row, :k]))))
+        bad = dict(solutions)
+        bad[k] = solutions[k].copy()
+        # twice the bound in the perturbed entry's own residual; the other
+        # residual entries move by at most column[1] / column[0] (about 1 %)
+        # of that, so only the entry itself can trip the check
+        bad[k][row, entry] += 2.0 * RESIDUAL_TOL * scale / column[0]
+        with pytest.raises(NumericalError, match=f"block size {k}$"):
+            _check_residuals(column, rows, bad, reverse=[0])
