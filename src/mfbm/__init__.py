@@ -41,7 +41,6 @@ from .decomposition import (
     compute_phi,
     compute_innovation,
     decompose,
-    field_matrix,
 )
 from .regularity import (
     BoundReport,
@@ -85,7 +84,6 @@ __all__ = [
     "compute_phi",
     "compute_innovation",
     "decompose",
-    "field_matrix",
     "BoundReport",
     "HolderFit",
     "Variogram",

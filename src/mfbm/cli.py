@@ -19,7 +19,8 @@ from . import __version__
 from .exceptions import NumericalError
 from .quadrature import Alpha, Grid
 from .kernel_solve import SweepSolver
-from .gaussian_paths import simulate, simulate_ensemble
+from .gaussian_paths import node_moments, simulate
+from .gaussian_paths import simulate_ensemble  # unused here; perfbench/spans.py patches this name
 from .decomposition import decompose
 from .regularity import build_variogram, default_fit_window, fit_holder, audit_lemma_bounds
 from . import outputs as out
@@ -140,18 +141,13 @@ def run_simulate(params: dict) -> int:
             zip(grid.nodes, path.fbm, path.bm, path.mixed),
         )
     else:
-        fbm, bm, mixed = simulate_ensemble(
+        mean, var = node_moments(
             grid, params["H"], params["seed"], params["paths"], threads=params["threads"]
         )
         csv = out.write_csv(
             _out_path(params, ".csv"),
             ["t", "mean_fbm", "var_fbm", "mean_bm", "var_bm", "mean_mixed", "var_mixed"],
-            zip(
-                grid.nodes,
-                fbm.mean(axis=0), fbm.var(axis=0, ddof=1),
-                bm.mean(axis=0), bm.var(axis=0, ddof=1),
-                mixed.mean(axis=0), mixed.var(axis=0, ddof=1),
-            ),
+            zip(grid.nodes, mean[0], var[0], mean[1], var[1], mean[2], var[2]),
         )
     return _finish("simulate", params, [csv])
 
@@ -436,7 +432,8 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return 1
         return 0 if exc.code is None else int(exc.code)
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
+        # OverflowError: a float power out of range, e.g. of a huge --T
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -4,7 +4,10 @@ The stochastic integrals are discretized left-point (Ito-consistent) with
 the kernels evaluated at cell midpoints; the innovation increments divide
 martingale increments by the right-endpoint diagonal value, and the
 reconstruction residual integrates the drift derivative by trapezoid on
-the same decimated node subset.
+the same decimated node subset.  :func:`decompose` takes the integrals
+from one prefix solve of the path's own increments and stores no kernel
+field; :func:`compute_phi` and :func:`compute_innovation` integrate given
+solved fields.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ __all__ = [
     "compute_phi",
     "compute_innovation",
     "decompose",
-    "field_matrix",
 ]
 
 
@@ -116,6 +118,11 @@ def compute_innovation(
             diag[pos] = float(g_diagonal[k])
         else:
             diag[pos] = nystrom_eval(fld, float(path.grid.nodes[k]))
+    return _innovation(path, subset, m_values, diag, drift)
+
+
+def _innovation(path, subset, m_values, diag, drift) -> InnovationPath:
+    """Innovation process and residual from M and g(t, t) on `subset` (entry 0 unused)."""
     if np.any(diag[1:] <= 0.0):
         bad = subset[1:][diag[1:] <= 0.0][0]
         raise NumericalError(f"g(t, t) <= 0 at node index {bad}")
@@ -135,9 +142,11 @@ def decompose(
 ):
     """Full decomposition of one path: returns (DriftPath, InnovationPath).
 
-    Solves both kernel families at every `decimation`-th node (one Levinson
-    pass serves both) and assembles drift, martingale, innovation and
-    residual on that subset.
+    At every `decimation`-th node, phi, M and g(t, t) come from one
+    Levinson pass over the path's increments (see
+    :meth:`SweepSolver.path_functionals`), which stores no kernel field:
+    O(n) memory.  Innovation and residual are assembled on that subset as
+    in :func:`compute_innovation`.
     """
     decimation = int(decimation)
     n = path.grid.cells
@@ -145,22 +154,12 @@ def decompose(
         raise ValueError(f"decimation {decimation} does not divide {n} cells")
     if sweep is None:
         sweep = SweepSolver(path.grid, Alpha.from_h(path.h))
-    indices = list(range(decimation, n + 1, decimation))
-    l_fields, g_fields = sweep.L_g_sweep(indices)
-    drift = compute_phi(path, l_fields)
-    innovation = compute_innovation(path, g_fields, drift=drift, g_diagonal=sweep.g_diagonal(g_fields))
-    return drift, innovation
-
-
-def field_matrix(fields: Mapping[int, KernelField], n_cells: int) -> np.ndarray:
-    """Dense (len(fields), n_cells) matrix of field values, zero-padded.
-
-    Row order follows ascending field index; row for index k holds the k
-    midpoint values.  Lets ensembles evaluate stochastic integrals as one
-    matrix product: values @ increments.T.
-    """
-    ks = sorted(int(k) for k in fields)
-    out = np.zeros((len(ks), n_cells))
-    for row, k in enumerate(ks):
-        out[row, :k] = fields[k].values
-    return out
+    elif not np.array_equal(sweep.grid.nodes, path.grid.nodes):
+        raise ValueError("sweep solver and path are on different grids")
+    indices = np.arange(decimation, n + 1, decimation)
+    subset = np.concatenate([[0], indices])
+    phi, m_values, diag = (
+        np.concatenate([[0.0], values]) for values in sweep.path_functionals(path.increments, indices)
+    )
+    drift = DriftPath(grid=path.grid, s_subset=subset, phi=phi, path_ref=path.seed)
+    return drift, _innovation(path, subset, m_values, diag, drift)

@@ -24,6 +24,7 @@ __all__ = [
     "fgn_autocov",
     "simulate",
     "simulate_ensemble",
+    "node_moments",
     "restrict",
 ]
 
@@ -261,6 +262,40 @@ def simulate_ensemble(grid: Grid, h: float, seed: int, n_paths: int, threads=Non
 
     map_blocks(cumulate, grid, h, seed, n_paths, threads=threads)
     return fbm, bm, fbm + bm
+
+
+def node_moments(grid: Grid, h: float, seed: int, n_paths: int, threads=None):
+    """Per-node sample means and variances (ddof=1) of the ensemble's fbm,
+    bm and mixed paths: two (3, n + 1) arrays, rows in that order.
+
+    The ensemble is that of :func:`simulate_ensemble`, but never stored:
+    each block of paths is reduced to its (count, mean, M2) at once, and
+    the block summaries are merged in block order by the pairwise update of
+    Chan, Golub and LeVeque, so the result does not depend on `threads`.
+    """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 for a sample variance, got {n_paths}")
+    _check_h(h)
+
+    def summarize(first, z, white):
+        fgn, dB = _increments(grid, h, z, white)
+        nodes = np.zeros((3, len(z), grid.cells + 1))
+        np.cumsum(fgn, axis=1, out=nodes[0, :, 1:])
+        np.cumsum(dB, axis=1, out=nodes[1, :, 1:])
+        np.add(nodes[0], nodes[1], out=nodes[2])
+        mean = nodes.mean(axis=1)
+        nodes -= mean[:, None]
+        return len(z), mean, np.square(nodes, out=nodes).sum(axis=1)
+
+    blocks = map_blocks(summarize, grid, h, seed, n_paths, threads=threads)
+    count, mean, m2 = blocks[0]
+    for count_b, mean_b, m2_b in blocks[1:]:
+        total = count + count_b
+        delta = mean_b - mean
+        mean = mean + delta * (count_b / total)
+        m2 = m2 + m2_b + delta ** 2 * (count * count_b / total)
+        count = total
+    return mean, m2 / (count - 1)
 
 
 def restrict(path: SamplePath, factor: int) -> SamplePath:

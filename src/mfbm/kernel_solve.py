@@ -5,10 +5,10 @@ densities on grid cells, collocation at cell midpoints, and the exact
 kernel moments from :mod:`mfbm.quadrature`.  For upper limit t_k the
 collocation matrix is I + coeff * W[:k, :k], the leading block of one
 symmetric positive definite Toeplitz matrix stored as its first column.
-Every solve runs through one Levinson-Durbin recursion (:func:`_levinson`),
-which returns the solutions of any set of leading blocks, for one or
-several right-hand sides, in a single O(K**2) pass and checks the residual
-of each by FFT matvec.
+Every solve runs through one Levinson-Durbin recursion
+(:func:`_prefix_solutions`), which yields the solutions of any set of
+leading blocks, for one or several right-hand sides, in a single O(K**2)
+pass and checks the residual of each by FFT matvec before yielding it.
 """
 from __future__ import annotations
 
@@ -101,7 +101,19 @@ def toeplitz_matvec(column: np.ndarray, values: np.ndarray) -> np.ndarray:
     return product[:k]
 
 
-def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, reverse=()) -> None:
+def _scratch(workspace: dict, dtype, count: int) -> np.ndarray:
+    """A flat array of `count` entries: a view of the buffer `workspace`
+    keeps for `dtype`, which grows at least twofold when it is too short
+    (so a small check allocates little and a pass reallocates rarely)."""
+    buffer = workspace.get(dtype)
+    if buffer is None or buffer.size < count:
+        size = count if buffer is None else max(count, 2 * buffer.size)
+        buffer = workspace[dtype] = np.empty(size, dtype)
+    return buffer[:count]
+
+
+def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, reverse=(),
+                     workspace=None) -> None:
     """Raise NumericalError unless every row j of every kept block size k has
     max|rhs[j, :k] - T_k x_k[j]| <= RESIDUAL_TOL * max(1, max|rhs[j, :k]|).
 
@@ -109,8 +121,13 @@ def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, rever
     `reverse` stored reversed.  Block sizes are grouped by their smallest
     2**a * 3**b embedding, whose symmetric circulant has a real symbol, and
     all rows of a group are multiplied in batched FFT blocks of at most
-    `_CHUNK_FLOATS` floats.
+    `_CHUNK_FLOATS` floats.  The FFTs run in two buffers kept in
+    `workspace` (a dict); a caller that checks a pass block by block passes
+    the same one each time, so the buffers are not freed and faulted in
+    again for every block.
     """
+    if workspace is None:
+        workspace = {}
     m = rhs.shape[0]
     scale = np.maximum(1.0, np.maximum.accumulate(np.abs(rhs), axis=1))
     by_size = defaultdict(list)
@@ -122,14 +139,17 @@ def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, rever
         for start in range(0, len(ks), step):
             chunk = ks[start:start + step]
             width = chunk[-1]
-            block = np.zeros((len(chunk), m, width))
+            shape = (len(chunk), m, size)
+            block = _scratch(workspace, float, len(chunk) * m * size).reshape(shape)
             for row, k in enumerate(chunk):
                 block[row, :, :k] = solutions[k]
+                block[row, :, k:] = 0.0
                 for j in reverse:
                     block[row, j, :k] = solutions[k][j, ::-1]
-            spectrum = np.fft.rfft(block, n=size)
+            spectrum = _scratch(workspace, complex, len(chunk) * m * (size // 2 + 1))
+            spectrum = np.fft.rfft(block, out=spectrum.reshape(shape[:2] + (-1,)))
             spectrum *= symbol
-            product = np.fft.irfft(spectrum, n=size)
+            product = np.fft.irfft(spectrum, n=size, out=block)
             residual = product[..., :width]
             residual -= rhs[:, :width]
             np.abs(residual, out=residual)
@@ -148,28 +168,32 @@ def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, rever
                 )
 
 
-def _levinson(column, rhs, keep, reverse=()) -> dict:
-    """Solutions of toeplitz(column)[:k, :k] x = rhs[..., :k] for every k in `keep`.
+def _prefix_solutions(column, rows, keep, reverse=()):
+    """Yield (k, x_k) for every k in `keep`, ascending: the solutions of
+    toeplitz(column)[:k, :k] x = rows[:, :k], from one Levinson-Durbin pass.
 
     `column` is the first column of a symmetric positive definite Toeplitz
-    matrix T; `rhs` is one right-hand side (K,) or a stack of m of them
-    (m, K).  One Levinson-Durbin pass up to K = max(keep) grows the forward
-    vector f (T_k f = e_1), shared by every row, and each row's solution
-    one order at a time; the backward vector (T_k b = e_k) is f reversed
-    because T_k is persymmetric.  Each row keeps its own dot product, so
-    its solutions are bit-identical to a pass over that row alone.  O(m K**2)
-    time, O(m K) work space.  Returns {k: x_k} with x_k of shape
-    rhs.shape[:-1] + (k,), rows listed in `reverse` stored reversed, and
-    every row's residual checked (see :func:`_check_residuals`).  Raises
-    NumericalError if the recursion breaks down (a diagonal <= 0 or
-    beta = 1 - eps**2 <= 0, impossible for a positive definite T).
+    matrix T; `rows` is a stack of m right-hand sides (m, K).  One pass up
+    to K = max(keep) grows the forward vector f (T_k f = e_1), shared by
+    every row, and each row's solution one order at a time; the backward
+    vector (T_k b = e_k) is f reversed because T_k is persymmetric.  Each
+    row keeps its own dot product, so its solutions are bit-identical to a
+    pass over that row alone.  x_k is a new (m, k) array, rows listed in
+    `reverse` stored reversed.
+
+    Kept solutions are held back in blocks of consecutive orders whose
+    residual check (see :func:`_check_residuals`) needs at most
+    `_CHUNK_FLOATS` floats of FFT input, and a block is yielded only after
+    its check passed: every yielded solution is checked, and a failed check
+    raises before the generator finishes.  O(m K**2) time, O(m K) work
+    space plus one block.  Raises NumericalError if the recursion breaks
+    down (a diagonal <= 0 or beta = 1 - eps**2 <= 0, impossible for a
+    positive definite T).
     """
     keep = sorted({int(k) for k in keep})
     if not keep:
-        return {}
+        return
     column = np.asarray(column, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    rows = np.atleast_2d(rhs)
     size = keep[-1]
     if keep[0] < 1 or size > min(column.size, rows.shape[1]):
         raise ValueError(f"block sizes must be in [1, {min(column.size, rows.shape[1])}], got {keep}")
@@ -183,7 +207,7 @@ def _levinson(column, rhs, keep, reverse=()) -> dict:
     f[0] = 1.0 / column[0]
     x[:, 0] = rows[:, 0] * f[0]
     wanted = set(keep)
-    out = {}
+    block, embed, workspace = {}, 0, {}
     for k in range(size):
         if k > 0:
             lag = lags[size - 1 - k:]
@@ -195,10 +219,33 @@ def _levinson(column, rhs, keep, reverse=()) -> dict:
             gap = rows[:, k] - [lag @ x[j, :k] for j in range(m)]
             x[:, : k + 1] += gap[:, None] * f[k::-1]
         if k + 1 in wanted:
-            out[k + 1] = x[:, : k + 1].copy()
+            # A block holds kept orders of one check embedding size
+            # (`_smooth_size`, which changes only once 2k + 1 exceeds it),
+            # as many as fit in one batched FFT of _CHUNK_FLOATS floats.
+            if block and (embed < 2 * k + 1 or (len(block) + 1) * m * embed > _CHUNK_FLOATS):
+                _check_residuals(column, rows[:, :k], block, reverse, workspace)
+                yield from block.items()
+                block = {}
+            if embed < 2 * k + 1:
+                embed = _smooth_size(k + 1)
+            x_k = x[:, : k + 1].copy()
             for j in reverse:
-                out[k + 1][j] = x[j, k::-1]
-    _check_residuals(column, rows[:, :size], out, reverse)
+                x_k[j] = x[j, k::-1]
+            block[k + 1] = x_k
+    _check_residuals(column, rows[:, :size], block, reverse, workspace)
+    yield from block.items()
+
+
+def _levinson(column, rhs, keep, reverse=()) -> dict:
+    """{k: x_k} for every k in `keep`: the solutions of
+    toeplitz(column)[:k, :k] x = rhs[..., :k] collected from
+    :func:`_prefix_solutions`, each residual-checked.
+
+    `rhs` is one right-hand side (K,) or a stack of m of them (m, K); x_k
+    has shape rhs.shape[:-1] + (k,).
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    out = dict(_prefix_solutions(column, np.atleast_2d(rhs), keep, reverse))
     return out if rhs.ndim > 1 else {k: x_k[0] for k, x_k in out.items()}
 
 
@@ -390,9 +437,8 @@ class SweepSolver:
         stores reversed.  The g rhs is identically 1.
         """
         indices = {int(i) for i in indices}
-        mids = self.grid.midpoints[: max(indices, default=0)]
-        rows = [-self.alpha.coeff * mids ** (-self.alpha.value) if kind == "L" else np.ones(mids.size)
-                for kind in kinds]
+        size = max(indices, default=0)
+        rows = [self._drift_rhs(size) if kind == "L" else np.ones(size) for kind in kinds]
         solutions = _levinson(self._system, np.array(rows), indices,
                               reverse=[j for j, kind in enumerate(kinds) if kind == "L"])
         return tuple(
@@ -414,18 +460,50 @@ class SweepSolver:
         """Martingale-kernel fields (rhs identically 1) for every index in one pass."""
         return self._sweep(indices, "G")[0]
 
-    def g_diagonal(self, g_fields: dict) -> dict:
-        """Endpoint values g(t_k, t_k) by Nystrom interpolation, per index.
+    def _drift_rhs(self, size: int) -> np.ndarray:
+        """v[:size] with v_j = -coeff * m_j**(-a): the drift-kernel rhs at
+        index k is v[k - 1::-1]."""
+        return -self.alpha.coeff * self.grid.midpoints[:size] ** (-self.alpha.value)
 
+    def _first_cell_moments(self) -> np.ndarray:
+        """mu_i: the kernel moment of the first cell against node t_(i+1).
         The moment of cell j against node t_k depends on k - 1 - j only, so
-        one vector of first-cell moments against the nodes serves every k.
-        """
+        mu[k - 1::-1] holds the moments of the k cells below t_k."""
         nodes = self.grid.nodes
-        moments = riesz_moment(nodes[0], nodes[1], nodes[1:], self.alpha)
+        return riesz_moment(nodes[0], nodes[1], nodes[1:], self.alpha)
+
+    def g_diagonal(self, g_fields: dict) -> dict:
+        """Endpoint values g(t_k, t_k) by Nystrom interpolation, per index."""
+        moments = self._first_cell_moments()
         return {
             k: 1.0 - self.alpha.coeff * float(moments[k - 1::-1] @ fld.values)
             for k, fld in g_fields.items()
         }
+
+    def path_functionals(self, increments: np.ndarray, indices: Iterable[int]) -> tuple:
+        """(phi, M, g(t_k, t_k)) of one path at every index, ascending, from
+        one pass over the two rows {dX, 1} that stores no kernel field.
+
+        phi_k = <L_k, dX[:k]> and M_k = <g_k, dX[:k]> are the stochastic
+        integrals of the drift and martingale kernels.  T_k is symmetric and
+        L_k = T_k^-1 v[k - 1::-1], so with z_k = T_k^-1 dX[:k] they are
+        phi_k = <v[k - 1::-1], z_k> and M_k = sum(z_k).  The diagonal is
+        that of :meth:`g_diagonal`, from y_k = T_k^-1 1, the martingale
+        kernel itself (bit for bit).  O(K**2) time and O(K) memory, every
+        z_k and y_k residual-checked.  `increments` holds dX on the cells
+        (at least max(indices) of them).
+        """
+        indices = sorted({int(i) for i in indices})
+        size = indices[-1] if indices else 0
+        v = self._drift_rhs(size)
+        moments = self._first_cell_moments()
+        rows = np.array([np.asarray(increments, dtype=float)[:size], np.ones(size)])
+        phi, m_values, diagonal = (np.empty(len(indices)) for _ in range(3))
+        for pos, (k, (z, y)) in enumerate(_prefix_solutions(self._system, rows, indices)):
+            phi[pos] = v[k - 1::-1] @ z
+            m_values[pos] = z.sum()
+            diagonal[pos] = 1.0 - self.alpha.coeff * float(moments[k - 1::-1] @ y)
+        return phi, m_values, diagonal
 
 
 def check_L_from_g(

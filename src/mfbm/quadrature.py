@@ -84,6 +84,8 @@ class Grid:
 
     def node_index(self, t: float, name: str = "t") -> int:
         """Index of the node equal to `t`; rejects off-grid values."""
+        if not np.isfinite(t):
+            raise ValueError(f"{name}={t} is not a grid node (h={self.h})")
         k = int(round(t / self.h))
         if k < 0 or k > self.cells or abs(k * self.h - t) > 1e-9 * max(self.h, 1.0):
             raise ValueError(f"{name}={t} is not a grid node (h={self.h})")

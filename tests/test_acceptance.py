@@ -12,7 +12,7 @@ from mfbm.cli import main as cli_main
 from mfbm.quadrature import Alpha, Grid
 from mfbm.kernel_solve import SweepSolver, check_L_from_g, solve_L, solve_g
 from mfbm.gaussian_paths import fbm_cov, restrict, simulate, simulate_ensemble
-from mfbm.decomposition import decompose, field_matrix
+from mfbm.decomposition import decompose
 from mfbm.regularity import (
     audit_lemma_bounds,
     build_variogram,
@@ -114,7 +114,9 @@ def test_criterion_05_innovation_is_brownian():
     sweep = SweepSolver(grid, Alpha.from_h(h))
     indices = list(range(1, n + 1))
     g_fields = sweep.g_sweep(indices)
-    g_matrix = field_matrix(g_fields, n)
+    g_matrix = np.zeros((n, n))
+    for row, k in enumerate(indices):
+        g_matrix[row, :k] = g_fields[k].values
     diag = sweep.g_diagonal(g_fields)
     diag_vec = np.array([diag[k] for k in indices])
     _, _, mixed = simulate_ensemble(grid, h, 777, n_paths)

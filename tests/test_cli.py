@@ -1,12 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mfbm.cli import main
 from mfbm.outputs import OUT_DIR_ENV
@@ -81,6 +85,24 @@ class TestBadInput:
         assert "Traceback" not in err and "horizon" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", [["simulate", "--H", "0.85"], ["decompose", "--H", "0.85"]])
+    def test_huge_horizon_is_a_numerical_failure(self, tmp_path, capsys, command):
+        code = main([*command, "--T", "1e300", "--n", "64", "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "numerical failure" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("base_point", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["variogram", "holder"])
+    def test_nonfinite_base_point(self, tmp_path, capsys, command, base_point):
+        code = main([command, "--H", "0.85", "--n", "256", "--t0", base_point,
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"t0={base_point} is not a grid node" in err
+        assert not list(tmp_path.iterdir())
+
     def test_monte_carlo_needs_two_paths(self, tmp_path, capsys):
         code = main(["variogram", "--H", "0.85", "--n", "256", "--lags", "4",
                      "--method", "monte-carlo", "--paths", "1", "--out-dir", str(tmp_path)])
@@ -135,6 +157,60 @@ class TestBadInput:
         capsys.readouterr()
         assert main(["--manifest", str(manifest)]) == 1
         assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+# Per subcommand: valid values of each option (every valid run stays at
+# n <= 128) and edge or bad values, of which a drawn argv takes up to two.
+_COMMON_VALID = {"H": ["0.85", "1"], "T": ["1", "0.5", "3"], "n": ["64", "128"], "seed": ["0", "7"]}
+_COMMON_EDGE = {
+    "H": ["nan", "inf", "-inf", "0", "0.5", "0.75", "0.7500001", "1.0000001"],
+    "T": ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300"],
+    "n": ["-1", "0", "63", "96", "8192"],
+    "seed": ["-1", "-7"],
+}
+_POINT_EDGE = ["nan", "inf", "-0.25", "0", "2", "1e300"]
+_COMMANDS = [
+    (["solve-kernel", "--kind", "L"], {**_COMMON_VALID, "seed": None, "s": ["0.5", "1"]},
+     {**_COMMON_EDGE, "seed": None, "s": _POINT_EDGE}),
+    (["solve-kernel", "--kind", "g"], {**_COMMON_VALID, "seed": None, "t": ["0.5", "1"]},
+     {**_COMMON_EDGE, "seed": None, "t": _POINT_EDGE}),
+    (["simulate"], {**_COMMON_VALID, "paths": ["1", "2", "65"]},
+     {**_COMMON_EDGE, "paths": ["-1", "0"]}),
+    (["decompose"], {**_COMMON_VALID, "decimation": ["1", "8"]},
+     {**_COMMON_EDGE, "decimation": ["-2", "0", "3", "256"]}),
+    *(([command, "--method", method],
+       {**_COMMON_VALID, "t0": ["0.5"], "lags": ["3"], "paths": ["16"], "mc-refine": ["1", "2"]},
+       {**_COMMON_EDGE, "t0": _POINT_EDGE, "lags": ["-1", "0", "40"], "paths": ["-1", "1"],
+        "mc-refine": ["-1", "0"]})
+      for command in ("variogram", "holder") for method in ("reduced", "gram", "monte-carlo")),
+    (["audit-bounds"], {"H": ["0.85"], "T": ["1"], "s": ["0.5"], "t": ["0.625"], "n-sweep": ["64,128"]},
+     {**_COMMON_EDGE, "seed": None, "n": None, "s": _POINT_EDGE, "t": _POINT_EDGE,
+      "n-sweep": ["128,64", "64", "64,96", "0,64", "64,8192", "x", ""]}),
+]
+
+
+@st.composite
+def _argv(draw):
+    head, valid, edge = draw(st.sampled_from(_COMMANDS))
+    options = {name: draw(st.sampled_from(values)) for name, values in valid.items() if values}
+    edge_names = sorted(name for name, values in edge.items() if values)
+    for name in draw(st.lists(st.sampled_from(edge_names), max_size=2, unique=True)):
+        options[name] = draw(st.sampled_from(edge[name]))
+    return [*head, *(f"--{name}={value}" for name, value in options.items())]
+
+
+class TestContract:
+    """Whatever the arguments, the CLI exits 0, 1 or 2 and prints no traceback."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_argv())
+    def test_exit_code_and_no_traceback(self, argv):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out_dir, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--threads", "1", "--out-dir", out_dir])
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mfbm import kernel_solve
+from mfbm.cli import main as cli_main
 from mfbm.exceptions import NumericalError
 from mfbm.quadrature import Alpha, Grid
-from mfbm.kernel_solve import SweepSolver
+from mfbm.kernel_solve import RESIDUAL_TOL, SweepSolver, _prefix_solutions
 from mfbm.gaussian_paths import SamplePath, restrict, simulate
-from mfbm.decomposition import compute_innovation, compute_phi, decompose, field_matrix
+from mfbm.decomposition import compute_innovation, compute_phi, decompose
 
 
 def _flat_path(grid, values):
@@ -117,13 +121,87 @@ class TestInnovation:
             decompose(path, decimation=3)
 
 
-class TestFieldMatrix:
-    def test_layout(self):
-        grid = Grid(1.0, 64)
-        sweep = SweepSolver(grid, Alpha.from_h(0.85))
-        fields = sweep.L_sweep([16, 64])
-        mat = field_matrix(fields, 64)
-        assert mat.shape == (2, 64)
-        assert np.array_equal(mat[0, :16], fields[16].values)
-        assert np.all(mat[0, 16:] == 0.0)
-        assert np.array_equal(mat[1], fields[64].values)
+
+def _close(values, reference):
+    return np.max(np.abs(values - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+
+
+class TestDualPass:
+    """decompose takes phi, M and g(t, t) from one pass over the path's own
+    increments; the stored-field route is its oracle."""
+
+    @pytest.mark.parametrize("h", [0.76, 0.85, 1.0])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("decimation", [1, 4])
+    def test_matches_field_route(self, h, n, decimation):
+        path = simulate(Grid(1.0, n), h, 17)
+        sweep = SweepSolver(path.grid, Alpha.from_h(h))
+        drift, innovation = decompose(path, decimation=decimation, sweep=sweep)
+        indices = range(decimation, n + 1, decimation)
+        g_fields = sweep.g_sweep(indices)
+        drift_ref = compute_phi(path, sweep.L_sweep(indices))
+        innovation_ref = compute_innovation(path, g_fields, drift=drift_ref,
+                                            g_diagonal=sweep.g_diagonal(g_fields))
+        assert np.array_equal(drift.s_subset, drift_ref.s_subset)
+        assert np.array_equal(innovation.subset, innovation_ref.subset)
+        assert _close(drift.phi, drift_ref.phi)
+        assert _close(innovation.m_values, innovation_ref.m_values)
+        assert _close(innovation.bbar, innovation_ref.bbar)
+        assert _close(innovation.residual, innovation_ref.residual)
+
+    def test_rejects_solver_on_another_grid(self):
+        path = simulate(Grid(1.0, 128), 0.85, 0)
+        with pytest.raises(ValueError):
+            decompose(path, decimation=1, sweep=SweepSolver(Grid(2.0, 128), Alpha.from_h(0.85)))
+
+    @pytest.mark.parametrize("chunk_floats", [None, 1], ids=["default_blocks", "one_order_per_block"])
+    @pytest.mark.parametrize("k", [1, 64, 65, 200, 256])
+    @pytest.mark.parametrize("row", [0, 1], ids=["increments", "ones"])
+    def test_perturbed_solution_raises_before_it_is_yielded(self, monkeypatch, chunk_floats, k, row):
+        if chunk_floats is not None:
+            monkeypatch.setattr(kernel_solve, "_CHUNK_FLOATS", chunk_floats)
+        check = kernel_solve._check_residuals
+
+        def perturbed(column, rhs, solutions, *args):
+            if k in solutions:
+                # twice the bound in the perturbed entry's own residual
+                scale = max(1.0, float(np.max(np.abs(rhs[row, :k]))))
+                solutions[k][row, k - 1] += 2.0 * RESIDUAL_TOL * scale / column[0]
+            check(column, rhs, solutions, *args)
+
+        monkeypatch.setattr(kernel_solve, "_check_residuals", perturbed)
+        path = simulate(Grid(1.0, 256), 0.85, 5)
+        sweep = SweepSolver(path.grid, Alpha.from_h(0.85))
+        rows = np.array([path.increments, np.ones(256)])
+        yielded = []
+        with pytest.raises(NumericalError, match=f"block size {k}$"):
+            for order, _ in _prefix_solutions(sweep._system, rows, range(1, 257)):
+                yielded.append(order)
+        assert yielded == list(range(1, len(yielded) + 1)) and len(yielded) < k
+        with pytest.raises(NumericalError, match=f"block size {k}$"):
+            decompose(path, decimation=1, sweep=sweep)
+
+    @pytest.mark.parametrize("chunk_floats", [None, 1], ids=["default_blocks", "one_order_per_block"])
+    def test_forced_residual_failure(self, monkeypatch, tmp_path, capsys, chunk_floats):
+        if chunk_floats is not None:
+            monkeypatch.setattr(kernel_solve, "_CHUNK_FLOATS", chunk_floats)
+        monkeypatch.setattr(kernel_solve, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalError, match=r"block size \d+$"):
+            decompose(simulate(Grid(1.0, 64), 0.85, 0), decimation=1)
+        code = cli_main(["decompose", "--H", "0.85", "--n", "64", "--decimation", "1",
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "residual" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_memory_is_linear_in_n(self):
+        # the stored-field route peaks at about 47 MB here (n**2 / 2 floats
+        # per kernel family); the dual pass holds O(n) plus one check block
+        path = simulate(Grid(1.0, 2048), 0.85, 7)
+        tracemalloc.start()
+        try:
+            decompose(path, decimation=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6

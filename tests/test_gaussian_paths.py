@@ -107,6 +107,24 @@ class TestSimulate:
         for a, b in zip(one, four):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("h", [0.85, 1.0])
+    def test_node_moments_match_stored_ensemble(self, h):
+        grid = Grid(1.0, 64)
+        n_paths = 2 * gp.BLOCK + 7  # two full blocks and a partial one
+        mean, var = gp.node_moments(grid, h, 99, n_paths, threads=1)
+        ensemble = np.array(simulate_ensemble(grid, h, 99, n_paths))
+        for got, want in ((mean, ensemble.mean(axis=1)), (var, ensemble.var(axis=1, ddof=1))):
+            assert got.shape == want.shape == (3, grid.cells + 1)
+            for row in range(3):
+                scale = max(1.0, np.max(np.abs(want[row])))
+                assert np.max(np.abs(got[row] - want[row])) <= 1e-12 * scale
+        four = gp.node_moments(grid, h, 99, n_paths, threads=4)
+        assert np.array_equal(mean, four[0]) and np.array_equal(var, four[1])
+
+    def test_node_moments_need_two_paths(self):
+        with pytest.raises(ValueError):
+            gp.node_moments(Grid(1.0, 64), 0.85, 0, 1)
+
     def test_cholesky_fallback_agrees_in_law(self, monkeypatch):
         grid = Grid(1.0, 64)
         monkeypatch.setattr(gp, "_embedding_eigenvalues", lambda *a: None)

@@ -421,3 +421,28 @@ class TestResidualCheck:
         bad[k][row, entry] += 2.0 * RESIDUAL_TOL * scale / column[0]
         with pytest.raises(NumericalError, match=f"block size {k}$"):
             _check_residuals(column, rows, bad, reverse=[0])
+
+
+class TestStreamedCheck:
+    """The pass checks its solutions block by block as it goes."""
+
+    @pytest.mark.parametrize("chunk_floats", [None, 4096, 1], ids=["default", "small", "one_order"])
+    @pytest.mark.parametrize("keep", [range(1, 257), SPARSE_KEEP], ids=["all_prefix", "sparse"])
+    def test_blocks_cover_every_order_once_within_the_bound(self, monkeypatch, chunk_floats, keep):
+        if chunk_floats is not None:
+            monkeypatch.setattr(kernel_solve, "_CHUNK_FLOATS", chunk_floats)
+        blocks = []
+        check = kernel_solve._check_residuals
+
+        def recording(column, rhs, solutions, *args):
+            blocks.append(sorted(solutions))
+            check(column, rhs, solutions, *args)
+
+        monkeypatch.setattr(kernel_solve, "_check_residuals", recording)
+        column, rows, solutions = _fused_solutions(keep)
+        assert sorted(solutions) == sorted(keep)
+        assert [k for block in blocks for k in block] == sorted(keep)
+        for block in blocks:
+            sizes = {_smooth_size(k) for k in block}
+            assert len(sizes) == 1
+            assert len(block) == 1 or len(block) * rows.shape[0] * sizes.pop() <= kernel_solve._CHUNK_FLOATS
