@@ -52,7 +52,6 @@ from .regularity import (
     fit_holder,
     mc_increment_variances,
     phi_cross_gram,
-    phi_variance_gram,
     second_moment_gram,
     second_moment_reduced,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "fit_holder",
     "mc_increment_variances",
     "phi_cross_gram",
-    "phi_variance_gram",
     "second_moment_gram",
     "second_moment_reduced",
 ]

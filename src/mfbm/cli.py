@@ -56,6 +56,12 @@ def _check_n(n: int):
         raise _fail(f"--n must be a power of two in [64, 4096], got {n}")
 
 
+#: Largest Monte Carlo sampling grid, n * mc_refine: that of --n 4096 at the
+#: default --mc-refine 2.  Its Levinson pass is O((n * mc_refine)**2) and each
+#: block of paths holds 3 * 64 * n * mc_refine normals.
+_MAX_MC_CELLS = 8192
+
+
 def _out_path(params, name: str) -> Path:
     return Path(params["out_dir"]) / f"{params['prefix']}{name}"
 
@@ -196,6 +202,9 @@ def _variogram_from(params: dict):
     _check_h(params["H"])
     _check_n(params["n"])
     _check_seed(params)
+    if params["method"] == "monte_carlo" and params["n"] * params["mc_refine"] > _MAX_MC_CELLS:
+        raise _fail(f"--n * --mc-refine must be <= {_MAX_MC_CELLS}, "
+                    f"got {params['n']} * {params['mc_refine']}")
     try:
         return build_variogram(
             params["H"], params["t0"], params["lags"], params["n"],

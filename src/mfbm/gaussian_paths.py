@@ -83,9 +83,98 @@ class SamplePath:
         return np.diff(self.mixed)
 
 
-def _substream(seed: int, component: int, path_index: int) -> np.random.Generator:
-    # Stated derivation contract: substream = SeedSequence(seed, spawn_key=(component, path)).
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(component, path_index)))
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier (pcg64.h), as _stream_states re-derives them.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _words(x: int) -> list:
+    """x as little-endian uint32 words, [0] for 0, as SeedSequence reads an int."""
+    x = int(x)
+    if x < 0:
+        raise ValueError(f"seed and spawn key entries must be >= 0, got {x}")
+    words = [x & _MASK32]
+    while x >> 32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix with its running constant.
+
+    Works on Python ints and on uint32 arrays alike: every product and
+    difference is reduced mod 2**32 (a no-op on uint32 arrays).
+    """
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _stream_states(seed: int, component: int, paths) -> list:
+    """PCG64 (state, inc) of default_rng(SeedSequence(seed, spawn_key=(component, p)))
+    for each p in paths, without building either object.
+
+    SeedSequence hashes the entropy words [seed words zero-padded to the
+    pool size, component words, path words] into a pool of four uint32 and
+    draws four uint64 from it; PCG64 seeds itself from those.  Everything up
+    to the path words is shared by the block and runs once on Python ints;
+    the path words and the draw run on uint32 arrays, one row per path.  A
+    path index of 2**32 or more adds words, mixed into its row only.
+    """
+    seed_words = _words(seed)
+    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + _words(component)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    rest = np.array([int(p) for p in paths], dtype=object)
+    if (rest < 0).any():
+        raise ValueError(f"path indices must be >= 0, got {rest.min()}")
+    pool = [np.full(len(rest), word, dtype=np.uint32) for word in pool]
+    live = np.ones(len(rest), dtype=bool)  # every index has a word 0, even 0
+    while live.any():
+        word = (rest[live] & _MASK32).astype(np.uint32)
+        for dst in range(_POOL_SIZE):
+            pool[dst][live] = _mix(pool[dst][live], hashmix(word))
+        rest >>= 32
+        live = rest != 0
+
+    # generate_state(4, uint64): eight words cycled from the pool, paired
+    # little-endian; PCG64 takes (initstate, initseq) as (high, low) pairs
+    # and seeds by pcg_setseq_128_srandom_r.
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)], axis=1)
+    words = words.astype(np.uint64)
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in (words[:, 0::2] | words[:, 1::2] << np.uint64(32)).tolist():
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
 
 
 @lru_cache(maxsize=32)
@@ -137,9 +226,12 @@ def _amplitudes(n: int, h: float, dt: float):
 def _normals(grid: Grid, h: float, seed: int, first: int, count: int):
     """Standard normals (z, white) of paths first .. first+count-1.
 
-    The only reader of the substreams: path p draws z from (seed, FBM_STREAM,
-    p) and white from (seed, BM_STREAM, p), so its normals do not depend on
-    which block it is drawn in.  z holds one slope per path at H = 1, n
+    The only reader of the substreams: path p draws z from
+    default_rng(SeedSequence(seed, spawn_key=(FBM_STREAM, p))) and white
+    from the same with BM_STREAM, so its normals do not depend on which
+    block it is drawn in.  Neither object is built: :func:`_stream_states`
+    derives the block's PCG64 states in one pass, and one generator draws
+    each row from its own state.  z holds one slope per path at H = 1, n
     normals for the Cholesky fallback and 2n for the half spectrum of the
     order-2n circulant embedding; white holds n.
     """
@@ -150,9 +242,18 @@ def _normals(grid: Grid, h: float, seed: int, first: int, count: int):
         width = n if _embedding_eigenvalues(n, h, grid.h) is None else 2 * n
     z = np.empty((count, width))
     white = np.empty((count, n))
-    for i, p in enumerate(range(first, first + count)):
-        _substream(seed, FBM_STREAM, p).standard_normal(out=z[i])
-        _substream(seed, BM_STREAM, p).standard_normal(out=white[i])
+    bit_generator = np.random.PCG64(0)  # placeholder state: every row sets its own
+    draw = np.random.Generator(bit_generator).standard_normal
+    paths = range(first, first + count)
+    for out, component in ((z, FBM_STREAM), (white, BM_STREAM)):
+        for row, (state, inc) in zip(out, _stream_states(seed, component, paths)):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            draw(out=row)
     return z, white
 
 

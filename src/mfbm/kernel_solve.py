@@ -418,10 +418,6 @@ class SweepSolver:
         self.weights = weights if weights is not None else build_weight_matrix(grid, alpha)
         self._system = _system_column(alpha, self.weights)
 
-    def solve_values(self, s_index: int, rhs_values: np.ndarray) -> np.ndarray:
-        k = int(s_index)
-        return _levinson(self._system, rhs_values, [k])[k]
-
     def L_field(self, s_index: int) -> KernelField:
         return self.L_sweep([s_index])[int(s_index)]
 

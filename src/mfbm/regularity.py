@@ -32,7 +32,6 @@ __all__ = [
     "BoundReport",
     "ReducedMoment",
     "phi_cross_gram",
-    "phi_variance_gram",
     "second_moment_gram",
     "second_moment_reduced",
     "phi_mc_weights",
@@ -71,11 +70,6 @@ def phi_cross_gram(L_s: KernelField, L_t: KernelField, weights: WeightMatrix) ->
     inner = toeplitz_matvec(weights.column, L_t.values)[:ka]
     t2 = integrate_with_edge(L_s.values * inner, grid, ka, beta)
     return t1 + alpha.coeff * t2
-
-
-def phi_variance_gram(L_t: KernelField, weights: WeightMatrix) -> float:
-    """Gram value of E[phi_t^2] (t/(1+t) in closed form at a = 0)."""
-    return phi_cross_gram(L_t, L_t, weights)
 
 
 def second_moment_gram(s: float, t: float, L_s: KernelField, L_t: KernelField,

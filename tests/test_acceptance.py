@@ -18,7 +18,7 @@ from mfbm.regularity import (
     build_variogram,
     fit_holder,
     mc_increment_variances,
-    phi_variance_gram,
+    phi_cross_gram,
     second_moment_gram,
     second_moment_reduced,
 )
@@ -147,7 +147,7 @@ def test_criterion_06_monte_carlo_vs_deterministic(sweeps_n512):
     k_s = grid.node_index(0.5)
     k_t = grid.nearest_node_index(0.6)
     l_s, l_t = sweep.L_field(k_s), sweep.L_field(k_t)
-    var_target = phi_variance_gram(l_s, sweep.weights)
+    var_target = phi_cross_gram(l_s, l_s, sweep.weights)
     s_node, t_node = float(grid.nodes[k_s]), float(grid.nodes[k_t])
     incr_gram = second_moment_gram(s_node, t_node, l_s, l_t, sweep.weights)
     incr_reduced = second_moment_reduced(s_node, t_node, l_s, l_t).value

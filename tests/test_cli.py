@@ -103,6 +103,17 @@ class TestBadInput:
         assert "Traceback" not in err and f"t0={base_point} is not a grid node" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("n, refine", [("256", "4096"), ("4096", "1000"), ("4096", "3"), ("2048", "5")])
+    def test_monte_carlo_grid_cap(self, tmp_path, capsys, n, refine):
+        # The sampling grid has n * mc_refine cells; past the cap it would run
+        # for minutes or allocate gigabytes of normals per block.
+        code = main(["variogram", "--H", "0.85", "--n", n, "--lags", "4", "--method", "monte-carlo",
+                     "--mc-refine", refine, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "--mc-refine" in err
+        assert not list(tmp_path.iterdir())
+
     def test_monte_carlo_needs_two_paths(self, tmp_path, capsys):
         code = main(["variogram", "--H", "0.85", "--n", "256", "--lags", "4",
                      "--method", "monte-carlo", "--paths", "1", "--out-dir", str(tmp_path)])
@@ -181,7 +192,7 @@ _COMMANDS = [
     *(([command, "--method", method],
        {**_COMMON_VALID, "t0": ["0.5"], "lags": ["3"], "paths": ["16"], "mc-refine": ["1", "2"]},
        {**_COMMON_EDGE, "t0": _POINT_EDGE, "lags": ["-1", "0", "40"], "paths": ["-1", "1"],
-        "mc-refine": ["-1", "0"]})
+        "mc-refine": ["-1", "0", "4096"]})
       for command in ("variogram", "holder") for method in ("reduced", "gram", "monte-carlo")),
     (["audit-bounds"], {"H": ["0.85"], "T": ["1"], "s": ["0.5"], "t": ["0.625"], "n-sweep": ["64,128"]},
      {**_COMMON_EDGE, "seed": None, "n": None, "s": _POINT_EDGE, "t": _POINT_EDGE,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -145,6 +146,55 @@ class TestSimulate:
             exact = fbm_cov(0.5, 1.0, h)
             se = math.sqrt((fbm_cov(0.5, 0.5, h) * 1.0 + exact ** 2) / n_paths)
             assert abs(emp - exact) <= 3.0 * se
+
+
+class TestStreams:
+    """Path p draws from default_rng(SeedSequence(seed, spawn_key=(component, p)))."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 7, 2**32 - 1, 2**32, 2**64 + 3, 10**99 + 289]) | st.integers(0, 2**130),
+        component=st.sampled_from([gp.FBM_STREAM, gp.BM_STREAM]),
+        paths=st.lists(
+            st.integers(0, gp.BLOCK + 5) | st.sampled_from([2**32 - 1, 2**32]) | st.integers(0, 2**70),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_states_match_numpy_seeding(self, seed, component, paths):
+        # One call mixes indices of one, two and three uint32 words.
+        got = gp._stream_states(seed, component, paths)
+        assert len(got) == len(paths)
+        for p, (state, inc) in zip(paths, got):
+            want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(component, p))).state
+            assert want["state"] == {"state": state, "inc": inc}, (seed, component, p)
+
+    def test_normals_are_the_stated_substreams(self):
+        grid = Grid(1.0, 64)
+        seed, first, count = 2**64 + 3, 2**32 - 2, 4  # the block straddles a second index word
+        z, white = gp._normals(grid, 0.85, seed, first, count)
+        for i, p in enumerate(range(first, first + count)):
+            for out, component in ((z, gp.FBM_STREAM), (white, gp.BM_STREAM)):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(component, p)))
+                assert np.array_equal(out[i], rng.standard_normal(out.shape[1]))
+
+    @pytest.mark.parametrize("h, cholesky, seed, first, count, digest", [
+        (0.85, False, 7, 60, 8, "09ec67a794e6aafcb1048dfd6a408f06dc262fb6c9b88ebf6e5aea583ef8f48d"),
+        (1.0, False, 2**64 + 3, 2**32 - 4, 8,
+         "3a9d54dbfd4e4542074ab79adcc21f06bf9caefaf7648011536408a199015561"),
+        (0.85, True, 123456789, 0, 5, "bdd06475e8c0afd87d22e9063cbd96da28770e297140da1e68cd8b9bd4769e9e"),
+    ])
+    def test_golden_normals(self, monkeypatch, h, cholesky, seed, first, count, digest):
+        # Digests of the normals as drawn by one SeedSequence and default_rng per path.
+        if cholesky:
+            monkeypatch.setattr(gp, "_embedding_eigenvalues", lambda *a: None)
+        z, white = gp._normals(Grid(1.0, 64), h, seed, first, count)
+        data = z.astype("<f8").tobytes() + white.astype("<f8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed, path", [(-1, 0), (0, -1)])
+    def test_rejects_negative_entropy(self, seed, path):
+        with pytest.raises(ValueError):
+            gp._stream_states(seed, gp.FBM_STREAM, [path])
 
 
 class TestIncrementsTranspose:

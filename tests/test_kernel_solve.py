@@ -103,7 +103,7 @@ class TestGenericSolve:
         solutions = {}
         for n in (256, 1024, 4096):
             grid = Grid(1.0, n)
-            solutions[n] = SweepSolver(grid, alpha).solve_values(n, np.ones(n))
+            solutions[n] = SweepSolver(grid, alpha).g_field(n).values
         fine = Grid(1.0, 4096)
         constants = {}
         for n in (256, 1024):

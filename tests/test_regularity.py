@@ -14,7 +14,6 @@ from mfbm.regularity import (
     mc_increment_variances,
     phi_cross_gram,
     phi_mc_weights,
-    phi_variance_gram,
     second_moment_gram,
     second_moment_reduced,
 )
@@ -47,7 +46,7 @@ def sweep_h85():
 class TestDegenerateOracle:
     def test_variance(self, sweep_h1):
         field = sweep_h1.L_field(256)
-        assert phi_variance_gram(field, sweep_h1.weights) == pytest.approx(0.5, abs=1e-10)
+        assert phi_cross_gram(field, field, sweep_h1.weights) == pytest.approx(0.5, abs=1e-10)
 
     def test_cross_moment(self, sweep_h1):
         l_half = sweep_h1.L_field(128)
@@ -212,7 +211,7 @@ class TestMcMachinery:
     def test_variance_within_three_stderr_of_gram(self, sweep_h85):
         grid = sweep_h85.grid
         field = sweep_h85.L_field(256)
-        target = phi_variance_gram(field, sweep_h85.weights)
+        target = phi_cross_gram(field, field, sweep_h85.weights)
         _, var_s = mc_increment_variances(0.85, 256, [320], grid, seed=11,
                                           n_paths=3000, refine=2)
         se = target * np.sqrt(2.0 / 2999)
