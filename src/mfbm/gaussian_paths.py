@@ -178,48 +178,26 @@ def _stream_states(seed: int, component: int, paths) -> list:
 
 
 @lru_cache(maxsize=32)
-def _embedding_eigenvalues(n: int, h: float, dt: float):
-    """Eigenvalues of the order-2n circulant embedding, or None if indefinite."""
-    gamma = fgn_autocov(np.arange(n + 1), h, dt)
-    row = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[1:n][::-1]])
-    lam = np.fft.fft(row).real
-    if lam.min() < -EIG_TOL * lam.max():
-        return None
-    lam = np.clip(lam, 0.0, None)
-    lam.setflags(write=False)
-    return lam
-
-
-@lru_cache(maxsize=8)
-def _increment_cholesky(n: int, h: float, dt: float):
-    """Dense Cholesky factor of the exact increment covariance (fallback)."""
-    t = np.arange(n + 1) * dt
-    cov_nodes = fbm_cov(t[:, None], t[None, :], h)
-    cov_inc = (
-        cov_nodes[1:, 1:] - cov_nodes[1:, :-1] - cov_nodes[:-1, 1:] + cov_nodes[:-1, :-1]
-    )
-    try:
-        chol = np.linalg.cholesky(cov_inc)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"increment covariance not positive definite (n={n}, H={h})"
-        ) from exc
-    chol.setflags(write=False)
-    return chol
-
-
-def _amplitudes(n: int, h: float, dt: float):
-    """Half-spectrum amplitudes of the order-2n embedding, or None if indefinite.
+def _amplitudes(n: int, h: float, dt: float) -> np.ndarray:
+    """Half-spectrum amplitudes of the order-2n circulant embedding (read-only).
 
     Entry k scales the normals of frequency k in both the synthesis and its
     transpose; irfft with norm="forward" applies no 1/m, so sqrt(m) / m is
-    folded in here.
+    folded in here.  The embedding of fGn is nonnegative definite for every
+    H (Dietrich and Newsam 1997), so an eigenvalue below -EIG_TOL times the
+    largest is a numerical failure, and rounding noise above it is clipped.
     """
-    lam = _embedding_eigenvalues(n, h, dt)
-    if lam is None:
-        return None
-    amp = np.sqrt(lam[: n + 1] / (2 * n))
+    gamma = fgn_autocov(np.arange(n + 1), h, dt)
+    row = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[1:n][::-1]])
+    lam = np.fft.fft(row).real
+    ratio = lam.min() / lam.max()
+    if ratio < -EIG_TOL:
+        raise NumericalError(
+            f"circulant embedding indefinite (n={n}, H={h}): min/max eigenvalue {ratio:.4g}"
+        )
+    amp = np.sqrt(np.clip(lam[: n + 1], 0.0, None) / (2 * n))
     amp[1:n] *= np.sqrt(0.5)
+    amp.setflags(write=False)
     return amp
 
 
@@ -231,16 +209,12 @@ def _normals(grid: Grid, h: float, seed: int, first: int, count: int):
     from the same with BM_STREAM, so its normals do not depend on which
     block it is drawn in.  Neither object is built: :func:`_stream_states`
     derives the block's PCG64 states in one pass, and one generator draws
-    each row from its own state.  z holds one slope per path at H = 1, n
-    normals for the Cholesky fallback and 2n for the half spectrum of the
-    order-2n circulant embedding; white holds n.
+    each row from its own state.  z holds one slope per path at H = 1 and
+    otherwise 2n normals for the half spectrum of the order-2n circulant
+    embedding; white holds n.
     """
     n = grid.cells
-    if h == 1.0:
-        width = 1
-    else:
-        width = n if _embedding_eigenvalues(n, h, grid.h) is None else 2 * n
-    z = np.empty((count, width))
+    z = np.empty((count, 1 if h == 1.0 else 2 * n))
     white = np.empty((count, n))
     bit_generator = np.random.PCG64(0)  # placeholder state: every row sets its own
     draw = np.random.Generator(bit_generator).standard_normal
@@ -261,9 +235,9 @@ def _increments(grid: Grid, h: float, z: np.ndarray, white: np.ndarray):
     """Long-memory and Brownian increments, two (count, n) arrays, of the
     normals from :func:`_normals`.
 
-    The circulant branch synthesizes from the half spectrum with one real
-    inverse FFT.  Both maps are linear; :func:`increments_transpose` is
-    their transpose.
+    The long-memory increments are synthesized from the half spectrum with
+    one real inverse FFT.  Both maps are linear; :func:`increments_transpose`
+    is their transpose.
     """
     n, dt = grid.cells, grid.h
     white = white * np.sqrt(dt)
@@ -271,9 +245,6 @@ def _increments(grid: Grid, h: float, z: np.ndarray, white: np.ndarray):
         # Degenerate covariance: the path is xi * t for one standard Gaussian.
         return np.repeat(z * dt, n, axis=1), white
     amp = _amplitudes(n, h, dt)
-    if amp is None:
-        chol = _increment_cholesky(n, h, dt)
-        return np.array([chol @ row for row in z]), white
     half = np.zeros((len(z), n + 1), dtype=complex)
     half.real[:, 0] = amp[0] * z[:, 0]
     half.real[:, n] = amp[n] * z[:, 1]
@@ -288,17 +259,15 @@ def increments_transpose(grid: Grid, h: float, a: np.ndarray, b: np.ndarray):
 
     Each row of a and b (length n) weighs the two increment streams for one
     linear functional of a path; mapped once, the functional is read off
-    each path's raw normals with no synthesis.  In the circulant branch A
-    is one forward real FFT of the zero-padded rows of a, scaled by the
-    synthesis amplitudes.
+    each path's raw normals with no synthesis.  For H < 1, A is one forward
+    real FFT of the zero-padded rows of a, scaled by the synthesis
+    amplitudes.
     """
     n, dt = grid.cells, grid.h
     b = b * np.sqrt(dt)
     if h == 1.0:
         return dt * a.sum(axis=-1, keepdims=True), b
     amp = _amplitudes(n, h, dt)
-    if amp is None:
-        return a @ _increment_cholesky(n, h, dt), b
     spec = np.fft.rfft(a, n=2 * n, axis=-1)
     out = np.empty(a.shape[:-1] + (2 * n,))
     out[..., 0] = amp[0] * spec[..., 0].real

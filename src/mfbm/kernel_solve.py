@@ -44,8 +44,7 @@ class KernelField:
     """Solution values of one integral equation at the midpoints of [0, t_k].
 
     kind is 'L' (drift kernel), 'G' (martingale kernel, rhs 1), 'D'
-    (difference of two L kernels, aux = the second upper index) or 'Q'
-    (generic right-hand side).
+    (difference of two L kernels) or 'Q' (generic right-hand side).
     """
 
     kind: str
@@ -53,7 +52,6 @@ class KernelField:
     grid: Grid
     s_index: int
     values: np.ndarray
-    aux: Optional[int] = None
     rhs: Optional[Callable] = dataclass_field(default=None, repr=False, compare=False)
 
     @property
@@ -63,11 +61,6 @@ class KernelField:
     @property
     def midpoints(self) -> np.ndarray:
         return self.grid.midpoints[: self.s_index]
-
-
-def _embedding_size(k: int) -> int:
-    """Smallest power of two >= 2k - 1: a circulant that embeds a k x k Toeplitz block."""
-    return 1 << max(1, (2 * k - 2).bit_length())
 
 
 def _smooth_size(k: int) -> int:
@@ -96,7 +89,7 @@ def _circulant_symbol(column: np.ndarray, size: int) -> np.ndarray:
 def toeplitz_matvec(column: np.ndarray, values: np.ndarray) -> np.ndarray:
     """toeplitz(column[:k]) @ values for k = len(values), by FFT in O(k log k)."""
     k = values.shape[0]
-    size = _embedding_size(k)
+    size = _smooth_size(k)
     product = np.fft.irfft(np.fft.rfft(values, n=size) * _circulant_symbol(column, size), n=size)
     return product[:k]
 
@@ -267,7 +260,6 @@ def solve_q(
     rhs: Callable,
     weights: Optional[WeightMatrix] = None,
     kind: str = "Q",
-    aux: Optional[int] = None,
 ) -> KernelField:
     """Solve Q(r) + coeff * int_0^s Q(tau) |r - tau|**(-a) dtau = rhs(r).
 
@@ -285,7 +277,7 @@ def solve_q(
     if not np.all(np.isfinite(f)):
         raise ValueError("rhs must be finite at all collocation midpoints")
     x = _levinson(_system_column(alpha, weights), f, [k])[k]
-    return KernelField(kind=kind, alpha=alpha, grid=grid, s_index=k, values=x, aux=aux, rhs=rhs)
+    return KernelField(kind=kind, alpha=alpha, grid=grid, s_index=k, values=x, rhs=rhs)
 
 
 def _l_rhs(alpha: Alpha, s: float) -> Callable:
@@ -360,7 +352,7 @@ def solve_D(
     if ks == kt:
         return KernelField(
             kind="D", alpha=alpha, grid=grid, s_index=ks,
-            values=np.zeros(ks), aux=kt, rhs=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+            values=np.zeros(ks), rhs=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         )
     if weights is None:
         weights = build_weight_matrix(grid, alpha)
@@ -376,7 +368,7 @@ def solve_D(
         direct = alpha.coeff * ((s - r) ** (-alpha.value) - (t - r) ** (-alpha.value))
         return direct - alpha.coeff * _tail_integral(L_t, ks, r)
 
-    return solve_q(grid, alpha, ks, rhs, weights=weights, kind="D", aux=kt)
+    return solve_q(grid, alpha, ks, rhs, weights=weights, kind="D")
 
 
 def nystrom_eval(field: KernelField, r: float) -> float:

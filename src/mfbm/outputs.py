@@ -49,7 +49,7 @@ def write_csv(path, header, rows) -> Path:
 def write_json(path, payload: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8", newline="\n")
     return path
 

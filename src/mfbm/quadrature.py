@@ -155,11 +155,6 @@ class WeightMatrix:
 
         return toeplitz(self.column)
 
-    def row_sums(self) -> np.ndarray:
-        # row i sums column[0..i] and column[1..n-1-i]
-        partial = np.cumsum(self.column)
-        return partial + partial[::-1] - self.column[0]
-
 
 def build_weight_matrix(grid: Grid, alpha: Alpha) -> WeightMatrix:
     """Moments of the first cell against every midpoint: the first column of W.

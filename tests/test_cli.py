@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mfbm.cli import main
-from mfbm.outputs import OUT_DIR_ENV
+from mfbm.outputs import OUT_DIR_ENV, write_json
 
 
 def read_csv(path):
@@ -157,6 +157,21 @@ class TestBadInput:
         assert code == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and "--threads must be >= 1" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("points, sweep, message", [
+        # s and t share a node on the coarse grid: a zero constant, once with
+        # an infinite stability ratio and once with a vacuous ratio of 1.
+        (["--s", "0.5", "--t", "0.501"], "64,4096", "at n=64 they round to nodes 32 and 32"),
+        (["--s", "0.5", "--t", "0.501"], "64,128", "at n=64 they round to nodes 32 and 32"),
+        (["--s", "0.001"], "128,256,512,1024", "at n=128 they round to nodes 0 and 80"),
+    ])
+    def test_audit_points_on_distinct_nodes(self, tmp_path, capsys, points, sweep, message):
+        code = main(["audit-bounds", "--H", "0.85", *points, "--n-sweep", sweep,
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
         assert not list(tmp_path.iterdir())
 
     def test_replayed_threads_below_one(self, tmp_path, capsys):
@@ -328,6 +343,11 @@ class TestAuditBounds:
             assert len(part["constants"]) == 2
             assert part["stability_ratio"] >= 1.0
         assert "envelope" in payload["i"]
+
+    def test_json_is_finite(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "bad.json", {"stability_ratio": float("inf")})
+        assert not list(tmp_path.iterdir())
 
     def test_bad_sweep(self, tmp_path):
         assert main(["audit-bounds", "--H", "0.85", "--n-sweep", "128,64",

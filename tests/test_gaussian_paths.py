@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mfbm.gaussian_paths as gp
+from mfbm.exceptions import NumericalError
 from mfbm.quadrature import Grid
 from mfbm.gaussian_paths import (
     fbm_cov,
@@ -86,19 +87,16 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(Grid(1.0, 64), 1.5, 0)
 
-    def test_ensemble_matches_single_paths(self, monkeypatch):
+    def test_ensemble_matches_single_paths(self):
         grid = Grid(1.0, 64)
         n_paths = gp.BLOCK + 5  # a full block and a partial one
-        for h, cholesky in ((0.85, False), (1.0, False), (0.85, True)):
-            with monkeypatch.context() as patch:
-                if cholesky:
-                    patch.setattr(gp, "_embedding_eigenvalues", lambda *a: None)
-                fbm, bm, mixed = simulate_ensemble(grid, h, 99, n_paths)
-                for p in (0, 1, 4, gp.BLOCK - 1, gp.BLOCK, n_paths - 1):
-                    path = simulate(grid, h, 99, path_index=p)
-                    assert np.array_equal(path.fbm, fbm[p])
-                    assert np.array_equal(path.bm, bm[p])
-                    assert np.array_equal(path.mixed, mixed[p])
+        for h in (0.85, 1.0):
+            fbm, bm, mixed = simulate_ensemble(grid, h, 99, n_paths)
+            for p in (0, 1, 4, gp.BLOCK - 1, gp.BLOCK, n_paths - 1):
+                path = simulate(grid, h, 99, path_index=p)
+                assert np.array_equal(path.fbm, fbm[p])
+                assert np.array_equal(path.bm, bm[p])
+                assert np.array_equal(path.mixed, mixed[p])
 
     def test_ensemble_independent_of_thread_count(self):
         grid = Grid(1.0, 64)
@@ -125,14 +123,6 @@ class TestSimulate:
     def test_node_moments_need_two_paths(self):
         with pytest.raises(ValueError):
             gp.node_moments(Grid(1.0, 64), 0.85, 0, 1)
-
-    def test_cholesky_fallback_agrees_in_law(self, monkeypatch):
-        grid = Grid(1.0, 64)
-        monkeypatch.setattr(gp, "_embedding_eigenvalues", lambda *a: None)
-        fbm, _, _ = simulate_ensemble(grid, 0.85, 5, 4000)
-        sample_var = np.var(fbm[:, -1], ddof=1)
-        se = math.sqrt(2.0 / 3999)
-        assert abs(sample_var - 1.0) <= 4 * se
 
     def test_sample_moments_match_covariance(self):
         grid = Grid(1.0, 64)
@@ -177,16 +167,12 @@ class TestStreams:
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(component, p)))
                 assert np.array_equal(out[i], rng.standard_normal(out.shape[1]))
 
-    @pytest.mark.parametrize("h, cholesky, seed, first, count, digest", [
-        (0.85, False, 7, 60, 8, "09ec67a794e6aafcb1048dfd6a408f06dc262fb6c9b88ebf6e5aea583ef8f48d"),
-        (1.0, False, 2**64 + 3, 2**32 - 4, 8,
-         "3a9d54dbfd4e4542074ab79adcc21f06bf9caefaf7648011536408a199015561"),
-        (0.85, True, 123456789, 0, 5, "bdd06475e8c0afd87d22e9063cbd96da28770e297140da1e68cd8b9bd4769e9e"),
+    @pytest.mark.parametrize("h, seed, first, count, digest", [
+        (0.85, 7, 60, 8, "09ec67a794e6aafcb1048dfd6a408f06dc262fb6c9b88ebf6e5aea583ef8f48d"),
+        (1.0, 2**64 + 3, 2**32 - 4, 8, "3a9d54dbfd4e4542074ab79adcc21f06bf9caefaf7648011536408a199015561"),
     ])
-    def test_golden_normals(self, monkeypatch, h, cholesky, seed, first, count, digest):
+    def test_golden_normals(self, h, seed, first, count, digest):
         # Digests of the normals as drawn by one SeedSequence and default_rng per path.
-        if cholesky:
-            monkeypatch.setattr(gp, "_embedding_eigenvalues", lambda *a: None)
         z, white = gp._normals(Grid(1.0, 64), h, seed, first, count)
         data = z.astype("<f8").tobytes() + white.astype("<f8").tobytes()
         assert hashlib.sha256(data).hexdigest() == digest
@@ -202,7 +188,7 @@ class TestIncrementsTranspose:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        branch=st.sampled_from(["circulant", "h_one", "cholesky"]),
+        branch=st.sampled_from(["circulant", "h_one"]),
         h=st.floats(min_value=0.51, max_value=0.99),
         n=st.sampled_from([2, 8, 64, 256]),
         horizon=st.floats(min_value=0.25, max_value=4.0),
@@ -213,17 +199,35 @@ class TestIncrementsTranspose:
         grid = Grid(horizon, n)
         h = 1.0 if branch == "h_one" else h
         a, b = np.random.default_rng(seed).standard_normal((2, rows, n))
-        with pytest.MonkeyPatch.context() as patch:
-            if branch == "cholesky":
-                patch.setattr(gp, "_embedding_eigenvalues", lambda *args: None)
-            z, white = gp._normals(grid, h, seed, 0, 3)
-            fgn, dB = gp._increments(grid, h, z, white)
-            A, B = gp.increments_transpose(grid, h, a, b)
+        z, white = gp._normals(grid, h, seed, 0, 3)
+        fgn, dB = gp._increments(grid, h, z, white)
+        A, B = gp.increments_transpose(grid, h, a, b)
         want = fgn @ a.T + dB @ b.T
         # Scale of the sums: the error bound of a dot product is relative to it.
         scale = np.abs(fgn) @ np.abs(a.T) + np.abs(dB) @ np.abs(b.T)
         assert A.shape == (rows, z.shape[1]) and B.shape == (rows, n)
         assert np.all(np.abs(z @ A.T + white @ B.T - want) <= 1e-12 * scale)
+
+
+class TestEmbedding:
+    """The order-2n circulant embedding is the only long-memory synthesizer."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        n=st.sampled_from([2 ** j for j in range(1, 14)]),
+    )
+    def test_nonnegative_up_to_the_largest_cli_grid(self, h, n):
+        # n * mc_refine <= 8192 bounds every sampling grid the CLI builds; the
+        # eigenvalue ratio does not depend on the step, a factor dt**2H.
+        amp = gp._amplitudes(n, h, 1.0 / n)
+        assert amp.shape == (n + 1,) and np.all(amp >= 0.0) and not amp.flags.writeable
+
+    def test_indefinite_embedding_raises(self):
+        # Rounding in fgn_autocov makes this one embedding indefinite, with a
+        # min/max eigenvalue ratio of about -1.7e-9.
+        with pytest.raises(NumericalError, match=r"n=65536, H=0\.999999\): min/max eigenvalue -1\.\d+e-09"):
+            simulate(Grid(1.0, 2 ** 16), 0.999999, 0)
 
 
 class TestRestrict:

@@ -127,12 +127,6 @@ class TestWeightMatrix:
         sums = np.array([math.fsum(row) for row in w.entries])
         assert np.all(np.abs(sums - exact) <= 8.0 * np.spacing(exact))
 
-    def test_row_sum_example_n64(self):
-        grid = Grid(1.0, 64)
-        w = build_weight_matrix(grid, Alpha(0.3))
-        exact = (grid.midpoints ** 0.7 + (1.0 - grid.midpoints) ** 0.7) / 0.7
-        assert np.max(np.abs(w.row_sums() - exact) / exact) <= 1e-12
-
     def test_entries_positive_finite(self):
         w = build_weight_matrix(Grid(2.0, 128), Alpha(0.45))
         assert np.all(np.isfinite(w.entries))
