@@ -303,12 +303,6 @@ def run_audit_bounds(params: dict) -> int:
         _check_n(n)
     if not 0.0 < params["s"] < params["t"] <= params["T"]:
         raise _fail("need 0 < s < t <= T")
-    for n in sweep:
-        grid = Grid(params["T"], n)
-        ks, kt = grid.nearest_node_index(params["s"]), grid.nearest_node_index(params["t"])
-        if not 1 <= ks < kt:
-            raise _fail(f"s={params['s']} and t={params['t']} must round to distinct nodes "
-                        f"after 0 on every grid, but at n={n} they round to nodes {ks} and {kt}")
     reports = audit_lemma_bounds(
         Alpha.from_h(params["H"]), params["s"], params["t"], sweep,
         horizon=params["T"],

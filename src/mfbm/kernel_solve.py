@@ -123,9 +123,12 @@ def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, rever
         workspace = {}
     m = rhs.shape[0]
     scale = np.maximum(1.0, np.maximum.accumulate(np.abs(rhs), axis=1))
-    by_size = defaultdict(list)
+    by_size, embed = defaultdict(list), 0
     for k in sorted(solutions):
-        by_size[_smooth_size(k)].append(k)
+        # `_smooth_size` changes only once 2k - 1 exceeds the last size
+        if embed < 2 * k - 1:
+            embed = _smooth_size(k)
+        by_size[embed].append(k)
     for size, ks in by_size.items():
         symbol = _circulant_symbol(column, size).real
         step = max(1, _CHUNK_FLOATS // (m * size))
@@ -301,28 +304,35 @@ def solve_g(grid: Grid, alpha: Alpha, t_index: int, weights: Optional[WeightMatr
     return solve_q(grid, alpha, t_index, _ones, weights=weights, kind="G")
 
 
-def _tail_integral(L_t: KernelField, s_index: int, r):
+def _tail_integral(L_t: KernelField, s_index: int, r, column: np.ndarray):
     """Product integration of int_s^t L(tau, t) |r - tau|**(-a) dtau for r <= s.
 
     The density blows up like (t - tau)**(-a) at tau = t, so the last two
     cells use the fitted edge model: its singular part is integrated
     exactly against (t - tau)**(-a) with the smooth factor frozen at the
     cell midpoint, its constant part against the exact kernel moment.
+    At the collocation midpoints of [0, s] the moments of the other cells
+    form the block W[:ks, ks:kt - 2] of the Toeplitz W whose first column
+    is `column`, applied as one FFT Toeplitz product; any other r takes
+    its own row of moments.  O(kt) memory either way.
     """
     grid, alpha = L_t.grid, L_t.alpha
     ks, kt = int(s_index), L_t.s_index
     t_node = L_t.upper_limit
     scalar = np.asarray(r).ndim == 0
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.zeros(r_arr.shape)
     n_edge = min(2, kt - ks)
-    interior = np.arange(ks, kt - n_edge)
-    if interior.size:
-        mom = riesz_moment(
-            grid.nodes[None, interior], grid.nodes[None, interior + 1], r_arr[:, None], alpha
-        )
-        out += mom @ L_t.values[interior]
-    edge_cells = np.arange(kt - n_edge, kt)
+    stop = kt - n_edge
+    if stop == ks:
+        out = np.zeros(r_arr.shape)
+    elif r_arr.shape == (ks,) and np.array_equal(r_arr, grid.midpoints[:ks]):
+        padded = np.zeros(stop)
+        padded[ks:] = L_t.values[ks:stop]
+        out = toeplitz_matvec(column, padded)[:ks]
+    else:
+        lo, hi = grid.nodes[ks:stop], grid.nodes[ks + 1:stop + 1]
+        out = np.array([riesz_moment(lo, hi, x, alpha) @ L_t.values[ks:stop] for x in r_arr])
+    edge_cells = np.arange(stop, kt)
     c, d = edge_fit(L_t.values[edge_cells], alpha.value, grid.h)
     for j in edge_cells:
         a, b = grid.nodes[j], grid.nodes[j + 1]
@@ -366,7 +376,7 @@ def solve_D(
     def rhs(r):
         r = np.asarray(r, dtype=float)
         direct = alpha.coeff * ((s - r) ** (-alpha.value) - (t - r) ** (-alpha.value))
-        return direct - alpha.coeff * _tail_integral(L_t, ks, r)
+        return direct - alpha.coeff * _tail_integral(L_t, ks, r, weights.column)
 
     return solve_q(grid, alpha, ks, rhs, weights=weights, kind="D")
 
@@ -416,29 +426,48 @@ class SweepSolver:
     def g_field(self, t_index: int) -> KernelField:
         return self.g_sweep([t_index])[int(t_index)]
 
-    def _sweep(self, indices: Iterable[int], kinds: str) -> tuple:
+    def _sweep(self, indices: Iterable[int], kinds: str, extra_rhs=None) -> tuple:
         """Fields of each family in `kinds` ('L', 'G') at every index, from one pass.
 
         The L rhs at index k is v[k - 1 - i] with v_j = -coeff * m_j**(-a),
         the reversed k-prefix of one vector; the matrix is persymmetric, so
         each L field is the reversed prefix solution for v, which the pass
-        stores reversed.  The g rhs is identically 1.
+        stores reversed.  The g rhs is identically 1.  Rows of `extra_rhs`
+        join the pass after the families; their solutions, {k: (m, k)},
+        follow the fields as one more item.
         """
         indices = {int(i) for i in indices}
         size = max(indices, default=0)
         rows = [self._drift_rhs(size) if kind == "L" else np.ones(size) for kind in kinds]
+        if extra_rhs is not None:
+            extra_rhs = np.asarray(extra_rhs, dtype=float)
+            if extra_rhs.ndim != 2 or extra_rhs.shape[1] < size:
+                raise ValueError(f"extra_rhs must be an (m, K) stack with K >= {size}, "
+                                 f"got shape {extra_rhs.shape}")
+            rows.extend(extra_rhs[:, :size])
         solutions = _levinson(self._system, np.array(rows), indices,
                               reverse=[j for j, kind in enumerate(kinds) if kind == "L"])
-        return tuple(
+        fields = tuple(
             {k: KernelField(kind=kind, alpha=self.alpha, grid=self.grid, s_index=k, values=x[j],
                             rhs=_l_rhs(self.alpha, float(self.grid.nodes[k])) if kind == "L" else _ones)
              for k, x in solutions.items()}
             for j, kind in enumerate(kinds)
         )
+        if extra_rhs is None:
+            return fields
+        return fields + ({k: x[len(kinds):] for k, x in solutions.items()},)
 
-    def L_g_sweep(self, indices: Iterable[int]) -> tuple:
-        """(drift-kernel fields, martingale-kernel fields) at every index, from one pass."""
-        return self._sweep(indices, "LG")
+    def L_g_sweep(self, indices: Iterable[int], extra_rhs=None) -> tuple:
+        """(drift-kernel fields, martingale-kernel fields) at every index, from one pass.
+
+        `extra_rhs`, an optional (m, K) stack of further right-hand sides on
+        the first K >= max(indices) midpoints, rides along in the same pass,
+        and a third item maps every index k to the (m, k) solutions for
+        extra_rhs[:, :k].  A rhs meant for one index k only is zero-padded
+        past k and read at k.  Each row keeps its own dot products, so its
+        solutions are bit-identical to :func:`solve_q` with that rhs.
+        """
+        return self._sweep(indices, "LG", extra_rhs)
 
     def L_sweep(self, indices: Iterable[int]) -> dict:
         """Drift-kernel fields for every index in one pass."""

@@ -431,37 +431,46 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
 
     Constants are reported per size with their max/min stability ratio;
     the proofs guarantee existence of bounding constants, not values, so
-    refinement stability is the testable statement.
+    refinement stability is the testable statement.  Each size runs two
+    Levinson passes: one for L, g and the part-iii rhs (zero-padded past
+    s), one for the difference kernel, whose rhs needs L(., t).  Raises
+    ValueError unless, on every grid of the sweep, s rounds to a node
+    after 0 and t to a later one.
     """
     n_sweep = [int(n) for n in n_sweep]
     if sorted(n_sweep) != n_sweep:
         raise ValueError("n_sweep must be increasing")
     a = alpha.value
-
-    def constants_for(n):
-        from .kernel_solve import solve_D, solve_q
-
+    points = []
+    for n in n_sweep:
         grid = Grid(horizon, n)
+        ks, kt = grid.nearest_node_index(s), grid.nearest_node_index(t)
+        if not 1 <= ks < kt:
+            raise ValueError(f"s={s} and t={t} must round to distinct nodes after 0 on every grid, "
+                             f"but at n={n} they round to nodes {ks} and {kt}")
+        points.append((grid, ks, kt))
+
+    def constants_for(grid, ks, kt):
+        from .kernel_solve import solve_D
+
         sweep = SweepSolver(grid, alpha)
-        ks = grid.nearest_node_index(s)
-        kt = grid.nearest_node_index(t)
         s_node, t_node = grid.nodes[ks], grid.nodes[kt]
         mids_s = grid.midpoints[:ks]
         out = {}
-        drift_fields, g_fields = sweep.L_g_sweep([ks, kt])
+        shape = (s_node - mids_s) ** (-a) - (t_node - mids_s) ** (-a)
+        part_iii = np.zeros((1, kt))
+        part_iii[0, :ks] = shape
+        drift_fields, g_fields, extra = sweep.L_g_sweep([ks, kt], extra_rhs=part_iii)
         out["i"] = _fitted_constant(g_fields[kt].values, np.ones(kt))
         q_drift = drift_fields[ks]
         out["ii"] = _fitted_constant(q_drift.values * (s_node - mids_s) ** a, np.ones(ks))
-        shape = (s_node - mids_s) ** (-a) - (t_node - mids_s) ** (-a)
-        q_diff = solve_q(grid, alpha, ks, lambda r: (s_node - np.asarray(r, dtype=float)) ** (-a)
-                         - (t_node - np.asarray(r, dtype=float)) ** (-a), weights=sweep.weights)
-        out["iii"] = _fitted_constant(q_diff.values, shape)
+        out["iii"] = _fitted_constant(extra[ks][0], shape)
         d_field = solve_D(grid, alpha, ks, kt, weights=sweep.weights, L_t=drift_fields[kt])
         composite_shape = shape + (t_node - s_node) ** (1.0 - a) * (s_node - mids_s) ** (-a)
         out["composite"] = _fitted_constant(d_field.values, composite_shape)
         return out
 
-    per_size = [constants_for(n) for n in n_sweep]
+    per_size = [constants_for(*point) for point in points]
     reports = {}
     envelope_i = 2.0 * t ** (1.0 - a) / (1.0 - 2.0 * a) + 1.0
     for part in ("i", "ii", "iii", "composite"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +8,14 @@ from scipy.linalg import toeplitz
 from mfbm import kernel_solve
 from mfbm.cli import main as cli_main
 from mfbm.exceptions import NumericalError
-from mfbm.quadrature import Alpha, Grid, build_weight_matrix, riesz_moment
+from mfbm.quadrature import Alpha, Grid, build_weight_matrix, edge_fit, power_moment, riesz_moment
 from mfbm.kernel_solve import (
     RESIDUAL_TOL,
     SweepSolver,
     _check_residuals,
     _levinson,
     _smooth_size,
+    _tail_integral,
     toeplitz_matvec,
     check_L_from_g,
     nystrom_eval,
@@ -196,6 +199,68 @@ class TestDifferenceKernel:
             solve_D(grid512, ALPHA85, 300, 200)
 
 
+def dense_tail_oracle(L_t, ks, r):
+    """int_s^t L(tau, t) |r - tau|**(-a) dtau with the interior cells taken
+    from a dense per-entry riesz_moment table and the two-cell edge model."""
+    grid, alpha, kt = L_t.grid, L_t.alpha, L_t.s_index
+    n_edge = min(2, kt - ks)
+    interior = np.arange(ks, kt - n_edge)
+    out = np.zeros(r.shape)
+    if interior.size:
+        table = riesz_moment(grid.nodes[None, interior], grid.nodes[None, interior + 1], r[:, None], alpha)
+        out += table @ L_t.values[interior]
+    c, d = edge_fit(L_t.values[kt - n_edge:], alpha.value, grid.h)
+    for j in range(kt - n_edge, kt):
+        lo, hi = grid.nodes[j], grid.nodes[j + 1]
+        out += c * np.abs(grid.midpoints[j] - r) ** (-alpha.value) * power_moment(lo, hi, L_t.upper_limit, alpha.value)
+        out += d * riesz_moment(lo, hi, r, alpha)
+    return out
+
+
+class TestTailIntegral:
+    """The tail integral of the difference-kernel rhs is a Toeplitz product
+    at the midpoints and one moment row per point elsewhere."""
+
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    @pytest.mark.parametrize("cells", [(0.5, 0.625), (0.25, 0.75), 1, 2, 3],
+                             ids=["s0.5-t0.625", "s0.25-t0.75", "gap1", "gap2", "gap3"])
+    def test_midpoints_match_dense_oracle(self, n, cells):
+        grid = Grid(1.0, n)
+        sweep = SweepSolver(grid, ALPHA85)
+        if isinstance(cells, tuple):
+            ks, kt = int(cells[0] * n), int(cells[1] * n)
+        else:  # kt - ks cells: no interior cell, or one
+            ks, kt = n // 2, n // 2 + cells
+        L_t = sweep.L_field(kt)
+        mids = grid.midpoints[:ks]
+        np.testing.assert_allclose(_tail_integral(L_t, ks, mids, sweep.weights.column),
+                                   dense_tail_oracle(L_t, ks, mids), rtol=1e-13, atol=0.0)
+
+    def test_off_midpoint_points_match_dense_oracle(self, grid512, sweep512, weights512):
+        ks, kt = 256, 320
+        L_t = sweep512.L_field(kt)
+        r = np.array([0.0, 0.1234, 0.4999, 0.5])
+        np.testing.assert_allclose(_tail_integral(L_t, ks, r, weights512.column),
+                                   dense_tail_oracle(L_t, ks, r), rtol=1e-13, atol=0.0)
+        scalar = _tail_integral(L_t, ks, 0.3, weights512.column)
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(dense_tail_oracle(L_t, ks, np.array([0.3]))[0], rel=1e-13)
+
+    def test_solve_D_memory_is_linear(self):
+        # The dense moment table alone of this tail is 2048 x 510 floats
+        # (8.4 MB); the Toeplitz product needs a few vectors of length ~5000.
+        grid = Grid(1.0, 4096)
+        sweep = SweepSolver(grid, ALPHA85)
+        L_t = sweep.L_field(2560)
+        tracemalloc.start()
+        try:
+            solve_D(grid, ALPHA85, 2048, 2560, weights=sweep.weights, L_t=L_t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+
 class TestKernelIdentity:
     """The drift kernel is the scaled upper-limit derivative of the
     martingale kernel; a central difference must reproduce it."""
@@ -368,6 +433,32 @@ class TestFusedPass:
             assert np.array_equal(g_fields[k].values, g_alone[k].values)
             assert (l_fields[k].kind, g_fields[k].kind) == ("L", "G")
 
+    @pytest.mark.parametrize("h", H_CORE)
+    def test_extra_rows_equal_solve_q(self, h):
+        grid, alpha = Grid(1.0, 256), Alpha.from_h(h)
+        sweep = SweepSolver(grid, alpha)
+        ks, kt = 128, 160
+        rhs = lambda r: (0.5 - np.asarray(r)) ** (-alpha.value) - (0.625 - np.asarray(r)) ** (-alpha.value)
+        extra = np.zeros((2, kt))
+        extra[0, :ks] = rhs(grid.midpoints[:ks])
+        extra[1] = np.cos(grid.midpoints[:kt])
+        l_fields, g_fields, solutions = sweep.L_g_sweep([ks, kt], extra_rhs=extra)
+        assert sorted(solutions) == [ks, kt]
+        assert solutions[ks].shape == (2, ks) and solutions[kt].shape == (2, kt)
+        assert np.array_equal(solutions[ks][0], solve_q(grid, alpha, ks, rhs, weights=sweep.weights).values)
+        cosine = lambda r: np.cos(np.asarray(r))
+        for k in (ks, kt):
+            assert np.array_equal(solutions[k][1], solve_q(grid, alpha, k, cosine, weights=sweep.weights).values)
+        l_alone, g_alone = sweep.L_g_sweep([ks, kt])
+        for k in (ks, kt):
+            assert np.array_equal(l_fields[k].values, l_alone[k].values)
+            assert np.array_equal(g_fields[k].values, g_alone[k].values)
+
+    @pytest.mark.parametrize("shape", [(160,), (1, 159)])
+    def test_extra_rows_need_a_stack_covering_the_pass(self, sweep512, shape):
+        with pytest.raises(ValueError, match="extra_rhs"):
+            sweep512.L_g_sweep([128, 160], extra_rhs=np.ones(shape))
+
     def test_smooth_sizes_are_minimal(self):
         smooth = [n for n in range(2, 2400) if _is_3_smooth(n)]
         for k in range(1, 600):
@@ -421,6 +512,19 @@ class TestResidualCheck:
         bad[k][row, entry] += 2.0 * RESIDUAL_TOL * scale / column[0]
         with pytest.raises(NumericalError, match=f"block size {k}$"):
             _check_residuals(column, rows, bad, reverse=[0])
+
+
+    def test_one_embedding_size_computation_per_size(self, monkeypatch):
+        column, rows, solutions = _fused_solutions(range(1, 257))
+        calls = []
+
+        def counting(k):
+            calls.append(k)
+            return _smooth_size(k)
+
+        monkeypatch.setattr(kernel_solve, "_smooth_size", counting)
+        _check_residuals(column, rows, solutions, reverse=[0])
+        assert len(calls) == len({_smooth_size(k) for k in range(1, 257)})
 
 
 class TestStreamedCheck:

@@ -1,6 +1,10 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+from mfbm import kernel_solve
 from mfbm.quadrature import Alpha, Grid
 from mfbm.kernel_solve import SweepSolver
 from mfbm.gaussian_paths import BLOCK, simulate_ensemble
@@ -204,6 +208,34 @@ class TestBoundAudits:
     def test_rejects_unsorted_sweep(self):
         with pytest.raises(ValueError):
             audit_lemma_bounds(Alpha(0.0), 0.5, 0.625, [256, 128])
+
+    @pytest.mark.parametrize("s, t, sweep, nodes", [
+        # s and t share a node at n = 64, which once gave an infinite ratio
+        (0.5, 0.501, [64, 4096], (64, 32, 32)),
+        (0.001, 0.625, [128, 256, 512, 1024], (128, 0, 80)),
+    ])
+    def test_rejects_points_off_distinct_nodes(self, s, t, sweep, nodes):
+        n, ks, kt = nodes
+        message = f"s={s} and t={t} must round to distinct nodes after 0 on every grid, " \
+                  f"but at n={n} they round to nodes {ks} and {kt}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                audit_lemma_bounds(Alpha.from_h(0.85), s, t, sweep)
+
+    def test_two_levinson_passes_per_size(self, monkeypatch):
+        passes = []
+        original = kernel_solve._prefix_solutions
+
+        def counting(*args, **kwargs):
+            passes.append(args[1].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_solve, "_prefix_solutions", counting)
+        audit_lemma_bounds(Alpha.from_h(0.85), 0.5, 0.625, [64, 128, 256, 512])
+        assert len(passes) == 8
+        # per size: L, g and part iii up to t; then the difference kernel up to s
+        assert passes == [shape for n in (64, 128, 256, 512) for shape in ((3, 5 * n // 8), (1, n // 2))]
 
 
 class TestMcMachinery:
