@@ -198,8 +198,18 @@ def _prefix_solutions(column, rows, keep, reverse=()):
     # lags[size - 1 - k:size - 1] is column[k], ..., column[1]
     lags = column[size - 1:0:-1].copy()
     m = rows.shape[0]
+    # rhs[k] is the column rows[:, k]
+    rhs = rows[:, :size].T.copy()
     f = np.zeros(size)
     x = np.zeros((m, size))
+    x_rows = list(x)  # views of the rows of x, made once
+    # The order step writes its temporaries into these buffers (a ufunc's
+    # third argument is its output), so it allocates no array; it rounds as
+    # f = (f - eps * f[::-1]) / beta and x += gap * f[::-1] do, in the same
+    # order.
+    f_work = np.empty(size)
+    x_work = np.empty((m, size))
+    gap = np.empty((m, 1))
     f[0] = 1.0 / column[0]
     x[:, 0] = rows[:, 0] * f[0]
     wanted = set(keep)
@@ -207,13 +217,22 @@ def _prefix_solutions(column, rows, keep, reverse=()):
     for k in range(size):
         if k > 0:
             lag = lags[size - 1 - k:]
-            eps = float(lag @ f[:k])
+            eps = float(lag.dot(f[:k]))
             beta = 1.0 - eps * eps
             if not beta > 0.0:
                 raise NumericalError(f"Levinson recursion broke down at order {k + 1} (beta = {beta:.3e})")
-            f[: k + 1] = (f[: k + 1] - eps * f[k::-1]) / beta
-            gap = rows[:, k] - [lag @ x[j, :k] for j in range(m)]
-            x[:, : k + 1] += gap[:, None] * f[k::-1]
+            head, backward, work = f[: k + 1], f[k::-1], f_work[: k + 1]
+            np.multiply(backward, eps, work)
+            np.subtract(head, work, work)
+            np.divide(work, beta, head)
+            # One dot product per row: the bits of a matrix-vector product
+            # may depend on how many rows are stacked.
+            rhs_k = rhs[k]
+            for j, x_j in enumerate(x_rows):
+                gap[j, 0] = rhs_k[j] - lag.dot(x_j[:k])
+            head, work = x[:, : k + 1], x_work[:, : k + 1]
+            np.multiply(gap, backward, work)
+            head += work
         if k + 1 in wanted:
             # A block holds kept orders of one check embedding size
             # (`_smooth_size`, which changes only once 2k + 1 exceeds it),

@@ -35,13 +35,21 @@ def format_float(x) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write one CSV table; numeric cells are formatted at full precision."""
+    """Write one CSV table; text cells are written as they are, numeric
+    cells at full precision, as by :func:`format_float`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
+    # One %-template per pattern of text cells formats a whole row at once;
+    # "%.17g" formats float(cell), the same string as format_float(cell).
+    templates = {}
     for row in rows:
-        cells = [cell if isinstance(cell, str) else format_float(cell) for cell in row]
-        lines.append(",".join(cells))
+        row = tuple(row)
+        text = tuple(isinstance(cell, str) for cell in row)
+        template = templates.get(text)
+        if template is None:
+            template = templates[text] = ",".join("%s" if is_text else "%.17g" for is_text in text)
+        lines.append(template % row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 

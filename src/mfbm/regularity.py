@@ -434,12 +434,14 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
     refinement stability is the testable statement.  Each size runs two
     Levinson passes: one for L, g and the part-iii rhs (zero-padded past
     s), one for the difference kernel, whose rhs needs L(., t).  Raises
-    ValueError unless, on every grid of the sweep, s rounds to a node
-    after 0 and t to a later one.
+    ValueError unless the sizes strictly increase (a repeated size would
+    report its own constant twice and a vacuous stability ratio) and, on
+    every grid of the sweep, s rounds to a node after 0 and t to a later
+    one.
     """
     n_sweep = [int(n) for n in n_sweep]
-    if sorted(n_sweep) != n_sweep:
-        raise ValueError("n_sweep must be increasing")
+    if any(a >= b for a, b in zip(n_sweep, n_sweep[1:])):
+        raise ValueError(f"n_sweep must strictly increase, got {n_sweep}")
     a = alpha.value
     points = []
     for n in n_sweep:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mfbm.cli import main
-from mfbm.outputs import OUT_DIR_ENV, write_json
+from mfbm.outputs import OUT_DIR_ENV, format_float, write_csv, write_json
 
 
 def read_csv(path):
@@ -174,6 +174,15 @@ class TestBadInput:
         assert "Traceback" not in err and message in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("sweep", ["64,64", "64,128,128", "128,64"])
+    def test_audit_sweep_must_strictly_increase(self, tmp_path, capsys, sweep):
+        code = main(["audit-bounds", "--H", "0.85", "--s", "0.5", "--t", "0.625", "--n-sweep", sweep,
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "--n-sweep must be an increasing list" in err
+        assert not list(tmp_path.iterdir())
+
     def test_replayed_threads_below_one(self, tmp_path, capsys):
         assert main(["simulate", "--H", "0.85", "--n", "64", "--out-dir", str(tmp_path)]) == 0
         manifest = tmp_path / "simulate_manifest.json"
@@ -247,6 +256,34 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
     assert result.stdout.strip() == "False"
+
+
+class TestCsvWriter:
+    """Rows are formatted a whole row at a time, to the bytes of the per-cell join."""
+
+    CELLS = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0,
+             float("inf"), float("-inf"), float("nan"), 3, -7, 10 ** 20, True, np.float64(2.5e-300),
+             np.float32(0.1), np.float32(-3.4028235e38), np.int64(-12), "gram", "1e3", "",
+             type("Label", (str,), {})("subclass")]
+
+    @staticmethod
+    def _per_cell(header, rows):
+        lines = [",".join(header)]
+        lines += [",".join(c if isinstance(c, str) else format_float(c) for c in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_bytes_equal_per_cell_join(self, tmp_path):
+        rows = [tuple(self.CELLS), tuple(reversed(self.CELLS)), [1.5, "x"], ("y", 2.5), (), (np.float32(7.0),)]
+        rows += [(cell, cell) for cell in self.CELLS]
+        path = write_csv(tmp_path / "cells.csv", ["a", "b"], rows)
+        assert path.read_bytes() == self._per_cell(["a", "b"], rows)
+
+    def test_array_columns(self, tmp_path):
+        rng = np.random.default_rng(3)
+        columns = [rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300) for _ in range(4)]
+        header = ["t", "X", "phi", "M"]
+        path = write_csv(tmp_path / "table.csv", header, zip(*columns))
+        assert path.read_bytes() == self._per_cell(header, zip(*columns))
 
 
 class TestSimulate:

@@ -550,3 +550,68 @@ class TestStreamedCheck:
             sizes = {_smooth_size(k) for k in block}
             assert len(sizes) == 1
             assert len(block) == 1 or len(block) * rows.shape[0] * sizes.pop() <= kernel_solve._CHUNK_FLOATS
+
+
+def _reference_prefix_solutions(column, rows, keep, reverse=()):
+    """{k: x_k} from the Levinson-Durbin order step written with one new
+    array per operation: the step that `_prefix_solutions` must reproduce
+    bit for bit with its preallocated buffers."""
+    size = max(keep)
+    lags = column[size - 1:0:-1].copy()
+    m = rows.shape[0]
+    f = np.zeros(size)
+    x = np.zeros((m, size))
+    f[0] = 1.0 / column[0]
+    x[:, 0] = rows[:, 0] * f[0]
+    out = {}
+    for k in range(size):
+        if k > 0:
+            lag = lags[size - 1 - k:]
+            eps = float(lag @ f[:k])
+            beta = 1.0 - eps * eps
+            f[: k + 1] = (f[: k + 1] - eps * f[k::-1]) / beta
+            gap = rows[:, k] - [lag @ x[j, :k] for j in range(m)]
+            x[:, : k + 1] += gap[:, None] * f[k::-1]
+        if k + 1 in keep:
+            x_k = x[:, : k + 1].copy()
+            for j in reverse:
+                x_k[j] = x[j, k::-1]
+            out[k + 1] = x_k
+    return out
+
+
+class TestOrderStepReference:
+    """The buffered order step gives the same bits as the step written out
+    with temporaries (a copied reference, not stored digests, so the test
+    holds under any BLAS dot product)."""
+
+    @staticmethod
+    def _assert_equal_to_reference(h, n, rows, keep, reverse=()):
+        column = SweepSolver(Grid(1.0, n), Alpha.from_h(h))._system
+        keep = set(keep)
+        solutions = dict(kernel_solve._prefix_solutions(column, rows, keep, reverse))
+        reference = _reference_prefix_solutions(column, rows, keep, reverse)
+        assert sorted(solutions) == sorted(reference) == sorted(keep)
+        for k in keep:
+            assert np.array_equal(solutions[k], reference[k]), k
+
+    @pytest.mark.parametrize("h", H_CORE)
+    def test_all_prefix_two_rows(self, h):
+        grid, alpha = Grid(1.0, 256), Alpha.from_h(h)
+        rows = np.array([-alpha.coeff * grid.midpoints ** (-alpha.value), np.ones(grid.cells)])
+        self._assert_equal_to_reference(h, 256, rows, range(1, 257), reverse=[0])
+
+    @pytest.mark.parametrize("h", H_CORE)
+    def test_sparse_three_rows_one_reversed(self, h):
+        rows = np.random.default_rng(7).standard_normal((3, 300))
+        self._assert_equal_to_reference(h, 300, rows, (1, 2, 3, 17, 101, 255, 300), reverse=[0])
+
+    @pytest.mark.parametrize("h", (0.85, 1.0))
+    def test_orders_straddling_check_embedding_sizes(self, h):
+        rows = np.cos(np.arange(2 * 256).reshape(2, 256) * 0.37)
+        keep = {k + d for k in BOUNDARY_SIZES for d in (-1, 0, 1)}
+        assert len({_smooth_size(k) for k in keep}) > 1
+        self._assert_equal_to_reference(h, 256, rows, keep)
+
+    def test_single_row_single_order(self):
+        self._assert_equal_to_reference(0.85, 4, np.array([[0.5, 1.0, 2.0, 3.0]]), [1])

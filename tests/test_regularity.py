@@ -209,6 +209,12 @@ class TestBoundAudits:
         with pytest.raises(ValueError):
             audit_lemma_bounds(Alpha(0.0), 0.5, 0.625, [256, 128])
 
+    @pytest.mark.parametrize("sweep", [[64, 64], [128, 256, 256], [64, 128, 128, 256]])
+    def test_rejects_repeated_size(self, sweep):
+        # a repeated size reports its own constant twice: a vacuous ratio of 1
+        with pytest.raises(ValueError, match="strictly increase"):
+            audit_lemma_bounds(Alpha.from_h(0.85), 0.5, 0.625, sweep)
+
     @pytest.mark.parametrize("s, t, sweep, nodes", [
         # s and t share a node at n = 64, which once gave an infinite ratio
         (0.5, 0.501, [64, 4096], (64, 32, 32)),
