@@ -23,8 +23,6 @@ from .kernel_solve import (
     check_L_from_g,
     nystrom_eval,
     solve_D,
-    solve_L,
-    solve_g,
     solve_q,
 )
 from .gaussian_paths import (
@@ -69,8 +67,6 @@ __all__ = [
     "check_L_from_g",
     "nystrom_eval",
     "solve_D",
-    "solve_L",
-    "solve_g",
     "solve_q",
     "SamplePath",
     "fbm_cov",

@@ -205,15 +205,12 @@ def _variogram_from(params: dict):
     if params["method"] == "monte_carlo" and params["n"] * params["mc_refine"] > _MAX_MC_CELLS:
         raise _fail(f"--n * --mc-refine must be <= {_MAX_MC_CELLS}, "
                     f"got {params['n']} * {params['mc_refine']}")
-    try:
-        return build_variogram(
-            params["H"], params["t0"], params["lags"], params["n"],
-            method=params["method"], horizon=params["T"], seed=params["seed"],
-            n_paths=params["paths"], mc_refine=params["mc_refine"],
-            threads=params["threads"],
-        )
-    except ValueError as exc:
-        raise _fail(str(exc))
+    return build_variogram(
+        params["H"], params["t0"], params["lags"], params["n"],
+        method=params["method"], horizon=params["T"], seed=params["seed"],
+        n_paths=params["paths"], mc_refine=params["mc_refine"],
+        threads=params["threads"],
+    )
 
 
 def _write_variogram_csv(params: dict, variogram) -> Path:
@@ -241,10 +238,7 @@ def run_holder(params: dict) -> int:
     if window[0] is None or window[1] is None:
         window = default_fit_window(Grid(params["T"], params["n"]), params["t0"])
         params = {**params, "window_min": window[0], "window_max": window[1]}
-    try:
-        fit = fit_holder(variogram, window=window)
-    except ValueError as exc:
-        raise _fail(str(exc))
+    fit = fit_holder(variogram, window=window)
     fit_json = out.write_json(
         _out_path(params, "_fit.json"),
         {

@@ -19,14 +19,12 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .exceptions import NumericalError
-from .quadrature import Alpha, Grid, WeightMatrix, build_weight_matrix, edge_fit, power_moment, riesz_moment
+from .quadrature import Alpha, Grid, build_weight_matrix, edge_fit, power_moment, riesz_moment
 
 __all__ = [
     "KernelField",
     "SweepSolver",
     "solve_q",
-    "solve_L",
-    "solve_g",
     "solve_D",
     "nystrom_eval",
     "check_L_from_g",
@@ -264,63 +262,46 @@ def _levinson(column, rhs, keep, reverse=()) -> dict:
     return out if rhs.ndim > 1 else {k: x_k[0] for k, x_k in out.items()}
 
 
-def _system_column(alpha: Alpha, weights: WeightMatrix) -> np.ndarray:
-    """First column of the collocation matrix I + coeff * W."""
-    column = alpha.coeff * weights.column
-    column[0] += 1.0
-    return column
-
-
 def _ones(r):
     return np.ones_like(np.asarray(r, dtype=float))
 
 
-def solve_q(
-    grid: Grid,
-    alpha: Alpha,
-    s_index: int,
-    rhs: Callable,
-    weights: Optional[WeightMatrix] = None,
-    kind: str = "Q",
-) -> KernelField:
-    """Solve Q(r) + coeff * int_0^s Q(tau) |r - tau|**(-a) dtau = rhs(r).
+def solve_q(sweep: "SweepSolver", s_index: int, rhs: Callable, kind: str = "Q") -> KernelField:
+    """Solve Q(r) + coeff * int_0^s Q(tau) |r - tau|**(-a) dtau = rhs(r)
+    on the grid and exponent of `sweep`, with s its node `s_index`.
 
     `rhs` must accept an array of midpoints and return finite values there.
     The result carries `rhs` so the solution can be re-evaluated off-grid
     through the equation itself (see :func:`nystrom_eval`).
     """
-    k = int(s_index)
+    grid, k = sweep.grid, int(s_index)
     if not 1 <= k <= grid.cells:
         raise ValueError(f"s_index must be in [1, {grid.cells}], got {k}")
-    if weights is None:
-        weights = build_weight_matrix(grid, alpha)
     mids = grid.midpoints[:k]
     f = np.broadcast_to(np.asarray(rhs(mids), dtype=float), (k,)).copy()
     if not np.all(np.isfinite(f)):
         raise ValueError("rhs must be finite at all collocation midpoints")
-    x = _levinson(_system_column(alpha, weights), f, [k])[k]
-    return KernelField(kind=kind, alpha=alpha, grid=grid, s_index=k, values=x, rhs=rhs)
+    x = _levinson(sweep._system, f, [k])[k]
+    return KernelField(kind=kind, alpha=sweep.alpha, grid=grid, s_index=k, values=x, rhs=rhs)
 
 
 def _l_rhs(alpha: Alpha, s: float) -> Callable:
+    """Drift-kernel rhs on [0, s]: -coeff * (s - r)**(-a).  At a = 0 the
+    solution is the constant -1/(1 + s)."""
     def rhs(r):
         return -alpha.coeff * np.abs(s - np.asarray(r, dtype=float)) ** (-alpha.value)
 
     return rhs
 
 
-def solve_L(grid: Grid, alpha: Alpha, s_index: int, weights: Optional[WeightMatrix] = None) -> KernelField:
-    """Drift kernel on [0, t_k]: rhs(r) = -coeff * (s - r)**(-a).
-
-    At a = 0 the solution is the constant -1/(1 + s), used as oracle.
-    """
-    s = float(grid.nodes[int(s_index)])
-    return solve_q(grid, alpha, s_index, _l_rhs(alpha, s), weights=weights, kind="L")
-
-
-def solve_g(grid: Grid, alpha: Alpha, t_index: int, weights: Optional[WeightMatrix] = None) -> KernelField:
-    """Martingale kernel on [0, t_k]: rhs identically 1 (constant 1/(1+t) at a=0)."""
-    return solve_q(grid, alpha, t_index, _ones, weights=weights, kind="G")
+def check_discretization(item, reference, what: str) -> None:
+    """Raise ValueError unless `item` and `reference` share grid nodes and
+    kernel exponent.  Either may be a KernelField, a WeightMatrix or a
+    SweepSolver: anything with `grid` and `alpha`."""
+    if item.grid is not reference.grid and not np.array_equal(item.grid.nodes, reference.grid.nodes):
+        raise ValueError(f"{what} live on different grids")
+    if item.alpha.value != reference.alpha.value:
+        raise ValueError(f"{what} have different exponents")
 
 
 def _tail_integral(L_t: KernelField, s_index: int, r, column: np.ndarray):
@@ -361,43 +342,35 @@ def _tail_integral(L_t: KernelField, s_index: int, r, column: np.ndarray):
     return float(out[0]) if scalar else out
 
 
-def solve_D(
-    grid: Grid,
-    alpha: Alpha,
-    s_index: int,
-    t_index: int,
-    weights: Optional[WeightMatrix] = None,
-    L_t: Optional[KernelField] = None,
-) -> KernelField:
+def solve_D(sweep: "SweepSolver", s_index: int, L_t: KernelField) -> KernelField:
     """Difference kernel D(., s) = L(., t) - L(., s) solved on [0, s].
 
-    Right-hand side: coeff * ((s-r)**(-a) - (t-r)**(-a)) minus the kernel
-    integral of L(., t) over [s, t].  s_index == t_index returns the zero
-    field (the two equations coincide).
+    `L_t` is the drift-kernel field at t, on the grid and exponent of
+    `sweep`.  Right-hand side: coeff * ((s-r)**(-a) - (t-r)**(-a)) minus
+    the kernel integral of L(., t) over [s, t].  s_index equal to L_t's
+    index returns the zero field (the two equations coincide).
     """
-    ks, kt = int(s_index), int(t_index)
+    if L_t.kind != "L":
+        raise ValueError(f"L_t must be a drift-kernel field, got kind {L_t.kind!r}")
+    check_discretization(L_t, sweep, "L_t and the solver")
+    grid, alpha = sweep.grid, sweep.alpha
+    ks, kt = int(s_index), L_t.s_index
     if ks > kt:
-        raise ValueError(f"need s_index <= t_index, got {ks} > {kt}")
+        raise ValueError(f"need s_index <= the index of L_t, got {ks} > {kt}")
     if ks == kt:
         return KernelField(
             kind="D", alpha=alpha, grid=grid, s_index=ks,
             values=np.zeros(ks), rhs=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         )
-    if weights is None:
-        weights = build_weight_matrix(grid, alpha)
-    if L_t is None:
-        L_t = solve_L(grid, alpha, kt, weights=weights)
-    elif L_t.s_index != kt:
-        raise ValueError("L_t field does not match t_index")
     s = float(grid.nodes[ks])
     t = float(grid.nodes[kt])
 
     def rhs(r):
         r = np.asarray(r, dtype=float)
         direct = alpha.coeff * ((s - r) ** (-alpha.value) - (t - r) ** (-alpha.value))
-        return direct - alpha.coeff * _tail_integral(L_t, ks, r, weights.column)
+        return direct - alpha.coeff * _tail_integral(L_t, ks, r, sweep.weights.column)
 
-    return solve_q(grid, alpha, ks, rhs, weights=weights, kind="D")
+    return solve_q(sweep, ks, rhs, kind="D")
 
 
 def nystrom_eval(field: KernelField, r: float) -> float:
@@ -430,14 +403,17 @@ class SweepSolver:
     :func:`_levinson`) returns every requested field of one family, or of
     both (:meth:`L_g_sweep`): O(K**2) time per family and O(n) matrix
     storage, with the residual of every returned field checked against
-    `RESIDUAL_TOL`.
+    `RESIDUAL_TOL`.  It owns W: the single solves (:func:`solve_q`,
+    :func:`solve_D`) take the solver, not a grid, exponent and W.
     """
 
-    def __init__(self, grid: Grid, alpha: Alpha, weights: Optional[WeightMatrix] = None):
+    def __init__(self, grid: Grid, alpha: Alpha):
         self.grid = grid
         self.alpha = alpha
-        self.weights = weights if weights is not None else build_weight_matrix(grid, alpha)
-        self._system = _system_column(alpha, self.weights)
+        self.weights = build_weight_matrix(grid, alpha)
+        # first column of the collocation matrix I + coeff * W
+        self._system = alpha.coeff * self.weights.column
+        self._system[0] += 1.0
 
     def L_field(self, s_index: int) -> KernelField:
         return self.L_sweep([s_index])[int(s_index)]
@@ -542,29 +518,22 @@ class SweepSolver:
         return phi, m_values, diagonal
 
 
-def check_L_from_g(
-    grid: Grid,
-    alpha: Alpha,
-    s_index: int,
-    dt: float,
-    weights: Optional[WeightMatrix] = None,
-) -> float:
+def check_L_from_g(sweep: SweepSolver, s_index: int, dt: float) -> float:
     """Max relative mismatch between the drift kernel and its defining identity.
 
     The drift kernel equals the upper-limit derivative of the martingale
-    kernel scaled by its diagonal value; this compares solve_L against the
-    central finite difference (g(r, s+dt) - g(r, s-dt)) / (2 dt g(s, s))
-    on interior midpoints r <= 0.9 s.
+    kernel scaled by its diagonal value; this compares the drift-kernel
+    field at s against the central finite difference
+    (g(r, s+dt) - g(r, s-dt)) / (2 dt g(s, s)) on interior midpoints
+    r <= 0.9 s, all from one pass of `sweep`.
     """
-    k = int(s_index)
+    grid, k = sweep.grid, int(s_index)
     step = int(round(dt / grid.h))
     if step < 1 or abs(step * grid.h - dt) > 1e-9 * grid.h:
         raise ValueError(f"dt={dt} is not a positive multiple of the grid spacing")
     if k - step < 1 or k + step > grid.cells:
         raise ValueError("dt pushes the shifted upper limits off the grid")
-    if weights is None:
-        weights = build_weight_matrix(grid, alpha)
-    l_fields, g_fields = SweepSolver(grid, alpha, weights=weights).L_g_sweep([k - step, k, k + step])
+    l_fields, g_fields = sweep.L_g_sweep([k - step, k, k + step])
     g_plus, g_minus, g_mid = g_fields[k + step], g_fields[k - step], g_fields[k]
     l_ref = l_fields[k]
     s = float(grid.nodes[k])

@@ -16,11 +16,11 @@ consistency check in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .kernel_solve import KernelField, SweepSolver, toeplitz_matvec
+from .kernel_solve import KernelField, SweepSolver, check_discretization, toeplitz_matvec
 from .parallelism import parallel_map  # unused here; perfbench/spans.py patches this name
 from .quadrature import Alpha, Grid, WeightMatrix, edge_fit, integrate_with_edge, power_moment
 from .gaussian_paths import increments_transpose, map_blocks
@@ -30,7 +30,6 @@ __all__ = [
     "Variogram",
     "HolderFit",
     "BoundReport",
-    "ReducedMoment",
     "phi_cross_gram",
     "second_moment_gram",
     "second_moment_reduced",
@@ -42,11 +41,12 @@ __all__ = [
 ]
 
 
-def _check_pair(L_s: KernelField, L_t: KernelField):
-    if L_s.grid is not L_t.grid and not np.array_equal(L_s.grid.nodes, L_t.grid.nodes):
-        raise ValueError("kernel fields live on different grids")
-    if L_s.alpha.value != L_t.alpha.value:
-        raise ValueError("kernel fields have different exponents")
+def _check_pair(L_s: KernelField, L_t: KernelField, *weights: WeightMatrix):
+    """Raise ValueError unless both fields, and the weight matrix if one is
+    passed, share grid and exponent, and L_s's upper limit is not above L_t's."""
+    check_discretization(L_s, L_t, "kernel fields")
+    for table in weights:
+        check_discretization(table, L_s, "weight matrix and kernel fields")
     if L_s.s_index > L_t.s_index:
         raise ValueError("need s <= t (pass the smaller upper limit first)")
 
@@ -61,7 +61,7 @@ def phi_cross_gram(L_s: KernelField, L_t: KernelField, weights: WeightMatrix) ->
     The integrand behaves like (s - r)**(-2a) at r = s when s = t and like
     (s - r)**(-a) otherwise.
     """
-    _check_pair(L_s, L_t)
+    _check_pair(L_s, L_t, weights)
     grid, alpha = L_s.grid, L_s.alpha
     ka, kb = L_s.s_index, L_t.s_index
     beta = 2.0 * alpha.value if ka == kb else alpha.value
@@ -72,10 +72,10 @@ def phi_cross_gram(L_s: KernelField, L_t: KernelField, weights: WeightMatrix) ->
     return t1 + alpha.coeff * t2
 
 
-def second_moment_gram(s: float, t: float, L_s: KernelField, L_t: KernelField,
-                       weights: WeightMatrix) -> float:
-    """E(phi_t - phi_s)^2 assembled from the three Gram moments."""
-    _check_pair(L_s, L_t)
+def second_moment_gram(L_s: KernelField, L_t: KernelField, weights: WeightMatrix) -> float:
+    """E(phi_t - phi_s)^2 assembled from the three Gram moments, with s and
+    t the upper limits of L_s and L_t."""
+    _check_pair(L_s, L_t, weights)
     if L_s.s_index == L_t.s_index:
         return 0.0
     v_tt = phi_cross_gram(L_t, L_t, weights)
@@ -84,15 +84,9 @@ def second_moment_gram(s: float, t: float, L_s: KernelField, L_t: KernelField,
     return v_tt + v_ss - 2.0 * v_st
 
 
-class ReducedMoment(NamedTuple):
-    value: float
-    i1: float
-    i2: float
-    i3: float
-
-
-def second_moment_reduced(s: float, t: float, L_s: KernelField, L_t: KernelField) -> ReducedMoment:
-    """E(phi_t - phi_s)^2 via the three boundary integrals.
+def second_moment_reduced(L_s: KernelField, L_t: KernelField) -> float:
+    """E(phi_t - phi_s)^2 via the three boundary integrals, with s and t
+    the upper limits of L_s and L_t.
 
     I1 integrates the kernel difference against (t - tau)**(-a) on [0, s],
     I2 the s-kernel against the weight difference on [0, s], I3 the
@@ -158,8 +152,7 @@ def second_moment_reduced(s: float, t: float, L_s: KernelField, L_t: KernelField
                           - power_moment(nodes[j], nodes[j + 1], t_node, a))
         return total
 
-    i1, i2, i3 = i1_term(), i2_term(), i3_term()
-    return ReducedMoment(value=-alpha.coeff * (i1 + i2 + i3), i1=i1, i2=i2, i3=i3)
+    return float(-alpha.coeff * (i1_term() + i2_term() + i3_term()))
 
 
 def phi_mc_weights(field: KernelField):
@@ -323,11 +316,9 @@ def build_variogram(
         fields = sweep.L_sweep(indices)
         base = fields[k0]
         if method == "reduced":
-            values = np.array([second_moment_reduced(t0, t0 + c * grid.h, base, fields[k0 + c]).value
-                               for c in lag_cells])
+            values = np.array([second_moment_reduced(base, fields[k0 + c]) for c in lag_cells])
         else:
-            values = np.array([second_moment_gram(t0, t0 + c * grid.h, base, fields[k0 + c], sweep.weights)
-                               for c in lag_cells])
+            values = np.array([second_moment_gram(base, fields[k0 + c], sweep.weights) for c in lag_cells])
     return Variogram(
         h=h, base_point=t0, lags=lags, values=values, method=method,
         stderr=stderr, grid_cells=n, horizon=horizon,
@@ -467,7 +458,7 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
         q_drift = drift_fields[ks]
         out["ii"] = _fitted_constant(q_drift.values * (s_node - mids_s) ** a, np.ones(ks))
         out["iii"] = _fitted_constant(extra[ks][0], shape)
-        d_field = solve_D(grid, alpha, ks, kt, weights=sweep.weights, L_t=drift_fields[kt])
+        d_field = solve_D(sweep, ks, drift_fields[kt])
         composite_shape = shape + (t_node - s_node) ** (1.0 - a) * (s_node - mids_s) ** (-a)
         out["composite"] = _fitted_constant(d_field.values, composite_shape)
         return out

@@ -10,7 +10,7 @@ import pytest
 
 from mfbm.cli import main as cli_main
 from mfbm.quadrature import Alpha, Grid
-from mfbm.kernel_solve import SweepSolver, check_L_from_g, solve_L, solve_g
+from mfbm.kernel_solve import SweepSolver, check_L_from_g
 from mfbm.gaussian_paths import fbm_cov, restrict, simulate, simulate_ensemble
 from mfbm.decomposition import decompose
 from mfbm.regularity import (
@@ -44,11 +44,11 @@ def test_criterion_01_degenerate_kernel_oracle():
     worst = 0.0
     for n in (64, 256, 1024):
         grid = Grid(1.0, n)
-        alpha = Alpha(0.0)
+        sweep = SweepSolver(grid, Alpha(0.0))
         for s in (0.25, 0.5, 1.0):
             k = grid.node_index(s)
-            err_l = float(np.max(np.abs(solve_L(grid, alpha, k).values + 1.0 / (1.0 + s))))
-            err_g = float(np.max(np.abs(solve_g(grid, alpha, k).values - 1.0 / (1.0 + s))))
+            err_l = float(np.max(np.abs(sweep.L_field(k).values + 1.0 / (1.0 + s))))
+            err_g = float(np.max(np.abs(sweep.g_field(k).values - 1.0 / (1.0 + s))))
             worst = max(worst, err_l, err_g)
     report(1, worst <= 1e-10,
            f"H=1 closed-form kernels reproduced, worst abs error {worst:.2e} (tol 1e-10)")
@@ -62,9 +62,8 @@ def test_criterion_02_formula_equivalence(sweeps_n512):
         for (s, t) in [(0.25, 0.3), (0.5, 0.6), (0.5, 0.9)]:
             ks, kt = grid.nearest_node_index(s), grid.nearest_node_index(t)
             l_s, l_t = sweep.L_field(ks), sweep.L_field(kt)
-            s_node, t_node = float(grid.nodes[ks]), float(grid.nodes[kt])
-            reduced = second_moment_reduced(s_node, t_node, l_s, l_t).value
-            gram = second_moment_gram(s_node, t_node, l_s, l_t, sweep.weights)
+            reduced = second_moment_reduced(l_s, l_t)
+            gram = second_moment_gram(l_s, l_t, sweep.weights)
             rel = abs(gram - reduced) / abs(reduced)
             worst = max(worst, rel)
             details.append(f"H={h}({s},{t}):{rel:.2%}")
@@ -148,9 +147,8 @@ def test_criterion_06_monte_carlo_vs_deterministic(sweeps_n512):
     k_t = grid.nearest_node_index(0.6)
     l_s, l_t = sweep.L_field(k_s), sweep.L_field(k_t)
     var_target = phi_cross_gram(l_s, l_s, sweep.weights)
-    s_node, t_node = float(grid.nodes[k_s]), float(grid.nodes[k_t])
-    incr_gram = second_moment_gram(s_node, t_node, l_s, l_t, sweep.weights)
-    incr_reduced = second_moment_reduced(s_node, t_node, l_s, l_t).value
+    incr_gram = second_moment_gram(l_s, l_t, sweep.weights)
+    incr_reduced = second_moment_reduced(l_s, l_t)
     incr_vals, var_mc = mc_increment_variances(h, k_s, [k_t], grid, seed=2026,
                                                n_paths=n_paths, refine=2)
     se_factor = np.sqrt(2.0 / (n_paths - 1))
@@ -197,12 +195,8 @@ def test_criterion_08_bound_audits():
 
 
 def test_criterion_09_kernel_identity():
-    grid = Grid(1.0, 1024)
-    alpha = Alpha.from_h(0.85)
-    from mfbm.quadrature import build_weight_matrix
-
-    weights = build_weight_matrix(grid, alpha)
-    disc = {dt: check_L_from_g(grid, alpha, 512, dt, weights=weights)
+    sweep = SweepSolver(Grid(1.0, 1024), Alpha.from_h(0.85))
+    disc = {dt: check_L_from_g(sweep, 512, dt)
             for dt in (1 / 64, 1 / 128, 1 / 256)}
     ok = disc[1 / 128] <= 0.05 and disc[1 / 128] < disc[1 / 64] and disc[1 / 256] < disc[1 / 128]
     report(9, ok,

@@ -20,8 +20,6 @@ from mfbm.kernel_solve import (
     check_L_from_g,
     nystrom_eval,
     solve_D,
-    solve_L,
-    solve_g,
     solve_q,
 )
 
@@ -35,13 +33,8 @@ def grid512():
 
 
 @pytest.fixture(scope="module")
-def weights512(grid512):
-    return build_weight_matrix(grid512, ALPHA85)
-
-
-@pytest.fixture(scope="module")
-def sweep512(grid512, weights512):
-    return SweepSolver(grid512, ALPHA85, weights=weights512)
+def sweep512(grid512):
+    return SweepSolver(grid512, ALPHA85)
 
 
 class TestConstantKernelOracle:
@@ -51,54 +44,53 @@ class TestConstantKernelOracle:
     @pytest.mark.parametrize("s", [0.25, 0.5, 1.0])
     def test_drift_kernel(self, n, s):
         grid = Grid(1.0, n)
-        field = solve_L(grid, ALPHA0, grid.node_index(s))
+        field = SweepSolver(grid, ALPHA0).L_field(grid.node_index(s))
         assert np.max(np.abs(field.values + 1.0 / (1.0 + s))) <= 1e-10
 
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_martingale_kernel(self, t):
         grid = Grid(1.0, 128)
-        field = solve_g(grid, ALPHA0, grid.node_index(t))
+        field = SweepSolver(grid, ALPHA0).g_field(grid.node_index(t))
         assert np.max(np.abs(field.values - 1.0 / (1.0 + t))) <= 1e-10
 
     def test_difference_kernel(self):
-        grid = Grid(1.0, 128)
-        field = solve_D(grid, ALPHA0, 64, 128)
+        sweep = SweepSolver(Grid(1.0, 128), ALPHA0)
+        field = solve_D(sweep, 64, sweep.L_field(128))
         expected = 1.0 / 1.5 - 1.0 / 2.0
         assert np.max(np.abs(field.values - expected)) <= 1e-10
 
     def test_nystrom_endpoints(self):
-        grid = Grid(1.0, 128)
-        g_field = solve_g(grid, ALPHA0, 128)
+        sweep = SweepSolver(Grid(1.0, 128), ALPHA0)
+        g_field = sweep.g_field(128)
         assert nystrom_eval(g_field, 1.0) == pytest.approx(0.5, abs=1e-10)
-        l_field = solve_L(grid, ALPHA0, 128)
+        l_field = sweep.L_field(128)
         assert nystrom_eval(l_field, 0.5) == pytest.approx(-0.5, abs=1e-10)
 
 
 class TestGenericSolve:
-    def test_zero_rhs_gives_zero(self, grid512, weights512):
-        field = solve_q(grid512, ALPHA85, 256, lambda r: np.zeros_like(r), weights=weights512)
+    def test_zero_rhs_gives_zero(self, sweep512):
+        field = solve_q(sweep512, 256, lambda r: np.zeros_like(r))
         assert np.max(np.abs(field.values)) == 0.0
 
     def test_constant_kernel_scalar_reduction(self):
-        grid = Grid(1.0, 128)
-        field = solve_q(grid, ALPHA0, 128, lambda r: np.ones_like(r))
+        field = solve_q(SweepSolver(Grid(1.0, 128), ALPHA0), 128, lambda r: np.ones_like(r))
         assert np.max(np.abs(field.values - 0.5)) <= 1e-10
 
-    def test_linearity(self, grid512, weights512):
+    def test_linearity(self, sweep512):
         rhs1 = lambda r: np.cos(3.0 * r)
         rhs2 = lambda r: r ** 2 - 0.25
         combined = lambda r: 2.5 * rhs1(r) + rhs2(r)
-        q1 = solve_q(grid512, ALPHA85, 384, rhs1, weights=weights512)
-        q2 = solve_q(grid512, ALPHA85, 384, rhs2, weights=weights512)
-        q12 = solve_q(grid512, ALPHA85, 384, combined, weights=weights512)
+        q1 = solve_q(sweep512, 384, rhs1)
+        q2 = solve_q(sweep512, 384, rhs2)
+        q12 = solve_q(sweep512, 384, combined)
         assert np.max(np.abs(q12.values - (2.5 * q1.values + q2.values))) <= 1e-10
 
-    def test_energy_quadratic_form_nonnegative(self, sweep512, weights512):
+    def test_energy_quadratic_form_nonnegative(self, sweep512):
         # the kernel is nonnegative definite; the solved field must satisfy
         # the discrete version up to rounding
         for k in (64, 256, 512):
             field = sweep512.L_field(k)
-            quad_form = float(field.values @ weights512.entries[:k, :k] @ field.values)
+            quad_form = float(field.values @ sweep512.weights.entries[:k, :k] @ field.values)
             assert quad_form >= -1e-10
 
     def test_self_convergence_with_fine_oracle(self):
@@ -118,11 +110,10 @@ class TestGenericSolve:
         assert constants[1024] <= constants[256] * 2.0
         assert constants[256] <= constants[1024] * 4.0
 
-    def test_rejects_nonfinite_rhs(self, grid512, weights512):
+    def test_rejects_nonfinite_rhs(self, grid512, sweep512):
         s = grid512.nodes[256]
         with pytest.raises(ValueError):
-            solve_q(grid512, ALPHA85, 256,
-                    lambda r: 1.0 / (s - np.asarray(r)) ** 2 * np.inf, weights=weights512)
+            solve_q(sweep512, 256, lambda r: 1.0 / (s - np.asarray(r)) ** 2 * np.inf)
 
 
 class TestDriftKernelShape:
@@ -149,7 +140,7 @@ class TestDriftKernelShape:
             ks, kt = grid.node_index(s), grid.node_index(t)
             mids = grid.midpoints[:ks]
             rhs = lambda r: (s - np.asarray(r)) ** (-a) - (t - np.asarray(r)) ** (-a)
-            field = solve_q(grid, ALPHA85, ks, rhs)
+            field = solve_q(SweepSolver(grid, ALPHA85), ks, rhs)
             shape = (s - mids) ** (-a) - (t - mids) ** (-a)
             stats.append(float(np.max(np.abs(field.values)) / np.max(shape)))
         ratios = np.array(stats)
@@ -181,22 +172,32 @@ class TestNystromEval:
 
 
 class TestDifferenceKernel:
-    def test_equal_indices_give_zero(self, grid512):
-        field = solve_D(grid512, ALPHA85, 256, 256)
+    def test_equal_indices_give_zero(self, sweep512):
+        field = solve_D(sweep512, 256, sweep512.L_field(256))
         assert field.s_index == 256
         assert np.all(field.values == 0.0)
 
-    def test_matches_direct_difference(self, grid512, sweep512, weights512):
+    def test_matches_direct_difference(self, grid512, sweep512):
         ks = 256
         kt = grid512.nearest_node_index(0.6)
-        d_field = solve_D(grid512, ALPHA85, ks, kt, weights=weights512, L_t=sweep512.L_field(kt))
+        d_field = solve_D(sweep512, ks, sweep512.L_field(kt))
         direct = sweep512.L_field(kt).values[:ks] - sweep512.L_field(ks).values
         err = np.max(np.abs(d_field.values - direct))
         assert err <= 0.03 * np.max(np.abs(direct))
 
-    def test_rejects_reversed_indices(self, grid512):
+    def test_rejects_reversed_indices(self, sweep512):
         with pytest.raises(ValueError):
-            solve_D(grid512, ALPHA85, 300, 200)
+            solve_D(sweep512, 300, sweep512.L_field(200))
+
+    @pytest.mark.parametrize("foreign, match", [
+        # t = 0.625 on a coarser grid, on another exponent, of the other family
+        (lambda sweep: SweepSolver(Grid(1.0, 256), ALPHA85).L_field(160), "different grids"),
+        (lambda sweep: SweepSolver(sweep.grid, Alpha.from_h(0.9)).L_field(320), "different exponents"),
+        (lambda sweep: sweep.g_field(320), "drift-kernel"),
+    ], ids=["grid", "exponent", "kind"])
+    def test_rejects_foreign_L_t(self, sweep512, foreign, match):
+        with pytest.raises(ValueError, match=match):
+            solve_D(sweep512, 256, foreign(sweep512))
 
 
 def dense_tail_oracle(L_t, ks, r):
@@ -236,13 +237,13 @@ class TestTailIntegral:
         np.testing.assert_allclose(_tail_integral(L_t, ks, mids, sweep.weights.column),
                                    dense_tail_oracle(L_t, ks, mids), rtol=1e-13, atol=0.0)
 
-    def test_off_midpoint_points_match_dense_oracle(self, grid512, sweep512, weights512):
+    def test_off_midpoint_points_match_dense_oracle(self, sweep512):
         ks, kt = 256, 320
         L_t = sweep512.L_field(kt)
         r = np.array([0.0, 0.1234, 0.4999, 0.5])
-        np.testing.assert_allclose(_tail_integral(L_t, ks, r, weights512.column),
+        np.testing.assert_allclose(_tail_integral(L_t, ks, r, sweep512.weights.column),
                                    dense_tail_oracle(L_t, ks, r), rtol=1e-13, atol=0.0)
-        scalar = _tail_integral(L_t, ks, 0.3, weights512.column)
+        scalar = _tail_integral(L_t, ks, 0.3, sweep512.weights.column)
         assert isinstance(scalar, float)
         assert scalar == pytest.approx(dense_tail_oracle(L_t, ks, np.array([0.3]))[0], rel=1e-13)
 
@@ -254,7 +255,7 @@ class TestTailIntegral:
         L_t = sweep.L_field(2560)
         tracemalloc.start()
         try:
-            solve_D(grid, ALPHA85, 2048, 2560, weights=sweep.weights, L_t=L_t)
+            solve_D(sweep, 2048, L_t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -266,49 +267,37 @@ class TestKernelIdentity:
     martingale kernel; a central difference must reproduce it."""
 
     def test_constant_kernel_exact_scaling(self):
-        grid = Grid(1.0, 512)
-        disc = check_L_from_g(grid, ALPHA0, 256, 1 / 32)
+        disc = check_L_from_g(SweepSolver(Grid(1.0, 512), ALPHA0), 256, 1 / 32)
         assert disc <= 1e-3
 
     def test_h085_within_five_percent(self):
-        grid = Grid(1.0, 1024)
-        disc = check_L_from_g(grid, ALPHA85, 512, 1 / 128)
+        disc = check_L_from_g(SweepSolver(Grid(1.0, 1024), ALPHA85), 512, 1 / 128)
         assert disc <= 0.05
 
     def test_improves_when_dt_halves(self):
-        grid = Grid(1.0, 1024)
-        alpha = Alpha.from_h(0.9)
-        weights = build_weight_matrix(grid, alpha)
-        coarse = check_L_from_g(grid, alpha, 512, 1 / 64, weights=weights)
-        fine = check_L_from_g(grid, alpha, 512, 1 / 128, weights=weights)
+        sweep = SweepSolver(Grid(1.0, 1024), Alpha.from_h(0.9))
+        coarse = check_L_from_g(sweep, 512, 1 / 64)
+        fine = check_L_from_g(sweep, 512, 1 / 128)
         assert fine < coarse
 
     def test_rejects_off_grid_dt(self):
-        grid = Grid(1.0, 128)
         with pytest.raises(ValueError):
-            check_L_from_g(grid, ALPHA85, 64, 0.01)
+            check_L_from_g(SweepSolver(Grid(1.0, 128), ALPHA85), 64, 0.01)
 
 
 class TestSweepSolver:
-    def test_matches_dense_solver(self, grid512, weights512, sweep512):
-        for k in (1, 2, 31, 256, 512):
-            dense = solve_L(grid512, ALPHA85, k, weights=weights512)
-            swept = sweep512.L_field(k)
-            assert np.max(np.abs(dense.values - swept.values)) <= 1e-12
-
     def test_diagonal_values(self, sweep512):
         fields = sweep512.g_sweep([128, 256, 512])
         diag = sweep512.g_diagonal(fields)
         for k, fld in fields.items():
             assert diag[k] == pytest.approx(nystrom_eval(fld, float(fld.upper_limit)), rel=1e-12)
 
-    def test_residual_tolerance_enforced(self, grid512, weights512):
+    def test_residual_tolerance_enforced(self, grid512, sweep512):
         # residuals of the returned solutions satisfy the stated bound
-        field = solve_q(grid512, ALPHA85, 512,
-                        lambda r: -(1.0 - np.asarray(r)) ** (-0.3), weights=weights512)
+        field = solve_q(sweep512, 512, lambda r: -(1.0 - np.asarray(r)) ** (-0.3))
         k = field.s_index
         f = field.rhs(grid512.midpoints[:k])
-        residual = f - field.values - ALPHA85.coeff * (weights512.entries[:k, :k] @ field.values)
+        residual = f - field.values - ALPHA85.coeff * (sweep512.weights.entries[:k, :k] @ field.values)
         assert np.max(np.abs(residual)) <= 1e-10 * max(1.0, np.max(np.abs(f)))
 
 
@@ -350,10 +339,10 @@ class TestLevinsonCore:
     @pytest.mark.parametrize("k", K_CORE)
     def test_generic_rhs_matches_dense_oracle(self, h, k):
         grid, alpha = Grid(1.0, 256), Alpha.from_h(h)
-        weights = build_weight_matrix(grid, alpha)
+        sweep = SweepSolver(grid, alpha)
         rhs = lambda r: np.cos(7.0 * np.asarray(r)) - np.asarray(r) ** 2
-        field = solve_q(grid, alpha, k, rhs, weights=weights)
-        oracle = dense_oracle(weights, alpha, k, rhs(grid.midpoints[:k]))
+        field = solve_q(sweep, k, rhs)
+        oracle = dense_oracle(sweep.weights, alpha, k, rhs(grid.midpoints[:k]))
         assert_matches_oracle(field.values, oracle)
 
     @pytest.mark.parametrize("h", H_CORE)
@@ -445,10 +434,10 @@ class TestFusedPass:
         l_fields, g_fields, solutions = sweep.L_g_sweep([ks, kt], extra_rhs=extra)
         assert sorted(solutions) == [ks, kt]
         assert solutions[ks].shape == (2, ks) and solutions[kt].shape == (2, kt)
-        assert np.array_equal(solutions[ks][0], solve_q(grid, alpha, ks, rhs, weights=sweep.weights).values)
+        assert np.array_equal(solutions[ks][0], solve_q(sweep, ks, rhs).values)
         cosine = lambda r: np.cos(np.asarray(r))
         for k in (ks, kt):
-            assert np.array_equal(solutions[k][1], solve_q(grid, alpha, k, cosine, weights=sweep.weights).values)
+            assert np.array_equal(solutions[k][1], solve_q(sweep, k, cosine).values)
         l_alone, g_alone = sweep.L_g_sweep([ks, kt])
         for k in (ks, kt):
             assert np.array_equal(l_fields[k].values, l_alone[k].values)

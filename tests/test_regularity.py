@@ -63,14 +63,14 @@ class TestDegenerateOracle:
         l_s = sweep_h1.L_field(grid.node_index(s))
         l_t = sweep_h1.L_field(grid.node_index(t))
         expected = degenerate_case_moment(s, t)
-        gram = second_moment_gram(s, t, l_s, l_t, sweep_h1.weights)
-        reduced = second_moment_reduced(s, t, l_s, l_t)
+        gram = second_moment_gram(l_s, l_t, sweep_h1.weights)
+        reduced = second_moment_reduced(l_s, l_t)
         assert gram == pytest.approx(expected, abs=1e-10)
-        assert reduced.value == pytest.approx(expected, abs=1e-10)
+        assert reduced == pytest.approx(expected, abs=1e-10)
 
     def test_equal_arguments_vanish(self, sweep_h1):
         field = sweep_h1.L_field(128)
-        assert second_moment_gram(0.5, 0.5, field, field, sweep_h1.weights) == 0.0
+        assert second_moment_gram(field, field, sweep_h1.weights) == 0.0
 
 
 class TestSecondMoments:
@@ -78,18 +78,16 @@ class TestSecondMoments:
         grid = sweep_h85.grid
         l_s = sweep_h85.L_field(256)
         l_t = sweep_h85.L_field(grid.nearest_node_index(0.6))
-        reduced = second_moment_reduced(0.5, 0.6, l_s, l_t)
-        assert reduced.value > 0.0
-        assert second_moment_gram(0.5, 0.6, l_s, l_t, sweep_h85.weights) > 0.0
+        assert second_moment_reduced(l_s, l_t) > 0.0
+        assert second_moment_gram(l_s, l_t, sweep_h85.weights) > 0.0
 
     def test_formula_agreement_two_percent(self, sweep_h85):
         grid = sweep_h85.grid
         for (s, t) in [(0.25, 0.3), (0.5, 0.6), (0.5, 0.9)]:
             ks, kt = grid.nearest_node_index(s), grid.nearest_node_index(t)
             l_s, l_t = sweep_h85.L_field(ks), sweep_h85.L_field(kt)
-            s_node, t_node = grid.nodes[ks], grid.nodes[kt]
-            reduced = second_moment_reduced(s_node, t_node, l_s, l_t).value
-            gram = second_moment_gram(s_node, t_node, l_s, l_t, sweep_h85.weights)
+            reduced = second_moment_reduced(l_s, l_t)
+            gram = second_moment_gram(l_s, l_t, sweep_h85.weights)
             assert abs(gram - reduced) <= 0.02 * abs(reduced)
 
     def test_self_convergence_order(self):
@@ -101,7 +99,7 @@ class TestSecondMoments:
             sweep = SweepSolver(grid, alpha)
             l_s = sweep.L_field(grid.node_index(0.5))
             l_t = sweep.L_field(grid.node_index(0.625))
-            values.append(second_moment_reduced(0.5, 0.625, l_s, l_t).value)
+            values.append(second_moment_reduced(l_s, l_t))
         errors = np.abs(np.array(values[:-1]) - values[-1])
         # successive error ratio consistent with at least order 0.5
         assert errors[1] <= errors[0]
@@ -110,13 +108,29 @@ class TestSecondMoments:
     def test_rejects_equal_limits_in_reduced(self, sweep_h85):
         field = sweep_h85.L_field(256)
         with pytest.raises(ValueError):
-            second_moment_reduced(0.5, 0.5, field, field)
+            second_moment_reduced(field, field)
 
     def test_rejects_mismatched_grids(self, sweep_h85):
         other = SweepSolver(Grid(1.0, 256), Alpha.from_h(0.85))
         with pytest.raises(ValueError):
-            second_moment_gram(0.5, 1.0, other.L_field(128), sweep_h85.L_field(512),
-                               sweep_h85.weights)
+            second_moment_gram(other.L_field(128), sweep_h85.L_field(512), sweep_h85.weights)
+
+    def test_rejects_weights_of_another_exponent(self, sweep_h1):
+        # W at H = 1 on H = 0.85 fields of the same upper limits
+        sweep_h85 = SweepSolver(sweep_h1.grid, Alpha.from_h(0.85))
+        l_half, l_one = sweep_h85.L_field(128), sweep_h85.L_field(256)
+        with pytest.raises(ValueError, match="different exponents"):
+            phi_cross_gram(l_half, l_one, sweep_h1.weights)
+        with pytest.raises(ValueError, match="different exponents"):
+            second_moment_gram(l_half, l_one, sweep_h1.weights)
+
+    def test_rejects_weights_of_another_grid(self, sweep_h85):
+        other = SweepSolver(Grid(1.0, 256), Alpha.from_h(0.85))
+        l_s, l_t = sweep_h85.L_field(256), sweep_h85.L_field(320)
+        with pytest.raises(ValueError, match="different grids"):
+            phi_cross_gram(l_s, l_t, other.weights)
+        with pytest.raises(ValueError, match="different grids"):
+            second_moment_gram(l_s, l_s, other.weights)
 
 
 class TestVariogram:
