@@ -21,7 +21,6 @@ from .kernel_solve import (
     KernelField,
     SweepSolver,
     check_L_from_g,
-    nystrom_eval,
     solve_D,
     solve_q,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "KernelField",
     "SweepSolver",
     "check_L_from_g",
-    "nystrom_eval",
     "solve_D",
     "solve_q",
     "SamplePath",

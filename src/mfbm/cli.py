@@ -234,10 +234,10 @@ def run_variogram(params: dict) -> int:
 def run_holder(params: dict) -> int:
     variogram = _variogram_from(params)
     csv = _write_variogram_csv(params, variogram)
-    window = (params["window_min"], params["window_max"])
-    if window[0] is None or window[1] is None:
-        window = default_fit_window(Grid(params["T"], params["n"]), params["t0"])
-        params = {**params, "window_min": window[0], "window_max": window[1]}
+    default = default_fit_window(Grid(params["T"], params["n"]), params["t0"])
+    window = (default[0] if params["window_min"] is None else params["window_min"],
+              default[1] if params["window_max"] is None else params["window_max"])
+    params = {**params, "window_min": window[0], "window_max": window[1]}
     fit = fit_holder(variogram, window=window)
     fit_json = out.write_json(
         _out_path(params, "_fit.json"),

@@ -94,30 +94,27 @@ def compute_phi(path: SamplePath, fields: Mapping[int, KernelField]) -> DriftPat
 def compute_innovation(
     path: SamplePath,
     g_fields: Mapping[int, KernelField],
+    g_diagonal: Mapping[int, float],
     drift: Optional[DriftPath] = None,
-    g_diagonal: Optional[Mapping[int, float]] = None,
 ) -> InnovationPath:
     """Martingale M, innovation process and (given the drift) the residual.
 
     M_{t_k} = sum_i g(m_i, t_k) dX_i; innovation increments are
-    (M_{k+1} - M_k) / g(t_{k+1}, t_{k+1}) with the diagonal value obtained
-    by Nystrom interpolation.  The residual X_t - bbar_t + int_0^t phi ds
-    requires `drift` on the same subset.
+    (M_{k+1} - M_k) / g(t_{k+1}, t_{k+1}) with the diagonal values
+    `g_diagonal` (see :meth:`SweepSolver.g_diagonal`), one per field index.
+    The residual X_t - bbar_t + int_0^t phi ds requires `drift` on the same
+    subset.
     """
-    from .kernel_solve import nystrom_eval
-
     subset = _sorted_subset(g_fields, path.grid)
     increments = path.increments
     m_values = np.zeros(len(subset))
     diag = np.zeros(len(subset))
     for pos, k in enumerate(subset[1:], start=1):
         k = int(k)
-        fld = g_fields[k]
-        m_values[pos] = float(fld.values @ increments[:k])
-        if g_diagonal is not None and k in g_diagonal:
-            diag[pos] = float(g_diagonal[k])
-        else:
-            diag[pos] = nystrom_eval(fld, float(path.grid.nodes[k]))
+        if k not in g_diagonal:
+            raise ValueError(f"g_diagonal has no value at node index {k}")
+        m_values[pos] = float(g_fields[k].values @ increments[:k])
+        diag[pos] = float(g_diagonal[k])
     return _innovation(path, subset, m_values, diag, drift)
 
 
@@ -135,11 +132,7 @@ def _innovation(path, subset, m_values, diag, drift) -> InnovationPath:
     return InnovationPath(grid=path.grid, subset=subset, m_values=m_values, bbar=bbar, residual=residual)
 
 
-def decompose(
-    path: SamplePath,
-    decimation: int = 8,
-    sweep: Optional[SweepSolver] = None,
-):
+def decompose(path: SamplePath, decimation: int = 8):
     """Full decomposition of one path: returns (DriftPath, InnovationPath).
 
     At every `decimation`-th node, phi, M and g(t, t) come from one
@@ -152,10 +145,7 @@ def decompose(
     n = path.grid.cells
     if decimation < 1 or n % decimation != 0:
         raise ValueError(f"decimation {decimation} does not divide {n} cells")
-    if sweep is None:
-        sweep = SweepSolver(path.grid, Alpha.from_h(path.h))
-    elif not np.array_equal(sweep.grid.nodes, path.grid.nodes):
-        raise ValueError("sweep solver and path are on different grids")
+    sweep = SweepSolver(path.grid, Alpha.from_h(path.h))
     indices = np.arange(decimation, n + 1, decimation)
     subset = np.concatenate([[0], indices])
     phi, m_values, diag = (

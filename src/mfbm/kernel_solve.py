@@ -26,7 +26,6 @@ __all__ = [
     "SweepSolver",
     "solve_q",
     "solve_D",
-    "nystrom_eval",
     "check_L_from_g",
 ]
 
@@ -270,9 +269,8 @@ def solve_q(sweep: "SweepSolver", s_index: int, rhs: Callable, kind: str = "Q") 
     """Solve Q(r) + coeff * int_0^s Q(tau) |r - tau|**(-a) dtau = rhs(r)
     on the grid and exponent of `sweep`, with s its node `s_index`.
 
-    `rhs` must accept an array of midpoints and return finite values there.
-    The result carries `rhs` so the solution can be re-evaluated off-grid
-    through the equation itself (see :func:`nystrom_eval`).
+    `rhs` must accept an array of midpoints and return finite values there;
+    the result carries it.
     """
     grid, k = sweep.grid, int(s_index)
     if not 1 <= k <= grid.cells:
@@ -304,42 +302,37 @@ def check_discretization(item, reference, what: str) -> None:
         raise ValueError(f"{what} have different exponents")
 
 
-def _tail_integral(L_t: KernelField, s_index: int, r, column: np.ndarray):
-    """Product integration of int_s^t L(tau, t) |r - tau|**(-a) dtau for r <= s.
+def _tail_integral(L_t: KernelField, s_index: int, r, column: np.ndarray) -> np.ndarray:
+    """Product integration of int_s^t L(tau, t) |r - tau|**(-a) dtau at the
+    collocation midpoints r of [0, s].
 
     The density blows up like (t - tau)**(-a) at tau = t, so the last two
     cells use the fitted edge model: its singular part is integrated
     exactly against (t - tau)**(-a) with the smooth factor frozen at the
-    cell midpoint, its constant part against the exact kernel moment.
-    At the collocation midpoints of [0, s] the moments of the other cells
-    form the block W[:ks, ks:kt - 2] of the Toeplitz W whose first column
-    is `column`, applied as one FFT Toeplitz product; any other r takes
-    its own row of moments.  O(kt) memory either way.
+    cell midpoint, its constant part against the exact kernel moment.  The
+    moments of the other cells form the block W[:ks, ks:kt - 2] of the
+    Toeplitz W whose first column is `column`, applied as one FFT Toeplitz
+    product: O(kt) memory.  Raises ValueError unless `r` is exactly the
+    midpoints of [0, s].
     """
     grid, alpha = L_t.grid, L_t.alpha
     ks, kt = int(s_index), L_t.s_index
-    t_node = L_t.upper_limit
-    scalar = np.asarray(r).ndim == 0
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
+    if r.shape != (ks,) or not np.array_equal(r, grid.midpoints[:ks]):
+        raise ValueError("the tail integral is evaluated at the collocation midpoints of [0, s] only")
     n_edge = min(2, kt - ks)
     stop = kt - n_edge
-    if stop == ks:
-        out = np.zeros(r_arr.shape)
-    elif r_arr.shape == (ks,) and np.array_equal(r_arr, grid.midpoints[:ks]):
-        padded = np.zeros(stop)
-        padded[ks:] = L_t.values[ks:stop]
-        out = toeplitz_matvec(column, padded)[:ks]
-    else:
-        lo, hi = grid.nodes[ks:stop], grid.nodes[ks + 1:stop + 1]
-        out = np.array([riesz_moment(lo, hi, x, alpha) @ L_t.values[ks:stop] for x in r_arr])
+    padded = np.zeros(stop)
+    padded[ks:] = L_t.values[ks:stop]
+    out = toeplitz_matvec(column, padded)[:ks] if stop > ks else np.zeros(ks)
     edge_cells = np.arange(stop, kt)
     c, d = edge_fit(L_t.values[edge_cells], alpha.value, grid.h)
     for j in edge_cells:
         a, b = grid.nodes[j], grid.nodes[j + 1]
-        kernel_mid = np.abs(grid.midpoints[j] - r_arr) ** (-alpha.value)
-        out += c * kernel_mid * power_moment(a, b, t_node, alpha.value)
-        out += d * riesz_moment(a, b, r_arr, alpha)
-    return float(out[0]) if scalar else out
+        kernel_mid = np.abs(grid.midpoints[j] - r) ** (-alpha.value)
+        out += c * kernel_mid * power_moment(a, b, L_t.upper_limit, alpha.value)
+        out += d * riesz_moment(a, b, r, alpha)
+    return out
 
 
 def solve_D(sweep: "SweepSolver", s_index: int, L_t: KernelField) -> KernelField:
@@ -347,8 +340,10 @@ def solve_D(sweep: "SweepSolver", s_index: int, L_t: KernelField) -> KernelField
 
     `L_t` is the drift-kernel field at t, on the grid and exponent of
     `sweep`.  Right-hand side: coeff * ((s-r)**(-a) - (t-r)**(-a)) minus
-    the kernel integral of L(., t) over [s, t].  s_index equal to L_t's
-    index returns the zero field (the two equations coincide).
+    the kernel integral of L(., t) over [s, t], which the field's `rhs`
+    evaluates at the midpoints of [0, s] only (ValueError elsewhere).
+    s_index equal to L_t's index returns the zero field (the two equations
+    coincide).
     """
     if L_t.kind != "L":
         raise ValueError(f"L_t must be a drift-kernel field, got kind {L_t.kind!r}")
@@ -366,32 +361,12 @@ def solve_D(sweep: "SweepSolver", s_index: int, L_t: KernelField) -> KernelField
     t = float(grid.nodes[kt])
 
     def rhs(r):
+        tail = _tail_integral(L_t, ks, r, sweep.weights.column)
         r = np.asarray(r, dtype=float)
         direct = alpha.coeff * ((s - r) ** (-alpha.value) - (t - r) ** (-alpha.value))
-        return direct - alpha.coeff * _tail_integral(L_t, ks, r, sweep.weights.column)
+        return direct - alpha.coeff * tail
 
     return solve_q(sweep, ks, rhs, kind="D")
-
-
-def nystrom_eval(field: KernelField, r: float) -> float:
-    """Evaluate the solved equation at an off-grid point r in [0, s].
-
-    Uses exact kernel moments centered at r against the midpoint values:
-    Q(r) = rhs(r) - coeff * sum_j Q_j * int_cell_j |r - tau|**(-a).
-    Rejects points where the right-hand side is singular (r = s for the
-    drift kernel with a > 0).
-    """
-    grid, alpha, k = field.grid, field.alpha, field.s_index
-    s = field.upper_limit
-    if not 0.0 <= r <= s + 1e-12 * max(s, 1.0):
-        raise ValueError(f"evaluation point {r} outside [0, {s}]")
-    if field.rhs is None:
-        raise ValueError("field carries no right-hand side; cannot interpolate")
-    if field.kind == "L" and alpha.value > 0.0 and s - r <= 1e-12 * max(s, 1.0):
-        raise ValueError("drift-kernel rhs is singular at r = s")
-    row = riesz_moment(grid.nodes[:k], grid.nodes[1 : k + 1], r, alpha)
-    f_r = float(np.asarray(field.rhs(np.asarray(r, dtype=float))))
-    return f_r - alpha.coeff * float(row @ field.values)
 
 
 class SweepSolver:
@@ -537,7 +512,7 @@ def check_L_from_g(sweep: SweepSolver, s_index: int, dt: float) -> float:
     g_plus, g_minus, g_mid = g_fields[k + step], g_fields[k - step], g_fields[k]
     l_ref = l_fields[k]
     s = float(grid.nodes[k])
-    g_ss = nystrom_eval(g_mid, s)
+    g_ss = sweep.g_diagonal({k: g_mid})[k]
     if g_ss <= 0.0:
         raise NumericalError(f"g(s, s) = {g_ss} is not positive")
     n_keep = np.searchsorted(grid.midpoints[: k - step], 0.9 * s, side="right")

@@ -24,6 +24,7 @@ __all__ = [
     "power_moment",
     "edge_fit",
     "integrate_with_edge",
+    "edge_weighted_integral",
 ]
 
 
@@ -210,3 +211,35 @@ def integrate_with_edge(values, grid: Grid, upper_index: int, beta: float) -> fl
     hi = grid.nodes[k - n_edge + 1: k + 1]
     edge = float(np.sum(c * power_moment(lo, hi, t_upper, beta) + d * (hi - lo)))
     return bulk + edge
+
+
+def edge_weighted_integral(values, grid: Grid, beta: float, first: int, edge: int, kernels) -> float:
+    """Integral over the cells first .. edge - 1 of v(tau) times the sum of
+    sign * (t_u - tau)**(-beta) over the (sign, u) pairs in `kernels`.
+
+    `values` are the midpoint samples of v on those cells; v may blow up
+    like (t_edge - tau)**(-beta) at the upper edge.  Each u is a node index
+    >= edge.  Interior cells weigh the samples with the exact kernel
+    moments; the last one or two cells use the fitted edge model
+    C*(t_edge - tau)**(-beta) + D (see :func:`edge_fit`).  Its constant
+    part takes the exact kernel moments too; its singular part is
+    integrated exactly against a kernel with u = edge and against the
+    kernel frozen at the cell midpoint otherwise.  beta < 1/2 required.
+    """
+    values = np.asarray(values, dtype=float)
+    first, edge = int(first), int(edge)
+    if not 0 <= first < edge <= grid.cells or values.shape != (edge - first,):
+        raise ValueError(f"values must cover exactly the cells {first} .. {edge - 1}")
+    nodes = grid.nodes
+    n_interior = edge - first - min(2, edge - first)
+    lo, hi = nodes[first:edge], nodes[first + 1:edge + 1]
+    smooth = sum(sign * power_moment(lo, hi, nodes[u], beta) for sign, u in kernels)
+    lo, hi = lo[n_interior:], hi[n_interior:]
+    exact = power_moment(lo, hi, nodes[edge], 2.0 * beta)
+    frozen = power_moment(lo, hi, nodes[edge], beta)
+    mids = grid.midpoints[first + n_interior:edge]
+    singular = sum(sign * (exact if u == edge else (nodes[u] - mids) ** (-beta) * frozen)
+                   for sign, u in kernels)
+    c, d = edge_fit(values[n_interior:], beta, grid.h)
+    interior = float(values[:n_interior] @ smooth[:n_interior])
+    return interior + float(np.sum(c * singular + d * smooth[n_interior:]))

@@ -22,7 +22,9 @@ import numpy as np
 
 from .kernel_solve import KernelField, SweepSolver, check_discretization, toeplitz_matvec
 from .parallelism import parallel_map  # unused here; perfbench/spans.py patches this name
-from .quadrature import Alpha, Grid, WeightMatrix, edge_fit, integrate_with_edge, power_moment
+from .quadrature import (
+    Alpha, Grid, WeightMatrix, edge_fit, edge_weighted_integral, integrate_with_edge, power_moment,
+)
 from .gaussian_paths import increments_transpose, map_blocks
 from .gaussian_paths import simulate_ensemble  # unused here; perfbench/spans.py patches this name
 
@@ -91,9 +93,9 @@ def second_moment_reduced(L_s: KernelField, L_t: KernelField) -> float:
     I1 integrates the kernel difference against (t - tau)**(-a) on [0, s],
     I2 the s-kernel against the weight difference on [0, s], I3 the
     t-kernel against (t - tau)**(-a) on [s, t]; the result is
-    -coeff * (I1 + I2 + I3).  Edge singularities at tau = s (I1, I2) and
-    tau = t (I3) use the fitted two-cell model with the singular factor
-    integrated exactly and smooth cofactors frozen at cell midpoints.
+    -coeff * (I1 + I2 + I3).  Each is one :func:`edge_weighted_integral`,
+    whose two-cell edge model takes the blow-ups at tau = s (I1, I2) and
+    tau = t (I3).
     """
     _check_pair(L_s, L_t)
     grid, alpha = L_s.grid, L_s.alpha
@@ -101,58 +103,10 @@ def second_moment_reduced(L_s: KernelField, L_t: KernelField) -> float:
     if ks >= kt:
         raise ValueError("reduced form needs s < t")
     a = alpha.value
-    h = grid.h
-    nodes = grid.nodes
-    mids = grid.midpoints
-    s_node = float(nodes[ks])
-    t_node = float(nodes[kt])
-
-    def i3_term() -> float:
-        v = L_t.values[ks:kt]
-        n_edge = min(2, kt - ks)
-        interior = np.arange(ks, kt - n_edge)
-        total = 0.0
-        if interior.size:
-            total += float(v[: interior.size] @ power_moment(nodes[interior], nodes[interior + 1], t_node, a))
-        c, d = edge_fit(v[v.size - n_edge:], a, h)
-        cells = np.arange(kt - n_edge, kt)
-        total += float(np.sum(
-            c * power_moment(nodes[cells], nodes[cells + 1], t_node, 2.0 * a)
-            + d * power_moment(nodes[cells], nodes[cells + 1], t_node, a)
-        ))
-        return total
-
-    def i1_term() -> float:
-        dvals = L_t.values[:ks] - L_s.values
-        n_edge = min(2, ks)
-        interior = np.arange(0, ks - n_edge)
-        total = 0.0
-        if interior.size:
-            total += float(dvals[interior] @ power_moment(nodes[interior], nodes[interior + 1], t_node, a))
-        c, d = edge_fit(dvals[ks - n_edge:], a, h)
-        for j in range(ks - n_edge, ks):
-            total += c * (t_node - mids[j]) ** (-a) * power_moment(nodes[j], nodes[j + 1], s_node, a)
-            total += d * power_moment(nodes[j], nodes[j + 1], t_node, a)
-        return total
-
-    def i2_term() -> float:
-        v = L_s.values
-        n_edge = min(2, ks)
-        interior = np.arange(0, ks - n_edge)
-        total = 0.0
-        if interior.size:
-            w = (power_moment(nodes[interior], nodes[interior + 1], s_node, a)
-                 - power_moment(nodes[interior], nodes[interior + 1], t_node, a))
-            total += float(v[interior] @ w)
-        c, d = edge_fit(v[ks - n_edge:], a, h)
-        for j in range(ks - n_edge, ks):
-            total += c * (power_moment(nodes[j], nodes[j + 1], s_node, 2.0 * a)
-                          - (t_node - mids[j]) ** (-a) * power_moment(nodes[j], nodes[j + 1], s_node, a))
-            total += d * (power_moment(nodes[j], nodes[j + 1], s_node, a)
-                          - power_moment(nodes[j], nodes[j + 1], t_node, a))
-        return total
-
-    return float(-alpha.coeff * (i1_term() + i2_term() + i3_term()))
+    i1 = edge_weighted_integral(L_t.values[:ks] - L_s.values, grid, a, 0, ks, [(1, kt)])
+    i2 = edge_weighted_integral(L_s.values, grid, a, 0, ks, [(1, ks), (-1, kt)])
+    i3 = edge_weighted_integral(L_t.values[ks:kt], grid, a, ks, kt, [(1, kt)])
+    return float(-alpha.coeff * (i1 + i2 + i3))
 
 
 def phi_mc_weights(field: KernelField):

@@ -360,6 +360,19 @@ class TestVariogramAndHolder:
         svg = (tmp_path / "ho.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    @pytest.mark.parametrize("bound, window", [
+        (["--window-min", "0.0078125"], [0.0078125, 0.125]),
+        (["--window-max", "0.25"], [0.015625, 0.25]),
+    ], ids=["min", "max"])
+    def test_lone_window_bound_keeps_its_value(self, tmp_path, bound, window):
+        # the missing end comes from the default window [16 h, t0 / 4]
+        code = main(["holder", "--H", "0.85", "--n", "1024", "--lags", "6", *bound,
+                     "--out-dir", str(tmp_path), "--prefix", "lone"])
+        assert code == 0
+        assert json.loads((tmp_path / "lone_fit.json").read_text())["window"] == window
+        manifest = json.loads((tmp_path / "lone_manifest.json").read_text())["parameters"]
+        assert [manifest["window_min"], manifest["window_max"]] == window
+
     def test_gram_method_column(self, tmp_path):
         code = main(["variogram", "--H", "0.85", "--n", "256", "--lags", "4",
                      "--method", "gram", "--out-dir", str(tmp_path), "--prefix", "vgg"])

@@ -104,7 +104,14 @@ class TestInnovation:
         path = simulate(grid, 0.85, 0)
         g_fields = sweep.g_sweep([64, 128])
         with pytest.raises(NumericalError):
-            compute_innovation(path, g_fields, g_diagonal={64: -0.1, 128: 0.5})
+            compute_innovation(path, g_fields, {64: -0.1, 128: 0.5})
+
+    def test_missing_diagonal_rejected(self):
+        grid = Grid(1.0, 128)
+        sweep = SweepSolver(grid, Alpha.from_h(0.85))
+        g_fields = sweep.g_sweep([64, 128])
+        with pytest.raises(ValueError, match="node index 128"):
+            compute_innovation(simulate(grid, 0.85, 0), g_fields, {64: 0.5})
 
     def test_subset_mismatch_rejected(self):
         grid = Grid(1.0, 128)
@@ -112,8 +119,9 @@ class TestInnovation:
         sweep = SweepSolver(grid, alpha)
         path = simulate(grid, 0.85, 0)
         drift = compute_phi(path, sweep.L_sweep([64, 128]))
+        g_fields = sweep.g_sweep([128])
         with pytest.raises(ValueError):
-            compute_innovation(path, sweep.g_sweep([128]), drift=drift)
+            compute_innovation(path, g_fields, sweep.g_diagonal(g_fields), drift=drift)
 
     def test_decimation_must_divide(self):
         path = simulate(Grid(1.0, 128), 0.85, 0)
@@ -136,23 +144,17 @@ class TestDualPass:
     def test_matches_field_route(self, h, n, decimation):
         path = simulate(Grid(1.0, n), h, 17)
         sweep = SweepSolver(path.grid, Alpha.from_h(h))
-        drift, innovation = decompose(path, decimation=decimation, sweep=sweep)
+        drift, innovation = decompose(path, decimation=decimation)
         indices = range(decimation, n + 1, decimation)
         g_fields = sweep.g_sweep(indices)
         drift_ref = compute_phi(path, sweep.L_sweep(indices))
-        innovation_ref = compute_innovation(path, g_fields, drift=drift_ref,
-                                            g_diagonal=sweep.g_diagonal(g_fields))
+        innovation_ref = compute_innovation(path, g_fields, sweep.g_diagonal(g_fields), drift=drift_ref)
         assert np.array_equal(drift.s_subset, drift_ref.s_subset)
         assert np.array_equal(innovation.subset, innovation_ref.subset)
         assert _close(drift.phi, drift_ref.phi)
         assert _close(innovation.m_values, innovation_ref.m_values)
         assert _close(innovation.bbar, innovation_ref.bbar)
         assert _close(innovation.residual, innovation_ref.residual)
-
-    def test_rejects_solver_on_another_grid(self):
-        path = simulate(Grid(1.0, 128), 0.85, 0)
-        with pytest.raises(ValueError):
-            decompose(path, decimation=1, sweep=SweepSolver(Grid(2.0, 128), Alpha.from_h(0.85)))
 
     @pytest.mark.parametrize("chunk_floats", [None, 1], ids=["default_blocks", "one_order_per_block"])
     @pytest.mark.parametrize("k", [1, 64, 65, 200, 256])
@@ -179,7 +181,7 @@ class TestDualPass:
                 yielded.append(order)
         assert yielded == list(range(1, len(yielded) + 1)) and len(yielded) < k
         with pytest.raises(NumericalError, match=f"block size {k}$"):
-            decompose(path, decimation=1, sweep=sweep)
+            decompose(path, decimation=1)
 
     @pytest.mark.parametrize("chunk_floats", [None, 1], ids=["default_blocks", "one_order_per_block"])
     def test_forced_residual_failure(self, monkeypatch, tmp_path, capsys, chunk_floats):

@@ -18,7 +18,6 @@ from mfbm.kernel_solve import (
     _tail_integral,
     toeplitz_matvec,
     check_L_from_g,
-    nystrom_eval,
     solve_D,
     solve_q,
 )
@@ -60,11 +59,9 @@ class TestConstantKernelOracle:
         assert np.max(np.abs(field.values - expected)) <= 1e-10
 
     def test_nystrom_endpoints(self):
+        # g(r, 1) = 1/2 for every r, the endpoint included
         sweep = SweepSolver(Grid(1.0, 128), ALPHA0)
-        g_field = sweep.g_field(128)
-        assert nystrom_eval(g_field, 1.0) == pytest.approx(0.5, abs=1e-10)
-        l_field = sweep.L_field(128)
-        assert nystrom_eval(l_field, 0.5) == pytest.approx(-0.5, abs=1e-10)
+        assert sweep.g_diagonal(sweep.g_sweep([128]))[128] == pytest.approx(0.5, abs=1e-10)
 
 
 class TestGenericSolve:
@@ -147,30 +144,6 @@ class TestDriftKernelShape:
         assert np.max(ratios) / np.min(ratios) <= 1.2
 
 
-class TestNystromEval:
-    def test_inside_domain_consistency(self, sweep512):
-        field = sweep512.g_field(512)
-        # at a midpoint the interpolation must reproduce the solved value
-        mid = float(field.midpoints[200])
-        assert nystrom_eval(field, mid) == pytest.approx(field.values[200], rel=1e-10)
-
-    def test_rejects_out_of_domain(self, sweep512):
-        field = sweep512.g_field(256)
-        with pytest.raises(ValueError):
-            nystrom_eval(field, 0.75)
-
-    def test_rejects_singular_point(self, sweep512):
-        field = sweep512.L_field(256)
-        with pytest.raises(ValueError):
-            nystrom_eval(field, field.upper_limit)
-
-    def test_endpoint_matches_extrapolation(self, sweep512):
-        field = sweep512.g_field(512)
-        endpoint = nystrom_eval(field, 1.0)
-        linear = field.values[-1] + 0.5 * (field.values[-1] - field.values[-2])
-        assert abs(endpoint - linear) / abs(linear) <= 0.02
-
-
 class TestDifferenceKernel:
     def test_equal_indices_give_zero(self, sweep512):
         field = solve_D(sweep512, 256, sweep512.L_field(256))
@@ -220,7 +193,7 @@ def dense_tail_oracle(L_t, ks, r):
 
 class TestTailIntegral:
     """The tail integral of the difference-kernel rhs is a Toeplitz product
-    at the midpoints and one moment row per point elsewhere."""
+    at the midpoints, where alone it is defined."""
 
     @pytest.mark.parametrize("n", [256, 1024, 2048])
     @pytest.mark.parametrize("cells", [(0.5, 0.625), (0.25, 0.75), 1, 2, 3],
@@ -237,15 +210,13 @@ class TestTailIntegral:
         np.testing.assert_allclose(_tail_integral(L_t, ks, mids, sweep.weights.column),
                                    dense_tail_oracle(L_t, ks, mids), rtol=1e-13, atol=0.0)
 
-    def test_off_midpoint_points_match_dense_oracle(self, sweep512):
-        ks, kt = 256, 320
-        L_t = sweep512.L_field(kt)
-        r = np.array([0.0, 0.1234, 0.4999, 0.5])
-        np.testing.assert_allclose(_tail_integral(L_t, ks, r, sweep512.weights.column),
-                                   dense_tail_oracle(L_t, ks, r), rtol=1e-13, atol=0.0)
-        scalar = _tail_integral(L_t, ks, 0.3, sweep512.weights.column)
-        assert isinstance(scalar, float)
-        assert scalar == pytest.approx(dense_tail_oracle(L_t, ks, np.array([0.3]))[0], rel=1e-13)
+    @pytest.mark.parametrize("r", [0.3, np.array([0.0, 0.1234, 0.4999, 0.5])], ids=["scalar", "points"])
+    def test_D_rhs_rejects_points_off_the_midpoints(self, sweep512, r):
+        d_field = solve_D(sweep512, 256, sweep512.L_field(320))
+        with pytest.raises(ValueError, match="midpoints"):
+            d_field.rhs(r)
+        with pytest.raises(ValueError, match="midpoints"):
+            d_field.rhs(sweep512.grid.midpoints[:255])
 
     def test_solve_D_memory_is_linear(self):
         # The dense moment table alone of this tail is 2048 x 510 floats
@@ -287,10 +258,14 @@ class TestKernelIdentity:
 
 class TestSweepSolver:
     def test_diagonal_values(self, sweep512):
+        # the Nystrom row of the equation at r = t_k: g(t_k, t_k) =
+        # 1 - coeff * sum_j g_j * int_cell_j |t_k - tau|**(-a)
+        nodes = sweep512.grid.nodes
         fields = sweep512.g_sweep([128, 256, 512])
         diag = sweep512.g_diagonal(fields)
         for k, fld in fields.items():
-            assert diag[k] == pytest.approx(nystrom_eval(fld, float(fld.upper_limit)), rel=1e-12)
+            row = riesz_moment(nodes[:k], nodes[1:k + 1], nodes[k], ALPHA85)
+            assert diag[k] == pytest.approx(1.0 - ALPHA85.coeff * float(row @ fld.values), rel=1e-12)
 
     def test_residual_tolerance_enforced(self, grid512, sweep512):
         # residuals of the returned solutions satisfy the stated bound

@@ -10,6 +10,7 @@ from mfbm.quadrature import (
     build_weight_matrix,
     edge_fit,
     integrate_with_edge,
+    edge_weighted_integral,
     power_moment,
     riesz_moment,
 )
@@ -199,3 +200,29 @@ class TestEdgeTools:
         grid = Grid(1.0, 64)
         values = np.full(32, 3.0)
         assert integrate_with_edge(values, grid, 32, 0.3) == pytest.approx(1.5, rel=1e-12)
+
+    def test_edge_weighted_integral_exact_on_edge_model(self):
+        # v = C (t_e - tau)^(-b) + D on the two edge cells against (t_e - tau)^(-b):
+        # the fit is exact and both parts are integrated in closed form
+        grid, b, c_true, d_true = Grid(1.0, 64), 0.3, 1.7, -0.4
+        t_e, width = grid.nodes[32], 2.0 * grid.h
+        values = c_true * (t_e - grid.midpoints[30:32]) ** (-b) + d_true
+        exact = c_true * width ** (1 - 2 * b) / (1 - 2 * b) + d_true * width ** (1 - b) / (1 - b)
+        result = edge_weighted_integral(values, grid, b, 30, 32, [(1, 32)])
+        assert result == pytest.approx(exact, rel=1e-12)
+
+    def test_edge_weighted_integral_constant_density(self):
+        # a constant v has C = 0: every cell takes the exact kernel moments
+        grid, b = Grid(1.0, 64), 0.3
+        values = np.full(20, 2.5)
+        exact = 2.5 * (power_moment(grid.nodes[12], grid.nodes[32], grid.nodes[32], b)
+                       - power_moment(grid.nodes[12], grid.nodes[32], grid.nodes[40], b))
+        result = edge_weighted_integral(values, grid, b, 12, 32, [(1, 32), (-1, 40)])
+        assert result == pytest.approx(exact, rel=1e-12)
+
+    def test_edge_weighted_integral_rejects_bad_cells(self):
+        grid = Grid(1.0, 64)
+        with pytest.raises(ValueError):
+            edge_weighted_integral(np.ones(3), grid, 0.3, 12, 16, [(1, 16)])
+        with pytest.raises(ValueError):
+            edge_weighted_integral(np.ones(0), grid, 0.3, 16, 16, [(1, 16)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfbm import kernel_solve
-from mfbm.quadrature import Alpha, Grid
+from mfbm.quadrature import Alpha, Grid, edge_fit, power_moment
 from mfbm.kernel_solve import SweepSolver
 from mfbm.gaussian_paths import BLOCK, simulate_ensemble
 from mfbm.regularity import (
@@ -131,6 +131,83 @@ class TestSecondMoments:
             phi_cross_gram(l_s, l_t, other.weights)
         with pytest.raises(ValueError, match="different grids"):
             second_moment_gram(l_s, l_s, other.weights)
+
+
+def closure_reduced_moment(L_s, L_t):
+    """The reduced moment with its three boundary integrals written out one
+    by one, each with its own copy of the two-cell edge model: the
+    reference for the shared edge-weighted integral."""
+    grid, alpha = L_s.grid, L_s.alpha
+    ks, kt = L_s.s_index, L_t.s_index
+    a = alpha.value
+    h = grid.h
+    nodes = grid.nodes
+    mids = grid.midpoints
+    s_node = float(nodes[ks])
+    t_node = float(nodes[kt])
+
+    def i3_term():
+        v = L_t.values[ks:kt]
+        n_edge = min(2, kt - ks)
+        interior = np.arange(ks, kt - n_edge)
+        total = 0.0
+        if interior.size:
+            total += float(v[: interior.size] @ power_moment(nodes[interior], nodes[interior + 1], t_node, a))
+        c, d = edge_fit(v[v.size - n_edge:], a, h)
+        cells = np.arange(kt - n_edge, kt)
+        total += float(np.sum(
+            c * power_moment(nodes[cells], nodes[cells + 1], t_node, 2.0 * a)
+            + d * power_moment(nodes[cells], nodes[cells + 1], t_node, a)
+        ))
+        return total
+
+    def i1_term():
+        dvals = L_t.values[:ks] - L_s.values
+        n_edge = min(2, ks)
+        interior = np.arange(0, ks - n_edge)
+        total = 0.0
+        if interior.size:
+            total += float(dvals[interior] @ power_moment(nodes[interior], nodes[interior + 1], t_node, a))
+        c, d = edge_fit(dvals[ks - n_edge:], a, h)
+        for j in range(ks - n_edge, ks):
+            total += c * (t_node - mids[j]) ** (-a) * power_moment(nodes[j], nodes[j + 1], s_node, a)
+            total += d * power_moment(nodes[j], nodes[j + 1], t_node, a)
+        return total
+
+    def i2_term():
+        v = L_s.values
+        n_edge = min(2, ks)
+        interior = np.arange(0, ks - n_edge)
+        total = 0.0
+        if interior.size:
+            w = (power_moment(nodes[interior], nodes[interior + 1], s_node, a)
+                 - power_moment(nodes[interior], nodes[interior + 1], t_node, a))
+            total += float(v[interior] @ w)
+        c, d = edge_fit(v[ks - n_edge:], a, h)
+        for j in range(ks - n_edge, ks):
+            total += c * (power_moment(nodes[j], nodes[j + 1], s_node, 2.0 * a)
+                          - (t_node - mids[j]) ** (-a) * power_moment(nodes[j], nodes[j + 1], s_node, a))
+            total += d * (power_moment(nodes[j], nodes[j + 1], s_node, a)
+                          - power_moment(nodes[j], nodes[j + 1], t_node, a))
+        return total
+
+    return float(-alpha.coeff * (i1_term() + i2_term() + i3_term()))
+
+
+class TestReducedMomentReference:
+    """The shared edge-weighted integral reproduces the three hand-written
+    boundary integrals, one- and two-sample edge fits included (variogram
+    lags never reach the one-sample branch: they span at least 8 cells)."""
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("h", [0.76, 0.85, 0.9, 1.0])
+    def test_matches_closure_reference(self, h, n):
+        pairs = [(ks, ks + gap) for ks in (1, 2, 3) for gap in (1, 2, 3)]
+        pairs += [(n // 2, n // 2 + n // 8), (n // 4, 3 * n // 4)]
+        fields = SweepSolver(Grid(1.0, n), Alpha.from_h(h)).L_sweep({k for pair in pairs for k in pair})
+        got = [second_moment_reduced(fields[ks], fields[kt]) for ks, kt in pairs]
+        want = [closure_reduced_moment(fields[ks], fields[kt]) for ks, kt in pairs]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 class TestVariogram:
