@@ -5,10 +5,15 @@ densities on grid cells, collocation at cell midpoints, and the exact
 kernel moments from :mod:`mfbm.quadrature`.  For upper limit t_k the
 collocation matrix is I + coeff * W[:k, :k], the leading block of one
 symmetric positive definite Toeplitz matrix stored as its first column.
-Every solve runs through one Levinson-Durbin recursion
-(:func:`_prefix_solutions`), which yields the solutions of any set of
-leading blocks, for one or several right-hand sides, in a single O(K**2)
-pass and checks the residual of each by FFT matvec before yielding it.
+Every solve grows the forward vector f_k = T_k^-1 e_1 in one
+Levinson-Durbin pass (:func:`_forward_vectors`), which has two consumers.
+Callers that keep a few orders of a pass (the single solves and the L/g
+sweeps, through :func:`_levinson`) let no right-hand side ride it: at
+each kept order T_k^-1 follows from f_k alone (Gohberg-Semencul), applied
+by FFT.  The one caller that keeps every order,
+:meth:`SweepSolver.path_functionals`, has its rows ride the pass
+(:func:`_prefix_solutions`).  Either way the residual of every solution is
+checked by FFT matvec before it is handed on.
 """
 from __future__ import annotations
 
@@ -161,103 +166,190 @@ def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, rever
                 )
 
 
-def _prefix_solutions(column, rows, keep, reverse=()):
-    """Yield (k, x_k) for every k in `keep`, ascending: the solutions of
-    toeplitz(column)[:k, :k] x = rows[:, :k], from one Levinson-Durbin pass.
-
-    `column` is the first column of a symmetric positive definite Toeplitz
-    matrix T; `rows` is a stack of m right-hand sides (m, K).  One pass up
-    to K = max(keep) grows the forward vector f (T_k f = e_1), shared by
-    every row, and each row's solution one order at a time; the backward
-    vector (T_k b = e_k) is f reversed because T_k is persymmetric.  Each
-    row keeps its own dot product, so its solutions are bit-identical to a
-    pass over that row alone.  x_k is a new (m, k) array, rows listed in
-    `reverse` stored reversed.
-
-    Kept solutions are held back in blocks of consecutive orders whose
-    residual check (see :func:`_check_residuals`) needs at most
-    `_CHUNK_FLOATS` floats of FFT input, and a block is yielded only after
-    its check passed: every yielded solution is checked, and a failed check
-    raises before the generator finishes.  O(m K**2) time, O(m K) work
-    space plus one block.  Raises NumericalError if the recursion breaks
-    down (a diagonal <= 0 or beta = 1 - eps**2 <= 0, impossible for a
-    positive definite T).
-    """
+def _kept_orders(column, rows, keep) -> list:
+    """`keep` as an ascending list of distinct orders, each a block size of
+    both toeplitz(column) and the (m, K) stack `rows`."""
     keep = sorted({int(k) for k in keep})
-    if not keep:
-        return
+    limit = min(len(column), rows.shape[1])
+    if keep and (keep[0] < 1 or keep[-1] > limit):
+        raise ValueError(f"block sizes must be in [1, {limit}], got {keep}")
+    return keep
+
+
+def _forward_vectors(column, size):
+    """Yield (k, lag, f) for k = 1, ..., size from one Levinson-Durbin pass:
+    f[:k] is the forward vector T_k^-1 e_1 of the leading k x k block of the
+    symmetric positive definite Toeplitz T with first column `column`, and
+    lag holds column[k - 1], ..., column[1], which the step to order k read.
+
+    f is one length-`size` buffer that the next step overwrites; the
+    backward vector T_k^-1 e_k is f[k - 1::-1] because T_k is persymmetric.
+    The step writes its temporaries into a buffer made once (a ufunc's third
+    argument is its output), so it allocates no array; it rounds as
+    f = (f - eps * f[::-1]) / beta does, in the same order.  O(size**2)
+    time.  Raises NumericalError if the recursion breaks down (a diagonal
+    <= 0 or beta = 1 - eps**2 <= 0, impossible for a positive definite T).
+    """
     column = np.asarray(column, dtype=float)
-    size = keep[-1]
-    if keep[0] < 1 or size > min(column.size, rows.shape[1]):
-        raise ValueError(f"block sizes must be in [1, {min(column.size, rows.shape[1])}], got {keep}")
     if not column[0] > 0.0:
         raise NumericalError(f"Toeplitz diagonal {column[0]:.3e} is not positive")
     # lags[size - 1 - k:size - 1] is column[k], ..., column[1]
     lags = column[size - 1:0:-1].copy()
+    f = np.zeros(size)
+    f_work = np.empty(size)
+    f[0] = 1.0 / column[0]
+    yield 1, lags[size - 1:], f
+    for k in range(1, size):
+        lag = lags[size - 1 - k:]
+        eps = float(lag.dot(f[:k]))
+        beta = 1.0 - eps * eps
+        if not beta > 0.0:
+            raise NumericalError(f"Levinson recursion broke down at order {k + 1} (beta = {beta:.3e})")
+        head, backward, work = f[: k + 1], f[k::-1], f_work[: k + 1]
+        np.multiply(backward, eps, work)
+        np.subtract(head, work, work)
+        np.divide(work, beta, head)
+        yield k + 1, lag, f
+
+
+def _checked(column, rows, solved, reverse):
+    """Yield the (k, x_k) pairs of `solved` (ascending k) in order, each
+    only after its residual check (see :func:`_check_residuals`) passed.
+
+    Kept solutions are held back in blocks of consecutive orders with one
+    check embedding size (`_smooth_size`, which changes only once 2k - 1
+    exceeds it), as many as fit in one batched FFT of `_CHUNK_FLOATS`
+    floats, so a failed check raises before any solution of its block is
+    handed on.  The check's FFT buffers live for the whole pass.
+    """
     m = rows.shape[0]
+    block, embed, workspace = {}, 0, {}
+    for k, x_k in solved:
+        if block and (embed < 2 * k - 1 or (len(block) + 1) * m * embed > _CHUNK_FLOATS):
+            _check_residuals(column, rows[:, :k - 1], block, reverse, workspace)
+            yield from block.items()
+            block = {}
+        if embed < 2 * k - 1:
+            embed = _smooth_size(k)
+        block[k] = x_k
+    if block:
+        _check_residuals(column, rows[:, :max(block)], block, reverse, workspace)
+        yield from block.items()
+
+
+def _riding_solutions(column, rows, keep, reverse):
+    """(k, x_k) for every k in `keep`, ascending, with every row of `rows`
+    riding the forward pass: each order k extends each row's solution by
+    the Levinson x-step x += (rows[j, k - 1] - lag . x[:k - 1]) * f[k - 1::-1]."""
+    keep = _kept_orders(column, rows, keep)
+    if not keep:
+        return
+    size, m = keep[-1], rows.shape[0]
     # rhs[k] is the column rows[:, k]
     rhs = rows[:, :size].T.copy()
-    f = np.zeros(size)
     x = np.zeros((m, size))
     x_rows = list(x)  # views of the rows of x, made once
-    # The order step writes its temporaries into these buffers (a ufunc's
-    # third argument is its output), so it allocates no array; it rounds as
-    # f = (f - eps * f[::-1]) / beta and x += gap * f[::-1] do, in the same
-    # order.
-    f_work = np.empty(size)
+    # The x-step writes into buffers made once per pass; it rounds as
+    # x += gap * f[::-1] does.
     x_work = np.empty((m, size))
     gap = np.empty((m, 1))
-    f[0] = 1.0 / column[0]
-    x[:, 0] = rows[:, 0] * f[0]
     wanted = set(keep)
-    block, embed, workspace = {}, 0, {}
-    for k in range(size):
-        if k > 0:
-            lag = lags[size - 1 - k:]
-            eps = float(lag.dot(f[:k]))
-            beta = 1.0 - eps * eps
-            if not beta > 0.0:
-                raise NumericalError(f"Levinson recursion broke down at order {k + 1} (beta = {beta:.3e})")
-            head, backward, work = f[: k + 1], f[k::-1], f_work[: k + 1]
-            np.multiply(backward, eps, work)
-            np.subtract(head, work, work)
-            np.divide(work, beta, head)
+    for k, lag, f in _forward_vectors(column, size):
+        if k == 1:
+            x[:, 0] = rows[:, 0] * f[0]
+        else:
             # One dot product per row: the bits of a matrix-vector product
             # may depend on how many rows are stacked.
-            rhs_k = rhs[k]
+            rhs_k = rhs[k - 1]
             for j, x_j in enumerate(x_rows):
-                gap[j, 0] = rhs_k[j] - lag.dot(x_j[:k])
-            head, work = x[:, : k + 1], x_work[:, : k + 1]
-            np.multiply(gap, backward, work)
+                gap[j, 0] = rhs_k[j] - lag.dot(x_j[:k - 1])
+            head, work = x[:, :k], x_work[:, :k]
+            np.multiply(gap, f[k - 1::-1], work)
             head += work
-        if k + 1 in wanted:
-            # A block holds kept orders of one check embedding size
-            # (`_smooth_size`, which changes only once 2k + 1 exceeds it),
-            # as many as fit in one batched FFT of _CHUNK_FLOATS floats.
-            if block and (embed < 2 * k + 1 or (len(block) + 1) * m * embed > _CHUNK_FLOATS):
-                _check_residuals(column, rows[:, :k], block, reverse, workspace)
-                yield from block.items()
-                block = {}
-            if embed < 2 * k + 1:
-                embed = _smooth_size(k + 1)
-            x_k = x[:, : k + 1].copy()
+        if k in wanted:
+            x_k = x[:, :k].copy()
             for j in reverse:
-                x_k[j] = x[j, k::-1]
-            block[k + 1] = x_k
-    _check_residuals(column, rows[:, :size], block, reverse, workspace)
-    yield from block.items()
+                x_k[j] = x[j, k - 1::-1]
+            yield k, x_k
+
+
+def _prefix_solutions(column, rows, keep, reverse=()):
+    """Yield (k, x_k) for every k in `keep`, ascending: the solutions of
+    toeplitz(column)[:k, :k] x = rows[:, :k], every row riding one
+    Levinson-Durbin pass.
+
+    This is the consumer for callers that keep (nearly) every order, as
+    :meth:`SweepSolver.path_functionals` does: at O(m K) extra work per
+    order, the x-step is cheaper than solving each kept order afresh.
+    `column` is the first column of a symmetric positive definite Toeplitz
+    matrix T; `rows` is a stack of m right-hand sides (m, K).  Each row
+    keeps its own dot product, so its solutions are bit-identical to a pass
+    over that row alone.  x_k is a new (m, k) array, rows listed in
+    `reverse` stored reversed.  Every yielded solution is residual-checked
+    (see :func:`_checked`), and a failed check raises before the generator
+    finishes.  O(m K**2) time, O(m K) work space plus one block.
+    """
+    return _checked(column, rows, _riding_solutions(column, rows, keep, reverse), reverse)
+
+
+def _gohberg_semencul(f, rows):
+    """T^-1 rows[j] for each row of the (m, k) stack `rows`, where T is the
+    symmetric positive definite Toeplitz matrix with forward vector
+    f = T^-1 e_1 (length k).
+
+    Gohberg-Semencul: T^-1 = (L(f) L(f)^T - L(g) L(g)^T) / f[0] with
+    g = (0, f[k - 1], ..., f[1]) and L(u) the lower triangular Toeplitz
+    matrix with first column u.  Each triangular product is a convolution
+    cut to k entries, taken by rfft on the `_smooth_size(k)` embedding, and
+    L(u)^T b = J L(u) J b with J the reversal.  Every row is transformed on
+    its own, so its solution does not depend on the other rows.
+    O(m k log k).
+    """
+    m, k = rows.shape
+    size = _smooth_size(k)
+    generators = np.zeros((2, 1, k))
+    generators[0, 0] = f
+    generators[1, 0, 1:] = f[:0:-1]
+    spectra = np.fft.rfft(generators, n=size)
+    transposed = np.fft.irfft(spectra * np.fft.rfft(rows[:, ::-1], n=size), n=size)[..., k - 1::-1]
+    products = spectra * np.fft.rfft(transposed, n=size)
+    return np.fft.irfft(products[0] - products[1], n=size)[:, :k] / f[0]
+
+
+def _sparse_solutions(column, rows, keep, reverse):
+    """(k, x_k) for every k in `keep`, ascending, with no row riding the
+    forward pass: at each kept order the forward vector alone gives
+    T_k^-1, applied to every row by :func:`_gohberg_semencul`."""
+    keep = _kept_orders(column, rows, keep)
+    if not keep:
+        return
+    wanted = set(keep)
+    for k, _, f in _forward_vectors(column, keep[-1]):
+        if k in wanted:
+            x_k = _gohberg_semencul(f[:k], rows[:, :k])
+            for j in reverse:
+                x_k[j] = x_k[j, ::-1]
+            yield k, x_k
 
 
 def _levinson(column, rhs, keep, reverse=()) -> dict:
     """{k: x_k} for every k in `keep`: the solutions of
-    toeplitz(column)[:k, :k] x = rhs[..., :k] collected from
-    :func:`_prefix_solutions`, each residual-checked.
+    toeplitz(column)[:k, :k] x = rhs[..., :k], each residual-checked.
 
-    `rhs` is one right-hand side (K,) or a stack of m of them (m, K); x_k
-    has shape rhs.shape[:-1] + (k,).
+    This is the consumer for callers that keep a few orders of a pass (every
+    solve but :meth:`SweepSolver.path_functionals`): no right-hand side
+    rides the pass.  One Levinson-Durbin pass up to max(keep) grows the
+    forward vector alone, and at each kept order its Gohberg-Semencul
+    inverse (:func:`_gohberg_semencul`) solves all rows by FFT, so a pass
+    costs O(K**2) plus O(m k log k) per kept order k.  `rhs` is one
+    right-hand side (K,) or a stack of m of them (m, K); x_k has shape
+    rhs.shape[:-1] + (k,), rows listed in `reverse` stored reversed.  A
+    row's solutions are bit-identical whether it is solved alone or stacked
+    with others.
     """
     rhs = np.asarray(rhs, dtype=float)
-    out = dict(_prefix_solutions(column, np.atleast_2d(rhs), keep, reverse))
+    rows = np.atleast_2d(rhs)
+    out = dict(_checked(column, rows, _sparse_solutions(column, rows, keep, reverse), reverse))
     return out if rhs.ndim > 1 else {k: x_k[0] for k, x_k in out.items()}
 
 
@@ -373,12 +465,15 @@ class SweepSolver:
     """Solve families of upper limits on one grid.
 
     The collocation matrices for all upper limits are the leading blocks of
-    one symmetric positive definite Toeplitz matrix I + coeff * W, so a
-    single Levinson pass up to the largest requested index (see
+    one symmetric positive definite Toeplitz matrix I + coeff * W, so one
+    forward-vector pass up to the largest requested index (see
     :func:`_levinson`) returns every requested field of one family, or of
-    both (:meth:`L_g_sweep`): O(K**2) time per family and O(n) matrix
-    storage, with the residual of every returned field checked against
-    `RESIDUAL_TOL`.  It owns W: the single solves (:func:`solve_q`,
+    both (:meth:`L_g_sweep`): O(K**2) time per pass, shared by the
+    families, plus O(k log k) per field by FFT from the forward vector at
+    its index k, and O(n) matrix storage.  The residual of every returned
+    field is checked against `RESIDUAL_TOL`.  Only
+    :meth:`path_functionals`, which keeps every order, has its rows ride
+    the pass.  It owns W: the single solves (:func:`solve_q`,
     :func:`solve_D`) take the solver, not a grid, exponent and W.
     """
 
@@ -401,10 +496,10 @@ class SweepSolver:
 
         The L rhs at index k is v[k - 1 - i] with v_j = -coeff * m_j**(-a),
         the reversed k-prefix of one vector; the matrix is persymmetric, so
-        each L field is the reversed prefix solution for v, which the pass
-        stores reversed.  The g rhs is identically 1.  Rows of `extra_rhs`
-        join the pass after the families; their solutions, {k: (m, k)},
-        follow the fields as one more item.
+        each L field is the reversed prefix solution for v, stored
+        reversed.  The g rhs is identically 1.  Rows of `extra_rhs` are
+        solved after the families, from the same forward vectors; their
+        solutions, {k: (m, k)}, follow the fields as one more item.
         """
         indices = {int(i) for i in indices}
         size = max(indices, default=0)
@@ -431,11 +526,12 @@ class SweepSolver:
         """(drift-kernel fields, martingale-kernel fields) at every index, from one pass.
 
         `extra_rhs`, an optional (m, K) stack of further right-hand sides on
-        the first K >= max(indices) midpoints, rides along in the same pass,
+        the first K >= max(indices) midpoints, is solved from the same pass,
         and a third item maps every index k to the (m, k) solutions for
         extra_rhs[:, :k].  A rhs meant for one index k only is zero-padded
-        past k and read at k.  Each row keeps its own dot products, so its
-        solutions are bit-identical to :func:`solve_q` with that rhs.
+        past k and read at k.  A row's solution at k depends on the row
+        and on the forward vector at k only, so it is bit-identical to
+        :func:`solve_q` with that rhs.
         """
         return self._sweep(indices, "LG", extra_rhs)
 

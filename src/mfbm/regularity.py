@@ -377,8 +377,10 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
     Constants are reported per size with their max/min stability ratio;
     the proofs guarantee existence of bounding constants, not values, so
     refinement stability is the testable statement.  Each size runs two
-    Levinson passes: one for L, g and the part-iii rhs (zero-padded past
-    s), one for the difference kernel, whose rhs needs L(., t).  Raises
+    forward-vector (Levinson-Durbin) passes, with no right-hand side riding
+    either: one up to t for L, g and the part-iii rhs (zero-padded past s),
+    solved from the forward vectors at s and t, and one up to s for the
+    difference kernel, whose rhs needs L(., t).  Raises
     ValueError unless the sizes strictly increase (a repeated size would
     report its own constant twice and a vacuous stability ratio) and, on
     every grid of the sweep, s rounds to a node after 0 and t to a later

@@ -430,6 +430,115 @@ class TestFusedPass:
             assert _smooth_size(k) == min(n for n in smooth if n >= target)
 
 
+FORWARD_KEEP = sorted({1, 2, 3, *(k + d for k in BOUNDARY_SIZES for d in (-1, 0, 1)), 256})
+
+
+def _three_rows(grid, sweep):
+    """The drift rhs (solved reversed), the g rhs and one more row."""
+    return np.array([sweep._drift_rhs(grid.cells), np.ones(grid.cells),
+                     np.cos(7.0 * grid.midpoints) - grid.midpoints ** 2])
+
+
+def assert_rows_close(actual, expected, rtol=1e-13):
+    for a_row, e_row in zip(actual, expected):
+        assert np.max(np.abs(a_row - e_row)) <= rtol * np.max(np.abs(e_row))
+
+
+class TestForwardVectorSolve:
+    """Kept orders solved from the forward vector alone (Gohberg-Semencul)
+    agree with the dense solve and with rows riding the Levinson pass."""
+
+    @pytest.mark.parametrize("h", (0.76, 0.85, 0.999, 1.0))
+    def test_matches_dense_oracle_and_riding_rows(self, h):
+        grid = Grid(1.0, 256)
+        sweep = SweepSolver(grid, Alpha.from_h(h))
+        rows = _three_rows(grid, sweep)
+        assert len({_smooth_size(k) for k in FORWARD_KEEP}) > 1
+        l_fields, g_fields, extra = sweep.L_g_sweep(FORWARD_KEEP, extra_rhs=rows[2:])
+        riding = dict(kernel_solve._prefix_solutions(sweep._system, rows, FORWARD_KEEP, reverse=[0]))
+        for k in FORWARD_KEEP:
+            solved = np.array([l_fields[k].values, g_fields[k].values, extra[k][0]])
+            oracle = np.linalg.solve(toeplitz(sweep._system[:k]), rows[:, :k].T).T
+            oracle[0] = oracle[0, ::-1]
+            assert_rows_close(solved, oracle)
+            assert_rows_close(solved, riding[k])
+
+    @pytest.mark.parametrize("h", (0.85, 1.0))
+    def test_row_alone_equals_row_stacked(self, h):
+        grid = Grid(1.0, 256)
+        sweep = SweepSolver(grid, Alpha.from_h(h))
+        rows = _three_rows(grid, sweep)
+        stacked = _levinson(sweep._system, rows, FORWARD_KEEP, reverse=[0])
+        for j in range(3):
+            alone = _levinson(sweep._system, rows[j], FORWARD_KEEP, reverse=[0] if j == 0 else ())
+            pair = _levinson(sweep._system, rows[[j, 1]], FORWARD_KEEP, reverse=[0] if j == 0 else ())
+            for k in FORWARD_KEEP:
+                assert np.array_equal(alone[k], stacked[k][j]), (j, k)
+                assert np.array_equal(pair[k][0], stacked[k][j]), (j, k)
+
+    def test_sparse_solves_take_no_riding_rows(self, monkeypatch):
+        riding = []
+        original = kernel_solve._riding_solutions
+
+        def recording(*args):
+            riding.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernel_solve, "_riding_solutions", recording)
+        sweep = SweepSolver(Grid(1.0, 128), ALPHA85)
+        l_fields, _ = sweep.L_g_sweep([32, 96])
+        solve_q(sweep, 64, np.cos)
+        solve_D(sweep, 32, l_fields[96])
+        assert riding == []
+        sweep.path_functionals(np.ones(128), range(1, 129))
+        assert len(riding) == 1
+
+
+class TestEverySolutionChecked:
+    """A wrong entry in one Gohberg-Semencul product at one kept order is
+    caught by the residual check before any caller sees it."""
+
+    @staticmethod
+    def _perturb(monkeypatch, order, row=-1):
+        product = kernel_solve._gohberg_semencul
+
+        def perturbed(f, rows):
+            x = product(f, rows)
+            if rows.shape[1] == order:
+                x[row, order // 2] += 1e-8
+            return x
+
+        monkeypatch.setattr(kernel_solve, "_gohberg_semencul", perturbed)
+
+    @pytest.mark.parametrize("order", [32, 96])
+    @pytest.mark.parametrize("row", [0, 1, 2], ids=["L", "g", "extra"])
+    def test_fused_sweep_raises(self, monkeypatch, order, row):
+        sweep = SweepSolver(Grid(1.0, 128), ALPHA85)
+        self._perturb(monkeypatch, order, row)
+        with pytest.raises(NumericalError, match=f"block size {order}$"):
+            sweep.L_g_sweep([32, 96], extra_rhs=np.ones((1, 96)))
+
+    def test_solve_q_raises(self, monkeypatch):
+        sweep = SweepSolver(Grid(1.0, 128), ALPHA85)
+        self._perturb(monkeypatch, 100)
+        with pytest.raises(NumericalError, match="block size 100$"):
+            solve_q(sweep, 100, np.cos)
+
+    def test_solve_D_raises(self, monkeypatch):
+        sweep = SweepSolver(Grid(1.0, 128), ALPHA85)
+        L_t = sweep.L_field(80)
+        self._perturb(monkeypatch, 64)
+        with pytest.raises(NumericalError, match="block size 64$"):
+            solve_D(sweep, 64, L_t)
+
+    def test_cli_exits_two(self, monkeypatch, tmp_path, capsys):
+        self._perturb(monkeypatch, 32)
+        code = cli_main(["solve-kernel", "--kind", "L", "--H", "0.85", "--s", "0.5", "--n", "64",
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "residual" in capsys.readouterr().err
+
+
 def _is_3_smooth(n):
     for p in (2, 3):
         while n % p == 0:

@@ -321,18 +321,24 @@ class TestBoundAudits:
                 audit_lemma_bounds(Alpha.from_h(0.85), s, t, sweep)
 
     def test_two_levinson_passes_per_size(self, monkeypatch):
-        passes = []
-        original = kernel_solve._prefix_solutions
+        passes, riding = [], []
+        forward, ride = kernel_solve._forward_vectors, kernel_solve._riding_solutions
 
-        def counting(*args, **kwargs):
-            passes.append(args[1].shape)
-            return original(*args, **kwargs)
+        def counting(column, size):
+            passes.append(size)
+            return forward(column, size)
 
-        monkeypatch.setattr(kernel_solve, "_prefix_solutions", counting)
+        def recording(*args):
+            riding.append(args)
+            return ride(*args)
+
+        monkeypatch.setattr(kernel_solve, "_forward_vectors", counting)
+        monkeypatch.setattr(kernel_solve, "_riding_solutions", recording)
         audit_lemma_bounds(Alpha.from_h(0.85), 0.5, 0.625, [64, 128, 256, 512])
-        assert len(passes) == 8
-        # per size: L, g and part iii up to t; then the difference kernel up to s
-        assert passes == [shape for n in (64, 128, 256, 512) for shape in ((3, 5 * n // 8), (1, n // 2))]
+        # per size: L, g and part iii up to t; then the difference kernel up
+        # to s; every pass grows the forward vector alone
+        assert passes == [size for n in (64, 128, 256, 512) for size in (5 * n // 8, n // 2)]
+        assert riding == []
 
 
 class TestMcMachinery:
