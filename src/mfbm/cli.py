@@ -75,9 +75,10 @@ def _finish(command: str, params: dict, files) -> int:
     return 0
 
 
-def _add_common(parser, prefix_default: str, with_seed=True):
+def _add_common(parser, prefix_default: str, with_seed=True, with_n=True):
     parser.add_argument("--T", type=float, default=1.0, help="time horizon (default 1.0)")
-    parser.add_argument("--n", type=int, default=1024, help="grid cells, power of two in [64, 4096]")
+    if with_n:
+        parser.add_argument("--n", type=int, default=1024, help="grid cells, power of two in [64, 4096]")
     parser.add_argument("--out-dir", default=None,
                         help=f"output directory (default ${out.OUT_DIR_ENV} or '.')")
     parser.add_argument("--prefix", default=prefix_default, help="output file name prefix")
@@ -90,11 +91,12 @@ def _add_common(parser, prefix_default: str, with_seed=True):
 def _resolve_common(args) -> dict:
     params = {
         "T": float(args.T),
-        "n": int(args.n),
         "out_dir": str(args.out_dir if args.out_dir is not None else out.default_out_dir()),
         "prefix": str(args.prefix),
         "threads": None if args.threads is None else int(args.threads),
     }
+    if hasattr(args, "n"):
+        params["n"] = int(args.n)
     if hasattr(args, "seed"):
         params["seed"] = int(args.seed)
     return params
@@ -317,7 +319,6 @@ def run_audit_bounds(params: dict) -> int:
 def _audit_bounds_params(args) -> dict:
     params = _resolve_common(args)
     params.pop("seed", None)
-    params.pop("n", None)
     try:
         sweep = [int(x) for x in args.n_sweep.split(",")]
     except ValueError:
@@ -387,12 +388,14 @@ def _build_parser() -> _Parser:
         _add_common(p, name)
         p.set_defaults(resolve=_variogram_params if name == "variogram" else _holder_params)
 
-    p = sub.add_parser("audit-bounds", help="refinement stability of the solution-bound constants")
+    # no abbreviations here: --n would otherwise be read as --n-sweep
+    p = sub.add_parser("audit-bounds", help="refinement stability of the solution-bound constants",
+                       allow_abbrev=False)
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--t", type=float, default=0.625)
     p.add_argument("--n-sweep", default="128,256,512,1024")
-    _add_common(p, "audit_bounds", with_seed=False)
+    _add_common(p, "audit_bounds", with_seed=False, with_n=False)
     p.set_defaults(resolve=_audit_bounds_params)
 
     return parser

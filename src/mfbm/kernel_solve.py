@@ -10,7 +10,9 @@ Levinson-Durbin pass (:func:`_forward_vectors`), which has two consumers.
 Callers that keep a few orders of a pass (the single solves and the L/g
 sweeps, through :func:`_levinson`) let no right-hand side ride it: at
 each kept order T_k^-1 follows from f_k alone (Gohberg-Semencul), applied
-by FFT.  The one caller that keeps every order,
+by FFT.  A :class:`SweepSolver` keeps the f_k of its latest such pass, so
+a later solve at kept orders runs no pass at all: the bound audit makes
+one pass per grid size.  The one caller that keeps every order,
 :meth:`SweepSolver.path_functionals`, has its rows ride the pass
 (:func:`_prefix_solutions`).  Either way the residual of every solution is
 checked by FFT matvec before it is handed on.
@@ -316,23 +318,49 @@ def _gohberg_semencul(f, rows):
     return np.fft.irfft(products[0] - products[1], n=size)[:, :k] / f[0]
 
 
-def _sparse_solutions(column, rows, keep, reverse):
-    """(k, x_k) for every k in `keep`, ascending, with no row riding the
-    forward pass: at each kept order the forward vector alone gives
-    T_k^-1, applied to every row by :func:`_gohberg_semencul`."""
-    keep = _kept_orders(column, rows, keep)
-    if not keep:
+def _kept_forward(column, keep, forward):
+    """Yield (k, f_k) for every k in the ascending list `keep`, f_k the
+    forward vector T_k^-1 e_1 of toeplitz(column) as a read-only array.
+
+    `forward` maps orders to forward vectors kept from an earlier pass
+    over the same column.  If it holds every order of `keep`, those are
+    yielded and no pass runs; f_k depends on the column and k only, so a
+    kept copy has the bits a new pass would grow.  Otherwise one
+    Levinson-Durbin pass up to max(keep) runs, and `forward` is emptied and
+    then holds a copy of f_k for each k in `keep`, so it never keeps more
+    than one pass's kept orders.
+    """
+    kept = [forward.get(k) for k in keep]
+    if all(f_k is not None for f_k in kept):
+        yield from zip(keep, kept)
         return
+    forward.clear()
     wanted = set(keep)
     for k, _, f in _forward_vectors(column, keep[-1]):
         if k in wanted:
-            x_k = _gohberg_semencul(f[:k], rows[:, :k])
-            for j in reverse:
-                x_k[j] = x_k[j, ::-1]
-            yield k, x_k
+            f_k = f[:k].copy()
+            f_k.flags.writeable = False
+            forward[k] = f_k
+            yield k, f_k
 
 
-def _levinson(column, rhs, keep, reverse=()) -> dict:
+def _sparse_solutions(column, rows, keep, reverse, forward):
+    """(k, x_k) for every k in `keep`, ascending, with no row riding the
+    forward pass: at each kept order the forward vector alone gives
+    T_k^-1, applied to every row by :func:`_gohberg_semencul`.  The forward
+    vectors come from `forward` when it holds them all (see
+    :func:`_kept_forward`)."""
+    keep = _kept_orders(column, rows, keep)
+    if not keep:
+        return
+    for k, f_k in _kept_forward(column, keep, forward):
+        x_k = _gohberg_semencul(f_k, rows[:, :k])
+        for j in reverse:
+            x_k[j] = x_k[j, ::-1]
+        yield k, x_k
+
+
+def _levinson(column, rhs, keep, reverse=(), forward=None) -> dict:
     """{k: x_k} for every k in `keep`: the solutions of
     toeplitz(column)[:k, :k] x = rhs[..., :k], each residual-checked.
 
@@ -341,15 +369,19 @@ def _levinson(column, rhs, keep, reverse=()) -> dict:
     rides the pass.  One Levinson-Durbin pass up to max(keep) grows the
     forward vector alone, and at each kept order its Gohberg-Semencul
     inverse (:func:`_gohberg_semencul`) solves all rows by FFT, so a pass
-    costs O(K**2) plus O(m k log k) per kept order k.  `rhs` is one
+    costs O(K**2) plus O(m k log k) per kept order k.  `forward`, a dict of
+    the forward vectors kept from the last pass over `column` (see
+    :func:`_kept_forward`), skips the pass when it holds every order of
+    `keep`; without it every call runs its own pass.  `rhs` is one
     right-hand side (K,) or a stack of m of them (m, K); x_k has shape
     rhs.shape[:-1] + (k,), rows listed in `reverse` stored reversed.  A
     row's solutions are bit-identical whether it is solved alone or stacked
-    with others.
+    with others, and whether its forward vectors were grown or kept.
     """
     rhs = np.asarray(rhs, dtype=float)
     rows = np.atleast_2d(rhs)
-    out = dict(_checked(column, rows, _sparse_solutions(column, rows, keep, reverse), reverse))
+    solved = _sparse_solutions(column, rows, keep, reverse, {} if forward is None else forward)
+    out = dict(_checked(column, rows, solved, reverse))
     return out if rhs.ndim > 1 else {k: x_k[0] for k, x_k in out.items()}
 
 
@@ -371,7 +403,7 @@ def solve_q(sweep: "SweepSolver", s_index: int, rhs: Callable, kind: str = "Q") 
     f = np.broadcast_to(np.asarray(rhs(mids), dtype=float), (k,)).copy()
     if not np.all(np.isfinite(f)):
         raise ValueError("rhs must be finite at all collocation midpoints")
-    x = _levinson(sweep._system, f, [k])[k]
+    x = _levinson(sweep._system, f, [k], forward=sweep._forward)[k]
     return KernelField(kind=kind, alpha=sweep.alpha, grid=grid, s_index=k, values=x, rhs=rhs)
 
 
@@ -475,6 +507,14 @@ class SweepSolver:
     :meth:`path_functionals`, which keeps every order, has its rows ride
     the pass.  It owns W: the single solves (:func:`solve_q`,
     :func:`solve_D`) take the solver, not a grid, exponent and W.
+
+    The solver keeps a read-only copy of the forward vector f_k at each
+    kept order of its latest sweep or single solve, until the next pass
+    replaces them: memory for one pass's kept orders.  A sweep or single
+    solve whose orders are all kept reads those copies and runs no pass,
+    with the same bits and the same residual check as after a new pass,
+    so :func:`solve_D` at s after :meth:`L_g_sweep` at (s, t) costs FFTs
+    only.  :meth:`path_functionals` neither reads nor replaces them.
     """
 
     def __init__(self, grid: Grid, alpha: Alpha):
@@ -484,6 +524,8 @@ class SweepSolver:
         # first column of the collocation matrix I + coeff * W
         self._system = alpha.coeff * self.weights.column
         self._system[0] += 1.0
+        # read-only forward vectors f_k of the latest sparse pass, by order
+        self._forward = {}
 
     def L_field(self, s_index: int) -> KernelField:
         return self.L_sweep([s_index])[int(s_index)]
@@ -511,7 +553,8 @@ class SweepSolver:
                                  f"got shape {extra_rhs.shape}")
             rows.extend(extra_rhs[:, :size])
         solutions = _levinson(self._system, np.array(rows), indices,
-                              reverse=[j for j, kind in enumerate(kinds) if kind == "L"])
+                              reverse=[j for j, kind in enumerate(kinds) if kind == "L"],
+                              forward=self._forward)
         fields = tuple(
             {k: KernelField(kind=kind, alpha=self.alpha, grid=self.grid, s_index=k, values=x[j],
                             rhs=_l_rhs(self.alpha, float(self.grid.nodes[k])) if kind == "L" else _ones)

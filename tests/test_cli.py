@@ -183,6 +183,19 @@ class TestBadInput:
         assert "Traceback" not in err and "--n-sweep must be an increasing list" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "999", "--n-sweep", "128,256"],
+        ["--n-sweep", "128,256", "--n", "999"],
+        ["--n=256", "--n-sweep", "128,256"],
+    ])
+    def test_audit_rejects_grid_size(self, tmp_path, capsys, argv):
+        # the audit's sizes come from --n-sweep alone; --n once was accepted and ignored
+        code = main(["audit-bounds", "--H", "0.85", *argv, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "unrecognized arguments: --n" in err
+        assert not list(tmp_path.iterdir())
+
     def test_replayed_threads_below_one(self, tmp_path, capsys):
         assert main(["simulate", "--H", "0.85", "--n", "64", "--out-dir", str(tmp_path)]) == 0
         manifest = tmp_path / "simulate_manifest.json"

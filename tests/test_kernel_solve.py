@@ -539,6 +539,65 @@ class TestEverySolutionChecked:
         assert "residual" in capsys.readouterr().err
 
 
+class TestForwardVectorReuse:
+    """A solve at orders the solver's latest pass kept reads the kept
+    forward vectors: no new pass, the same bits and the same check."""
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        passes = []
+        forward = kernel_solve._forward_vectors
+
+        def counting(column, size):
+            passes.append(size)
+            return forward(column, size)
+
+        monkeypatch.setattr(kernel_solve, "_forward_vectors", counting)
+        return passes
+
+    @pytest.mark.parametrize("h", H_CORE)
+    @pytest.mark.parametrize("ks", BOUNDARY_SIZES[:2])
+    def test_reused_solves_equal_fresh_solves(self, monkeypatch, h, ks):
+        grid, alpha, kt = Grid(1.0, 256), Alpha.from_h(h), 160
+        sweep = SweepSolver(grid, alpha)
+        l_fields, _ = sweep.L_g_sweep([ks, kt])
+        passes = self._count_passes(monkeypatch)
+        reused_D = solve_D(sweep, ks, l_fields[kt])
+        reused_q = solve_q(sweep, ks, np.cos)
+        assert passes == []
+        fresh_D = solve_D(SweepSolver(grid, alpha), ks, l_fields[kt])
+        fresh_q = solve_q(SweepSolver(grid, alpha), ks, np.cos)
+        assert passes == [ks, ks]
+        assert np.array_equal(reused_D.values, fresh_D.values)
+        assert np.array_equal(reused_q.values, fresh_q.values)
+        # an order the pass did not keep runs a pass, which replaces the kept set
+        solve_q(sweep, ks - 1, np.cos)
+        assert passes == [ks, ks, ks - 1]
+        assert sorted(sweep._forward) == [ks - 1]
+
+    @pytest.mark.parametrize("h", H_CORE)
+    @pytest.mark.parametrize("ks", BOUNDARY_SIZES[:2])
+    def test_reused_order_is_checked(self, monkeypatch, h, ks):
+        sweep = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))
+        l_fields, _ = sweep.L_g_sweep([ks, 160])
+        passes = self._count_passes(monkeypatch)
+        TestEverySolutionChecked._perturb(monkeypatch, ks)
+        with pytest.raises(NumericalError, match=f"block size {ks}$"):
+            solve_D(sweep, ks, l_fields[160])
+        with pytest.raises(NumericalError, match=f"block size {ks}$"):
+            solve_q(sweep, ks, np.cos)
+        assert passes == []
+
+    @pytest.mark.parametrize("h", H_CORE)
+    def test_kept_forward_vectors_are_read_only(self, h):
+        sweep = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))
+        sweep.L_g_sweep([64, 65, 160])
+        assert sorted(sweep._forward) == [64, 65, 160]
+        for f_k in sweep._forward.values():
+            with pytest.raises(ValueError):
+                f_k[0] = 0.0
+
+
 def _is_3_smooth(n):
     for p in (2, 3):
         while n % p == 0:

@@ -320,7 +320,7 @@ class TestBoundAudits:
             with pytest.raises(ValueError, match=re.escape(message)):
                 audit_lemma_bounds(Alpha.from_h(0.85), s, t, sweep)
 
-    def test_two_levinson_passes_per_size(self, monkeypatch):
+    def test_one_levinson_pass_per_size(self, monkeypatch):
         passes, riding = [], []
         forward, ride = kernel_solve._forward_vectors, kernel_solve._riding_solutions
 
@@ -335,9 +335,9 @@ class TestBoundAudits:
         monkeypatch.setattr(kernel_solve, "_forward_vectors", counting)
         monkeypatch.setattr(kernel_solve, "_riding_solutions", recording)
         audit_lemma_bounds(Alpha.from_h(0.85), 0.5, 0.625, [64, 128, 256, 512])
-        # per size: L, g and part iii up to t; then the difference kernel up
-        # to s; every pass grows the forward vector alone
-        assert passes == [size for n in (64, 128, 256, 512) for size in (5 * n // 8, n // 2)]
+        # per size: L, g and part iii up to t; the difference kernel at s
+        # reads the forward vector that pass kept; no row rides the pass
+        assert passes == [5 * n // 8 for n in (64, 128, 256, 512)]
         assert riding == []
 
 
