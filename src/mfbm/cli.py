@@ -29,7 +29,14 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2 on usage errors; the contract wants 1."""
+    """argparse defaults to exit code 2 on usage errors; the contract wants 1.
+
+    No parser (subparsers are made of this class too) accepts an option
+    prefix: a mistyped option must fail, not run as a longer one.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -388,9 +395,7 @@ def _build_parser() -> _Parser:
         _add_common(p, name)
         p.set_defaults(resolve=_variogram_params if name == "variogram" else _holder_params)
 
-    # no abbreviations here: --n would otherwise be read as --n-sweep
-    p = sub.add_parser("audit-bounds", help="refinement stability of the solution-bound constants",
-                       allow_abbrev=False)
+    p = sub.add_parser("audit-bounds", help="refinement stability of the solution-bound constants")
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--t", type=float, default=0.625)

@@ -14,12 +14,12 @@ by FFT.  A :class:`SweepSolver` keeps the f_k of its latest such pass, so
 a later solve at kept orders runs no pass at all: the bound audit makes
 one pass per grid size.  The one caller that keeps every order,
 :meth:`SweepSolver.path_functionals`, has its rows ride the pass
-(:func:`_prefix_solutions`).  Either way the residual of every solution is
-checked by FFT matvec before it is handed on.
+(:func:`_prefix_solutions`).  Either consumer returns T_k^-1 rows[:, :k]
+in prefix order, each solution residual-checked by FFT matvec before it
+is handed on; the sweeps reverse the drift-kernel rows afterwards.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterable, Optional
 
@@ -109,63 +109,48 @@ def _scratch(workspace: dict, dtype, count: int) -> np.ndarray:
     return buffer[:count]
 
 
-def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, reverse=(),
-                     workspace=None) -> None:
-    """Raise NumericalError unless every row j of every kept block size k has
+def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, size: int,
+                     workspace: dict) -> None:
+    """Raise NumericalError unless every row j of every order k in
+    `solutions` has
     max|rhs[j, :k] - T_k x_k[j]| <= RESIDUAL_TOL * max(1, max|rhs[j, :k]|).
 
-    `rhs` is (m, K) and `solutions` maps k to the (m, k) solutions, rows in
-    `reverse` stored reversed.  Block sizes are grouped by their smallest
-    2**a * 3**b embedding, whose symmetric circulant has a real symbol, and
-    all rows of a group are multiplied in batched FFT blocks of at most
-    `_CHUNK_FLOATS` floats.  The FFTs run in two buffers kept in
-    `workspace` (a dict); a caller that checks a pass block by block passes
-    the same one each time, so the buffers are not freed and faulted in
-    again for every block.
+    `rhs` is (m, K) and `solutions` maps k to the (m, k) solutions: one
+    block of :func:`_checked`, whose orders all embed in the symmetric
+    circulant of length `size` (a 2**a * 3**b at least 2k - 1, so its
+    symbol is real), multiplied in one batched FFT.  The FFTs run in two
+    buffers kept in `workspace` (a dict); :func:`_checked` passes the same
+    one for every block of a pass, so the buffers are not freed and
+    faulted in again for every block.
     """
-    if workspace is None:
-        workspace = {}
-    m = rhs.shape[0]
-    scale = np.maximum(1.0, np.maximum.accumulate(np.abs(rhs), axis=1))
-    by_size, embed = defaultdict(list), 0
-    for k in sorted(solutions):
-        # `_smooth_size` changes only once 2k - 1 exceeds the last size
-        if embed < 2 * k - 1:
-            embed = _smooth_size(k)
-        by_size[embed].append(k)
-    for size, ks in by_size.items():
-        symbol = _circulant_symbol(column, size).real
-        step = max(1, _CHUNK_FLOATS // (m * size))
-        for start in range(0, len(ks), step):
-            chunk = ks[start:start + step]
-            width = chunk[-1]
-            shape = (len(chunk), m, size)
-            block = _scratch(workspace, float, len(chunk) * m * size).reshape(shape)
-            for row, k in enumerate(chunk):
-                block[row, :, :k] = solutions[k]
-                block[row, :, k:] = 0.0
-                for j in reverse:
-                    block[row, j, :k] = solutions[k][j, ::-1]
-            spectrum = _scratch(workspace, complex, len(chunk) * m * (size // 2 + 1))
-            spectrum = np.fft.rfft(block, out=spectrum.reshape(shape[:2] + (-1,)))
-            spectrum *= symbol
-            product = np.fft.irfft(spectrum, n=size, out=block)
-            residual = product[..., :width]
-            residual -= rhs[:, :width]
-            np.abs(residual, out=residual)
-            # Ragged per-row maximum over the first k entries: segments
-            # [r * size, r * size + k) of the flat product, gaps dropped.
-            sizes = np.repeat(chunk, m)
-            starts = np.arange(sizes.size) * size
-            bounds = np.stack([starts, starts + sizes], axis=1).ravel()
-            worst = np.maximum.reduceat(product.ravel(), bounds)[::2]
-            relative = worst / scale[np.tile(np.arange(m), len(chunk)), sizes - 1]
-            bad = np.flatnonzero(relative > RESIDUAL_TOL)
-            if bad.size:
-                raise NumericalError(
-                    f"linear solve residual {relative[bad[0]]:.3e} (relative) exceeds "
-                    f"tolerance {RESIDUAL_TOL:g} at block size {sizes[bad[0]]}"
-                )
+    ks = sorted(solutions)
+    m, width = rhs.shape[0], ks[-1]
+    shape = (len(ks), m, size)
+    block = _scratch(workspace, float, len(ks) * m * size).reshape(shape)
+    for row, k in enumerate(ks):
+        block[row, :, :k] = solutions[k]
+        block[row, :, k:] = 0.0
+    spectrum = _scratch(workspace, complex, len(ks) * m * (size // 2 + 1))
+    spectrum = np.fft.rfft(block, out=spectrum.reshape(shape[:2] + (-1,)))
+    spectrum *= _circulant_symbol(column, size).real
+    product = np.fft.irfft(spectrum, n=size, out=block)
+    residual = product[..., :width]
+    residual -= rhs[:, :width]
+    np.abs(residual, out=residual)
+    # Ragged per-row maximum over the first k entries: segments
+    # [r * size, r * size + k) of the flat product, gaps dropped.
+    sizes = np.repeat(ks, m)
+    starts = np.arange(sizes.size) * size
+    bounds = np.stack([starts, starts + sizes], axis=1).ravel()
+    worst = np.maximum.reduceat(product.ravel(), bounds)[::2]
+    scale = np.maximum(1.0, np.maximum.accumulate(np.abs(rhs[:, :width]), axis=1))
+    relative = worst / scale[np.tile(np.arange(m), len(ks)), sizes - 1]
+    bad = np.flatnonzero(relative > RESIDUAL_TOL)
+    if bad.size:
+        raise NumericalError(
+            f"linear solve residual {relative[bad[0]]:.3e} (relative) exceeds "
+            f"tolerance {RESIDUAL_TOL:g} at block size {sizes[bad[0]]}"
+        )
 
 
 def _kept_orders(column, rows, keep) -> list:
@@ -214,32 +199,33 @@ def _forward_vectors(column, size):
         yield k + 1, lag, f
 
 
-def _checked(column, rows, solved, reverse):
+def _checked(column, rows, solved):
     """Yield the (k, x_k) pairs of `solved` (ascending k) in order, each
     only after its residual check (see :func:`_check_residuals`) passed.
 
     Kept solutions are held back in blocks of consecutive orders with one
     check embedding size (`_smooth_size`, which changes only once 2k - 1
     exceeds it), as many as fit in one batched FFT of `_CHUNK_FLOATS`
-    floats, so a failed check raises before any solution of its block is
-    handed on.  The check's FFT buffers live for the whole pass.
+    floats (or one order), so a failed check raises before any solution of
+    its block is handed on.  The check's FFT buffers live for the whole
+    pass.
     """
     m = rows.shape[0]
     block, embed, workspace = {}, 0, {}
     for k, x_k in solved:
         if block and (embed < 2 * k - 1 or (len(block) + 1) * m * embed > _CHUNK_FLOATS):
-            _check_residuals(column, rows[:, :k - 1], block, reverse, workspace)
+            _check_residuals(column, rows, block, embed, workspace)
             yield from block.items()
             block = {}
         if embed < 2 * k - 1:
             embed = _smooth_size(k)
         block[k] = x_k
     if block:
-        _check_residuals(column, rows[:, :max(block)], block, reverse, workspace)
+        _check_residuals(column, rows, block, embed, workspace)
         yield from block.items()
 
 
-def _riding_solutions(column, rows, keep, reverse):
+def _riding_solutions(column, rows, keep):
     """(k, x_k) for every k in `keep`, ascending, with every row of `rows`
     riding the forward pass: each order k extends each row's solution by
     the Levinson x-step x += (rows[j, k - 1] - lag . x[:k - 1]) * f[k - 1::-1]."""
@@ -269,13 +255,10 @@ def _riding_solutions(column, rows, keep, reverse):
             np.multiply(gap, f[k - 1::-1], work)
             head += work
         if k in wanted:
-            x_k = x[:, :k].copy()
-            for j in reverse:
-                x_k[j] = x[j, k - 1::-1]
-            yield k, x_k
+            yield k, x[:, :k].copy()
 
 
-def _prefix_solutions(column, rows, keep, reverse=()):
+def _prefix_solutions(column, rows, keep):
     """Yield (k, x_k) for every k in `keep`, ascending: the solutions of
     toeplitz(column)[:k, :k] x = rows[:, :k], every row riding one
     Levinson-Durbin pass.
@@ -286,12 +269,12 @@ def _prefix_solutions(column, rows, keep, reverse=()):
     `column` is the first column of a symmetric positive definite Toeplitz
     matrix T; `rows` is a stack of m right-hand sides (m, K).  Each row
     keeps its own dot product, so its solutions are bit-identical to a pass
-    over that row alone.  x_k is a new (m, k) array, rows listed in
-    `reverse` stored reversed.  Every yielded solution is residual-checked
-    (see :func:`_checked`), and a failed check raises before the generator
+    over that row alone.  x_k is a new (m, k) array, every row in prefix
+    order.  Every yielded solution is residual-checked (see
+    :func:`_checked`), and a failed check raises before the generator
     finishes.  O(m K**2) time, O(m K) work space plus one block.
     """
-    return _checked(column, rows, _riding_solutions(column, rows, keep, reverse), reverse)
+    return _checked(column, rows, _riding_solutions(column, rows, keep))
 
 
 def _gohberg_semencul(f, rows):
@@ -344,25 +327,9 @@ def _kept_forward(column, keep, forward):
             yield k, f_k
 
 
-def _sparse_solutions(column, rows, keep, reverse, forward):
-    """(k, x_k) for every k in `keep`, ascending, with no row riding the
-    forward pass: at each kept order the forward vector alone gives
-    T_k^-1, applied to every row by :func:`_gohberg_semencul`.  The forward
-    vectors come from `forward` when it holds them all (see
-    :func:`_kept_forward`)."""
-    keep = _kept_orders(column, rows, keep)
-    if not keep:
-        return
-    for k, f_k in _kept_forward(column, keep, forward):
-        x_k = _gohberg_semencul(f_k, rows[:, :k])
-        for j in reverse:
-            x_k[j] = x_k[j, ::-1]
-        yield k, x_k
-
-
-def _levinson(column, rhs, keep, reverse=(), forward=None) -> dict:
+def _levinson(column, rows, keep, forward) -> dict:
     """{k: x_k} for every k in `keep`: the solutions of
-    toeplitz(column)[:k, :k] x = rhs[..., :k], each residual-checked.
+    toeplitz(column)[:k, :k] x = rows[:, :k], each residual-checked.
 
     This is the consumer for callers that keep a few orders of a pass (every
     solve but :meth:`SweepSolver.path_functionals`): no right-hand side
@@ -372,17 +339,16 @@ def _levinson(column, rhs, keep, reverse=(), forward=None) -> dict:
     costs O(K**2) plus O(m k log k) per kept order k.  `forward`, a dict of
     the forward vectors kept from the last pass over `column` (see
     :func:`_kept_forward`), skips the pass when it holds every order of
-    `keep`; without it every call runs its own pass.  `rhs` is one
-    right-hand side (K,) or a stack of m of them (m, K); x_k has shape
-    rhs.shape[:-1] + (k,), rows listed in `reverse` stored reversed.  A
-    row's solutions are bit-identical whether it is solved alone or stacked
-    with others, and whether its forward vectors were grown or kept.
+    `keep`; an empty dict makes the call run its own pass.  `rows` is a
+    stack of m right-hand sides (m, K); x_k is a new (m, k) array, every
+    row in prefix order.  A row's solutions are bit-identical whether it is
+    solved alone or stacked with others, and whether its forward vectors
+    were grown or kept.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    rows = np.atleast_2d(rhs)
-    solved = _sparse_solutions(column, rows, keep, reverse, {} if forward is None else forward)
-    out = dict(_checked(column, rows, solved, reverse))
-    return out if rhs.ndim > 1 else {k: x_k[0] for k, x_k in out.items()}
+    keep = _kept_orders(column, rows, keep)
+    solved = ((k, _gohberg_semencul(f_k, rows[:, :k]))
+              for k, f_k in _kept_forward(column, keep, forward))
+    return dict(_checked(column, rows, solved))
 
 
 def _ones(r):
@@ -403,7 +369,7 @@ def solve_q(sweep: "SweepSolver", s_index: int, rhs: Callable, kind: str = "Q") 
     f = np.broadcast_to(np.asarray(rhs(mids), dtype=float), (k,)).copy()
     if not np.all(np.isfinite(f)):
         raise ValueError("rhs must be finite at all collocation midpoints")
-    x = _levinson(sweep._system, f, [k], forward=sweep._forward)[k]
+    x = _levinson(sweep._system, f[None], [k], sweep._forward)[k][0]
     return KernelField(kind=kind, alpha=sweep.alpha, grid=grid, s_index=k, values=x, rhs=rhs)
 
 
@@ -502,10 +468,11 @@ class SweepSolver:
     :func:`_levinson`) returns every requested field of one family, or of
     both (:meth:`L_g_sweep`): O(K**2) time per pass, shared by the
     families, plus O(k log k) per field by FFT from the forward vector at
-    its index k, and O(n) matrix storage.  The residual of every returned
-    field is checked against `RESIDUAL_TOL`.  Only
-    :meth:`path_functionals`, which keeps every order, has its rows ride
-    the pass.  It owns W: the single solves (:func:`solve_q`,
+    its index k, and O(n) matrix storage.  The residual of every solution
+    is checked against `RESIDUAL_TOL` in prefix order, as the solvers
+    return it; a drift-kernel field is its solution reversed after the
+    check.  Only :meth:`path_functionals`, which keeps every order, has its
+    rows ride the pass.  It owns W: the single solves (:func:`solve_q`,
     :func:`solve_D`) take the solver, not a grid, exponent and W.
 
     The solver keeps a read-only copy of the forward vector f_k at each
@@ -538,10 +505,11 @@ class SweepSolver:
 
         The L rhs at index k is v[k - 1 - i] with v_j = -coeff * m_j**(-a),
         the reversed k-prefix of one vector; the matrix is persymmetric, so
-        each L field is the reversed prefix solution for v, stored
-        reversed.  The g rhs is identically 1.  Rows of `extra_rhs` are
-        solved after the families, from the same forward vectors; their
-        solutions, {k: (m, k)}, follow the fields as one more item.
+        the pass solves for the prefix v[:k] and each L field is a
+        C-contiguous copy of that solution reversed.  The g rhs is
+        identically 1.  Rows of `extra_rhs` are solved after the families,
+        from the same forward vectors; their solutions, {k: (m, k)}, follow
+        the fields as one more item.
         """
         indices = {int(i) for i in indices}
         size = max(indices, default=0)
@@ -552,11 +520,10 @@ class SweepSolver:
                 raise ValueError(f"extra_rhs must be an (m, K) stack with K >= {size}, "
                                  f"got shape {extra_rhs.shape}")
             rows.extend(extra_rhs[:, :size])
-        solutions = _levinson(self._system, np.array(rows), indices,
-                              reverse=[j for j, kind in enumerate(kinds) if kind == "L"],
-                              forward=self._forward)
+        solutions = _levinson(self._system, np.array(rows), indices, self._forward)
         fields = tuple(
-            {k: KernelField(kind=kind, alpha=self.alpha, grid=self.grid, s_index=k, values=x[j],
+            {k: KernelField(kind=kind, alpha=self.alpha, grid=self.grid, s_index=k,
+                            values=x[j, ::-1].copy() if kind == "L" else x[j],
                             rhs=_l_rhs(self.alpha, float(self.grid.nodes[k])) if kind == "L" else _ones)
              for k, x in solutions.items()}
             for j, kind in enumerate(kinds)

@@ -401,6 +401,8 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
         points.append((grid, ks, kt))
 
     def constants_for(grid, ks, kt):
+        # imported at call time, so that a wrapper perfbench/spans.py puts on
+        # kernel_solve.solve_D is the one called
         from .kernel_solve import solve_D
 
         sweep = SweepSolver(grid, alpha)

@@ -196,6 +196,20 @@ class TestBadInput:
         assert "Traceback" not in err and "unrecognized arguments: --n" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, option", [
+        (["simulate", "--H", "0.85", "--n", "64"], ["--path", "3"]),
+        (["holder", "--H", "0.85", "--n", "256", "--lags", "4"], ["--window-m", "0.05"]),
+        (["variogram", "--H", "0.85", "--n", "256", "--lags", "4"], ["--mc", "2"]),
+    ], ids=["simulate", "holder", "variogram"])
+    def test_abbreviated_option_rejected(self, tmp_path, capsys, command, option):
+        # a prefix of --paths, --window-min / --window-max or --mc-refine is
+        # not that option
+        code = main([*command, *option, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"unrecognized arguments: {option[0]}" in err
+        assert not list(tmp_path.iterdir())
+
     def test_replayed_threads_below_one(self, tmp_path, capsys):
         assert main(["simulate", "--H", "0.85", "--n", "64", "--out-dir", str(tmp_path)]) == 0
         manifest = tmp_path / "simulate_manifest.json"

@@ -12,7 +12,7 @@ from mfbm.quadrature import Alpha, Grid, build_weight_matrix, edge_fit, power_mo
 from mfbm.kernel_solve import (
     RESIDUAL_TOL,
     SweepSolver,
-    _check_residuals,
+    _checked,
     _levinson,
     _smooth_size,
     _tail_integral,
@@ -350,13 +350,13 @@ class TestLevinsonCore:
     def test_breakdown_raises(self):
         # an indefinite Toeplitz matrix: eps = 2 at order 2, beta = -3
         with pytest.raises(NumericalError):
-            _levinson(np.array([1.0, 2.0]), np.ones(2), [2])
+            _levinson(np.array([1.0, 2.0]), np.ones((1, 2)), [2], {})
 
     def test_rejects_out_of_range_sizes(self):
         with pytest.raises(ValueError):
-            _levinson(np.array([2.0, 1.0]), np.ones(2), [3])
+            _levinson(np.array([2.0, 1.0]), np.ones((1, 2)), [3], {})
         with pytest.raises(ValueError):
-            _levinson(np.array([2.0, 1.0]), np.ones(2), [0])
+            _levinson(np.array([2.0, 1.0]), np.ones((1, 2)), [0], {})
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -372,10 +372,10 @@ class TestLevinsonCore:
         rhs = np.random.default_rng(seed).standard_normal(n)
         column = alpha.coeff * weights.column
         column[0] += 1.0
-        solutions = _levinson(column, rhs, keep)
+        solutions = _levinson(column, rhs[None], keep, {})
         assert sorted(solutions) == keep
         for k in keep:
-            assert_matches_oracle(solutions[k], dense_oracle(weights, alpha, k, rhs[:k]))
+            assert_matches_oracle(solutions[k][0], dense_oracle(weights, alpha, k, rhs[:k]))
 
 
 SPARSE_KEEP = (1, 2, 3, 17, 101, 255, 256)
@@ -434,7 +434,7 @@ FORWARD_KEEP = sorted({1, 2, 3, *(k + d for k in BOUNDARY_SIZES for d in (-1, 0,
 
 
 def _three_rows(grid, sweep):
-    """The drift rhs (solved reversed), the g rhs and one more row."""
+    """The drift rhs, the g rhs and one more row."""
     return np.array([sweep._drift_rhs(grid.cells), np.ones(grid.cells),
                      np.cos(7.0 * grid.midpoints) - grid.midpoints ** 2])
 
@@ -455,26 +455,42 @@ class TestForwardVectorSolve:
         rows = _three_rows(grid, sweep)
         assert len({_smooth_size(k) for k in FORWARD_KEEP}) > 1
         l_fields, g_fields, extra = sweep.L_g_sweep(FORWARD_KEEP, extra_rhs=rows[2:])
-        riding = dict(kernel_solve._prefix_solutions(sweep._system, rows, FORWARD_KEEP, reverse=[0]))
+        riding = dict(kernel_solve._prefix_solutions(sweep._system, rows, FORWARD_KEEP))
         for k in FORWARD_KEEP:
             solved = np.array([l_fields[k].values, g_fields[k].values, extra[k][0]])
             oracle = np.linalg.solve(toeplitz(sweep._system[:k]), rows[:, :k].T).T
-            oracle[0] = oracle[0, ::-1]
+            riding_k = riding[k].copy()
+            # an L field is the prefix solution of the drift row, reversed
+            for expected in (oracle, riding_k):
+                expected[0] = expected[0, ::-1]
             assert_rows_close(solved, oracle)
-            assert_rows_close(solved, riding[k])
+            assert_rows_close(solved, riding_k)
 
     @pytest.mark.parametrize("h", (0.85, 1.0))
     def test_row_alone_equals_row_stacked(self, h):
         grid = Grid(1.0, 256)
         sweep = SweepSolver(grid, Alpha.from_h(h))
         rows = _three_rows(grid, sweep)
-        stacked = _levinson(sweep._system, rows, FORWARD_KEEP, reverse=[0])
+        stacked = _levinson(sweep._system, rows, FORWARD_KEEP, {})
         for j in range(3):
-            alone = _levinson(sweep._system, rows[j], FORWARD_KEEP, reverse=[0] if j == 0 else ())
-            pair = _levinson(sweep._system, rows[[j, 1]], FORWARD_KEEP, reverse=[0] if j == 0 else ())
+            alone = _levinson(sweep._system, rows[j:j + 1], FORWARD_KEEP, {})
+            pair = _levinson(sweep._system, rows[[j, 1]], FORWARD_KEEP, {})
             for k in FORWARD_KEEP:
-                assert np.array_equal(alone[k], stacked[k][j]), (j, k)
+                assert np.array_equal(alone[k][0], stacked[k][j]), (j, k)
                 assert np.array_equal(pair[k][0], stacked[k][j]), (j, k)
+
+    @pytest.mark.parametrize("h", (0.85, 1.0))
+    @pytest.mark.parametrize("fused", [False, True], ids=["L_sweep", "L_g_sweep"])
+    def test_drift_field_is_reversed_prefix_solution(self, h, fused):
+        # the sweep reverses the drift row once, after the check, into a
+        # C-contiguous copy
+        sweep = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))
+        l_fields = sweep.L_g_sweep(FORWARD_KEEP)[0] if fused else sweep.L_sweep(FORWARD_KEEP)
+        for k in FORWARD_KEEP:
+            values = l_fields[k].values
+            assert values.flags.c_contiguous, k
+            v = sweep._drift_rhs(k)
+            assert np.array_equal(values, _levinson(sweep._system, v[None], [k], {})[k][0][::-1]), k
 
     def test_sparse_solves_take_no_riding_rows(self, monkeypatch):
         riding = []
@@ -611,7 +627,13 @@ def _fused_solutions(keep):
     sweep = SweepSolver(grid, alpha)
     rows = np.array([-alpha.coeff * grid.midpoints ** (-alpha.value), np.ones(grid.cells)])
     column = sweep._system
-    return column, rows, _levinson(column, rows, keep, reverse=[0])
+    return column, rows, _levinson(column, rows, keep, {})
+
+
+def _check(column, rows, solutions):
+    """Run the pass's blockwise residual check over `solutions`."""
+    for _ in _checked(column, rows, sorted(solutions.items())):
+        pass
 
 
 class TestResidualCheck:
@@ -622,7 +644,7 @@ class TestResidualCheck:
         if chunk_floats is not None:
             monkeypatch.setattr(kernel_solve, "_CHUNK_FLOATS", chunk_floats)
         column, rows, solutions = _fused_solutions(range(1, 257))
-        _check_residuals(column, rows, solutions, reverse=[0])
+        _check(column, rows, solutions)
 
     @pytest.mark.parametrize("chunk_floats", [None, 1], ids=["default_blocks", "one_size_per_block"])
     @pytest.mark.parametrize("k", BOUNDARY_SIZES)
@@ -633,7 +655,7 @@ class TestResidualCheck:
             monkeypatch.setattr(kernel_solve, "_CHUNK_FLOATS", chunk_floats)
         keep = sorted({*BOUNDARY_SIZES, k - 1, k + 1, 256})
         column, rows, solutions = _fused_solutions(keep)
-        _check_residuals(column, rows, solutions, reverse=[0])
+        _check(column, rows, solutions)
         entry = 0 if position == "first" else k - 1
         scale = max(1.0, float(np.max(np.abs(rows[row, :k]))))
         bad = dict(solutions)
@@ -643,7 +665,7 @@ class TestResidualCheck:
         # of that, so only the entry itself can trip the check
         bad[k][row, entry] += 2.0 * RESIDUAL_TOL * scale / column[0]
         with pytest.raises(NumericalError, match=f"block size {k}$"):
-            _check_residuals(column, rows, bad, reverse=[0])
+            _check(column, rows, bad)
 
 
     def test_one_embedding_size_computation_per_size(self, monkeypatch):
@@ -655,7 +677,7 @@ class TestResidualCheck:
             return _smooth_size(k)
 
         monkeypatch.setattr(kernel_solve, "_smooth_size", counting)
-        _check_residuals(column, rows, solutions, reverse=[0])
+        _check(column, rows, solutions)
         assert len(calls) == len({_smooth_size(k) for k in range(1, 257)})
 
 
@@ -684,7 +706,7 @@ class TestStreamedCheck:
             assert len(block) == 1 or len(block) * rows.shape[0] * sizes.pop() <= kernel_solve._CHUNK_FLOATS
 
 
-def _reference_prefix_solutions(column, rows, keep, reverse=()):
+def _reference_prefix_solutions(column, rows, keep):
     """{k: x_k} from the Levinson-Durbin order step written with one new
     array per operation: the step that `_prefix_solutions` must reproduce
     bit for bit with its preallocated buffers."""
@@ -705,10 +727,7 @@ def _reference_prefix_solutions(column, rows, keep, reverse=()):
             gap = rows[:, k] - [lag @ x[j, :k] for j in range(m)]
             x[:, : k + 1] += gap[:, None] * f[k::-1]
         if k + 1 in keep:
-            x_k = x[:, : k + 1].copy()
-            for j in reverse:
-                x_k[j] = x[j, k::-1]
-            out[k + 1] = x_k
+            out[k + 1] = x[:, : k + 1].copy()
     return out
 
 
@@ -718,11 +737,11 @@ class TestOrderStepReference:
     holds under any BLAS dot product)."""
 
     @staticmethod
-    def _assert_equal_to_reference(h, n, rows, keep, reverse=()):
+    def _assert_equal_to_reference(h, n, rows, keep):
         column = SweepSolver(Grid(1.0, n), Alpha.from_h(h))._system
         keep = set(keep)
-        solutions = dict(kernel_solve._prefix_solutions(column, rows, keep, reverse))
-        reference = _reference_prefix_solutions(column, rows, keep, reverse)
+        solutions = dict(kernel_solve._prefix_solutions(column, rows, keep))
+        reference = _reference_prefix_solutions(column, rows, keep)
         assert sorted(solutions) == sorted(reference) == sorted(keep)
         for k in keep:
             assert np.array_equal(solutions[k], reference[k]), k
@@ -731,12 +750,12 @@ class TestOrderStepReference:
     def test_all_prefix_two_rows(self, h):
         grid, alpha = Grid(1.0, 256), Alpha.from_h(h)
         rows = np.array([-alpha.coeff * grid.midpoints ** (-alpha.value), np.ones(grid.cells)])
-        self._assert_equal_to_reference(h, 256, rows, range(1, 257), reverse=[0])
+        self._assert_equal_to_reference(h, 256, rows, range(1, 257))
 
     @pytest.mark.parametrize("h", H_CORE)
-    def test_sparse_three_rows_one_reversed(self, h):
+    def test_sparse_three_rows(self, h):
         rows = np.random.default_rng(7).standard_normal((3, 300))
-        self._assert_equal_to_reference(h, 300, rows, (1, 2, 3, 17, 101, 255, 300), reverse=[0])
+        self._assert_equal_to_reference(h, 300, rows, (1, 2, 3, 17, 101, 255, 300))
 
     @pytest.mark.parametrize("h", (0.85, 1.0))
     def test_orders_straddling_check_embedding_sizes(self, h):
