@@ -64,8 +64,8 @@ def _check_n(n: int):
 
 
 #: Largest Monte Carlo sampling grid, n * mc_refine: that of --n 4096 at the
-#: default --mc-refine 2.  Its Levinson pass is O((n * mc_refine)**2) and each
-#: block of paths holds 3 * 64 * n * mc_refine normals.
+#: default --mc-refine 2.  Each block of paths holds 3 * 64 * n * mc_refine
+#: normals.
 _MAX_MC_CELLS = 8192
 
 

@@ -5,18 +5,19 @@ densities on grid cells, collocation at cell midpoints, and the exact
 kernel moments from :mod:`mfbm.quadrature`.  For upper limit t_k the
 collocation matrix is I + coeff * W[:k, :k], the leading block of one
 symmetric positive definite Toeplitz matrix stored as its first column.
-Every solve grows the forward vector f_k = T_k^-1 e_1 in one
-Levinson-Durbin pass (:func:`_forward_vectors`), which has two consumers.
-Callers that keep a few orders of a pass (the single solves and the L/g
-sweeps, through :func:`_levinson`) let no right-hand side ride it: at
-each kept order T_k^-1 follows from f_k alone (Gohberg-Semencul), applied
-by FFT.  A :class:`SweepSolver` keeps the f_k of its latest such pass, so
-a later solve at kept orders runs no pass at all: the bound audit makes
-one pass per grid size.  The one caller that keeps every order,
-:meth:`SweepSolver.path_functionals`, has its rows ride the pass
-(:func:`_prefix_solutions`).  Either consumer returns T_k^-1 rows[:, :k]
-in prefix order, each solution residual-checked by FFT matvec before it
-is handed on; the sweeps reverse the drift-kernel rows afterwards.
+Every solve starts from the forward vector f_k = T_k^-1 e_1, and there
+are two ways to reach it.  Callers that keep a few orders (the single
+solves and the L/g sweeps, through :func:`_sparse_solutions`) take one
+conjugate-gradient solve per kept order (:func:`_cg_forward`,
+preconditioned by a circulant, every product by FFT) and run no
+Levinson pass: at each kept order T_k^-1 follows from f_k alone
+(Gohberg-Semencul), applied to every row by FFT.  The one caller that
+keeps every order, :meth:`SweepSolver.path_functionals`, grows every f_k
+in one Levinson-Durbin pass (:func:`_forward_vectors`) and has its rows
+ride the pass (:func:`_prefix_solutions`).  Either way the solver returns
+T_k^-1 rows[:, :k] in prefix order, each solution residual-checked by FFT
+matvec before it is handed on; the sweeps reverse the drift-kernel rows
+afterwards.
 """
 from __future__ import annotations
 
@@ -41,6 +42,15 @@ RESIDUAL_TOL = 1e-10
 
 #: Floats per batched FFT block of the residual check (4 MB).
 _CHUNK_FLOATS = 1 << 19
+
+#: Max-norm residual of T_k f = e_1 at which :func:`_cg_forward` stops, far
+#: below RESIDUAL_TOL.
+_CG_TOL = 1e-15
+
+#: Iteration cap of :func:`_cg_forward`.  It needs at most 8 iterations on
+#: [0, 1] (H -> 3/4; 1 at H = 1) and at most 17 up to T = 1e12, for every
+#: order up to n = 2**14.
+_CG_MAX_ITER = 100
 
 
 @dataclass
@@ -120,7 +130,7 @@ def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, size:
     circulant of length `size` (a 2**a * 3**b at least 2k - 1, so its
     symbol is real), multiplied in one batched FFT.  The FFTs run in two
     buffers kept in `workspace` (a dict); :func:`_checked` passes the same
-    one for every block of a pass, so the buffers are not freed and
+    one for every block of a call, so the buffers are not freed and
     faulted in again for every block.
     """
     ks = sorted(solutions)
@@ -176,6 +186,8 @@ def _forward_vectors(column, size):
     f = (f - eps * f[::-1]) / beta does, in the same order.  O(size**2)
     time.  Raises NumericalError if the recursion breaks down (a diagonal
     <= 0 or beta = 1 - eps**2 <= 0, impossible for a positive definite T).
+    Only the all-prefix consumer (:func:`_riding_solutions`) runs it; the
+    sparse solves take each kept order from :func:`_cg_forward`.
     """
     column = np.asarray(column, dtype=float)
     if not column[0] > 0.0:
@@ -208,7 +220,7 @@ def _checked(column, rows, solved):
     exceeds it), as many as fit in one batched FFT of `_CHUNK_FLOATS`
     floats (or one order), so a failed check raises before any solution of
     its block is handed on.  The check's FFT buffers live for the whole
-    pass.
+    call.
     """
     m = rows.shape[0]
     block, embed, workspace = {}, 0, {}
@@ -263,7 +275,7 @@ def _prefix_solutions(column, rows, keep):
     toeplitz(column)[:k, :k] x = rows[:, :k], every row riding one
     Levinson-Durbin pass.
 
-    This is the consumer for callers that keep (nearly) every order, as
+    This is the solver for callers that keep (nearly) every order, as
     :meth:`SweepSolver.path_functionals` does: at O(m K) extra work per
     order, the x-step is cheaper than solving each kept order afresh.
     `column` is the first column of a symmetric positive definite Toeplitz
@@ -301,53 +313,87 @@ def _gohberg_semencul(f, rows):
     return np.fft.irfft(products[0] - products[1], n=size)[:, :k] / f[0]
 
 
-def _kept_forward(column, keep, forward):
-    """Yield (k, f_k) for every k in the ascending list `keep`, f_k the
-    forward vector T_k^-1 e_1 of toeplitz(column) as a read-only array.
+def _cg_forward(column, k):
+    """The forward vector f_k = T_k^-1 e_1 of the leading k x k block T_k of
+    the symmetric positive definite Toeplitz T with first column `column`,
+    by preconditioned conjugate gradients from f = 0.
 
-    `forward` maps orders to forward vectors kept from an earlier pass
-    over the same column.  If it holds every order of `keep`, those are
-    yielded and no pass runs; f_k depends on the column and k only, so a
-    kept copy has the bits a new pass would grow.  Otherwise one
-    Levinson-Durbin pass up to max(keep) runs, and `forward` is emptied and
-    then holds a copy of f_k for each k in `keep`, so it never keeps more
-    than one pass's kept orders.
+    Each product T_k p is an rfft/irfft product on the `_smooth_size(k)`
+    circulant embedding, the one the residual check uses.  The
+    preconditioner is T. Chan's optimal circulant approximation of T_k
+    (entries ((k - j) t_j + j t_(k-j)) / k), inverted by an FFT of length
+    k: O(k log k) per iteration.  Its eigenvalues are Rayleigh quotients of
+    T_k, so they are positive when T_k is positive definite, and the
+    iteration count hardly grows with k or the horizon (counts at
+    `_CG_MAX_ITER`).  The solve stops once the max-norm of the recursive
+    residual is `_CG_TOL` or below.  Inner products are NumPy sums, not
+    BLAS calls, so the bits do not depend on the BLAS thread count; no
+    guess is taken from another order, so f_k depends on the column and k
+    only.  Raises NumericalError, naming k, if an eigenvalue
+    of the preconditioner or the curvature p . T_k p is not positive (T_k
+    is not positive definite), or if `_CG_MAX_ITER` iterations do not reach
+    the stop (naming the last residual).
     """
-    kept = [forward.get(k) for k in keep]
-    if all(f_k is not None for f_k in kept):
-        yield from zip(keep, kept)
-        return
-    forward.clear()
-    wanted = set(keep)
-    for k, _, f in _forward_vectors(column, keep[-1]):
-        if k in wanted:
-            f_k = f[:k].copy()
-            f_k.flags.writeable = False
-            forward[k] = f_k
-            yield k, f_k
+    column = np.asarray(column, dtype=float)
+    size = _smooth_size(k)
+    symbol = _circulant_symbol(column, size).real
+    lags = np.arange(k)
+    wrapped = np.zeros(k)
+    wrapped[1:] = column[k - 1:0:-1]
+    eigen = np.fft.rfft(((k - lags) * column[:k] + lags * wrapped) / k).real
+    if not np.min(eigen) > 0.0:
+        raise NumericalError(
+            f"conjugate gradients for the forward vector of order {k}: the circulant "
+            f"preconditioner has eigenvalue {np.min(eigen):.3e}, so the block is not "
+            f"positive definite"
+        )
+    f = np.zeros(k)
+    residual = np.zeros(k)
+    residual[0] = 1.0
+    smoothed = np.fft.irfft(np.fft.rfft(residual) / eigen, n=k)
+    direction = smoothed.copy()
+    fit, worst = float(np.sum(residual * smoothed)), 1.0
+    for iteration in range(1, _CG_MAX_ITER + 1):
+        product = np.fft.irfft(np.fft.rfft(direction, n=size) * symbol, n=size)[:k]
+        curvature = float(np.sum(direction * product))
+        if not curvature > 0.0:
+            raise NumericalError(
+                f"conjugate gradients for the forward vector of order {k} broke down at "
+                f"iteration {iteration}: curvature {curvature:.3e} is not positive "
+                f"(residual {worst:.3e})"
+            )
+        step = fit / curvature
+        f += step * direction
+        residual -= step * product
+        worst = float(np.max(np.abs(residual)))
+        if worst <= _CG_TOL:
+            return f
+        smoothed = np.fft.irfft(np.fft.rfft(residual) / eigen, n=k)
+        fit, previous = float(np.sum(residual * smoothed)), fit
+        direction *= fit / previous
+        direction += smoothed
+    raise NumericalError(
+        f"conjugate gradients for the forward vector of order {k} did not converge in "
+        f"{_CG_MAX_ITER} iterations (residual {worst:.3e}, tolerance {_CG_TOL:g})"
+    )
 
 
-def _levinson(column, rows, keep, forward) -> dict:
+def _sparse_solutions(column, rows, keep) -> dict:
     """{k: x_k} for every k in `keep`: the solutions of
     toeplitz(column)[:k, :k] x = rows[:, :k], each residual-checked.
 
-    This is the consumer for callers that keep a few orders of a pass (every
-    solve but :meth:`SweepSolver.path_functionals`): no right-hand side
-    rides the pass.  One Levinson-Durbin pass up to max(keep) grows the
-    forward vector alone, and at each kept order its Gohberg-Semencul
-    inverse (:func:`_gohberg_semencul`) solves all rows by FFT, so a pass
-    costs O(K**2) plus O(m k log k) per kept order k.  `forward`, a dict of
-    the forward vectors kept from the last pass over `column` (see
-    :func:`_kept_forward`), skips the pass when it holds every order of
-    `keep`; an empty dict makes the call run its own pass.  `rows` is a
-    stack of m right-hand sides (m, K); x_k is a new (m, k) array, every
-    row in prefix order.  A row's solutions are bit-identical whether it is
-    solved alone or stacked with others, and whether its forward vectors
-    were grown or kept.
+    This is the solver for callers that keep a few orders (every solve but
+    :meth:`SweepSolver.path_functionals`); no Levinson pass runs.  Each
+    kept order k takes its forward vector from one conjugate-gradient solve
+    (:func:`_cg_forward`, O(k log k) per iteration), and its
+    Gohberg-Semencul inverse (:func:`_gohberg_semencul`) solves all rows
+    by FFT in O(m k log k).  `rows` is a stack of m right-hand sides
+    (m, K); x_k is a new (m, k) array, every row in prefix order.  A row's
+    solutions are bit-identical whether it is solved alone or stacked with
+    others, and with other kept orders or without.
     """
     keep = _kept_orders(column, rows, keep)
-    solved = ((k, _gohberg_semencul(f_k, rows[:, :k]))
-              for k, f_k in _kept_forward(column, keep, forward))
+    solved = ((k, _gohberg_semencul(_cg_forward(column, k), rows[:, :k])) for k in keep)
     return dict(_checked(column, rows, solved))
 
 
@@ -369,7 +415,7 @@ def solve_q(sweep: "SweepSolver", s_index: int, rhs: Callable, kind: str = "Q") 
     f = np.broadcast_to(np.asarray(rhs(mids), dtype=float), (k,)).copy()
     if not np.all(np.isfinite(f)):
         raise ValueError("rhs must be finite at all collocation midpoints")
-    x = _levinson(sweep._system, f[None], [k], sweep._forward)[k][0]
+    x = _sparse_solutions(sweep._system, f[None], [k])[k][0]
     return KernelField(kind=kind, alpha=sweep.alpha, grid=grid, s_index=k, values=x, rhs=rhs)
 
 
@@ -463,25 +509,18 @@ class SweepSolver:
     """Solve families of upper limits on one grid.
 
     The collocation matrices for all upper limits are the leading blocks of
-    one symmetric positive definite Toeplitz matrix I + coeff * W, so one
-    forward-vector pass up to the largest requested index (see
-    :func:`_levinson`) returns every requested field of one family, or of
-    both (:meth:`L_g_sweep`): O(K**2) time per pass, shared by the
-    families, plus O(k log k) per field by FFT from the forward vector at
-    its index k, and O(n) matrix storage.  The residual of every solution
-    is checked against `RESIDUAL_TOL` in prefix order, as the solvers
-    return it; a drift-kernel field is its solution reversed after the
-    check.  Only :meth:`path_functionals`, which keeps every order, has its
-    rows ride the pass.  It owns W: the single solves (:func:`solve_q`,
-    :func:`solve_D`) take the solver, not a grid, exponent and W.
-
-    The solver keeps a read-only copy of the forward vector f_k at each
-    kept order of its latest sweep or single solve, until the next pass
-    replaces them: memory for one pass's kept orders.  A sweep or single
-    solve whose orders are all kept reads those copies and runs no pass,
-    with the same bits and the same residual check as after a new pass,
-    so :func:`solve_D` at s after :meth:`L_g_sweep` at (s, t) costs FFTs
-    only.  :meth:`path_functionals` neither reads nor replaces them.
+    one symmetric positive definite Toeplitz matrix I + coeff * W.  A sweep
+    (see :func:`_sparse_solutions`) takes the forward vector at each
+    requested index k from one preconditioned conjugate-gradient solve with
+    FFT products, shared by the families of :meth:`L_g_sweep`, and every
+    requested field from it by FFT: O(k log k) per iteration and per field,
+    and O(n) matrix storage.  The residual of every solution is checked
+    against `RESIDUAL_TOL` in prefix order, as the solvers return it; a
+    drift-kernel field is its solution reversed after the check.  Only
+    :meth:`path_functionals`, which keeps every order, runs a
+    Levinson-Durbin pass, and has its rows ride it.  It owns W: the single
+    solves (:func:`solve_q`, :func:`solve_D`) take the solver, not a grid,
+    exponent and W.
     """
 
     def __init__(self, grid: Grid, alpha: Alpha):
@@ -491,8 +530,6 @@ class SweepSolver:
         # first column of the collocation matrix I + coeff * W
         self._system = alpha.coeff * self.weights.column
         self._system[0] += 1.0
-        # read-only forward vectors f_k of the latest sparse pass, by order
-        self._forward = {}
 
     def L_field(self, s_index: int) -> KernelField:
         return self.L_sweep([s_index])[int(s_index)]
@@ -501,11 +538,12 @@ class SweepSolver:
         return self.g_sweep([t_index])[int(t_index)]
 
     def _sweep(self, indices: Iterable[int], kinds: str, extra_rhs=None) -> tuple:
-        """Fields of each family in `kinds` ('L', 'G') at every index, from one pass.
+        """Fields of each family in `kinds` ('L', 'G') at every index, from one
+        forward vector per index.
 
         The L rhs at index k is v[k - 1 - i] with v_j = -coeff * m_j**(-a),
         the reversed k-prefix of one vector; the matrix is persymmetric, so
-        the pass solves for the prefix v[:k] and each L field is a
+        the solver solves for the prefix v[:k] and each L field is a
         C-contiguous copy of that solution reversed.  The g rhs is
         identically 1.  Rows of `extra_rhs` are solved after the families,
         from the same forward vectors; their solutions, {k: (m, k)}, follow
@@ -520,7 +558,7 @@ class SweepSolver:
                 raise ValueError(f"extra_rhs must be an (m, K) stack with K >= {size}, "
                                  f"got shape {extra_rhs.shape}")
             rows.extend(extra_rhs[:, :size])
-        solutions = _levinson(self._system, np.array(rows), indices, self._forward)
+        solutions = _sparse_solutions(self._system, np.array(rows), indices)
         fields = tuple(
             {k: KernelField(kind=kind, alpha=self.alpha, grid=self.grid, s_index=k,
                             values=x[j, ::-1].copy() if kind == "L" else x[j],
@@ -533,24 +571,25 @@ class SweepSolver:
         return fields + ({k: x[len(kinds):] for k, x in solutions.items()},)
 
     def L_g_sweep(self, indices: Iterable[int], extra_rhs=None) -> tuple:
-        """(drift-kernel fields, martingale-kernel fields) at every index, from one pass.
+        """(drift-kernel fields, martingale-kernel fields) at every index, from
+        one forward vector per index.
 
         `extra_rhs`, an optional (m, K) stack of further right-hand sides on
-        the first K >= max(indices) midpoints, is solved from the same pass,
-        and a third item maps every index k to the (m, k) solutions for
-        extra_rhs[:, :k].  A rhs meant for one index k only is zero-padded
-        past k and read at k.  A row's solution at k depends on the row
-        and on the forward vector at k only, so it is bit-identical to
-        :func:`solve_q` with that rhs.
+        the first K >= max(indices) midpoints, is solved from the same
+        forward vectors, and a third item maps every index k to the (m, k)
+        solutions for extra_rhs[:, :k].  A rhs meant for one index k only is
+        zero-padded past k and read at k.  A row's solution at k depends on
+        the row and on the forward vector at k only, so it is bit-identical
+        to :func:`solve_q` with that rhs.
         """
         return self._sweep(indices, "LG", extra_rhs)
 
     def L_sweep(self, indices: Iterable[int]) -> dict:
-        """Drift-kernel fields for every index in one pass."""
+        """Drift-kernel fields for every index."""
         return self._sweep(indices, "L")[0]
 
     def g_sweep(self, indices: Iterable[int]) -> dict:
-        """Martingale-kernel fields (rhs identically 1) for every index in one pass."""
+        """Martingale-kernel fields (rhs identically 1) for every index."""
         return self._sweep(indices, "G")[0]
 
     def _drift_rhs(self, size: int) -> np.ndarray:
@@ -606,7 +645,7 @@ def check_L_from_g(sweep: SweepSolver, s_index: int, dt: float) -> float:
     kernel scaled by its diagonal value; this compares the drift-kernel
     field at s against the central finite difference
     (g(r, s+dt) - g(r, s-dt)) / (2 dt g(s, s)) on interior midpoints
-    r <= 0.9 s, all from one pass of `sweep`.
+    r <= 0.9 s, all from one sweep of `sweep`.
     """
     grid, k = sweep.grid, int(s_index)
     step = int(round(dt / grid.h))

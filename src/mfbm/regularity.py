@@ -376,16 +376,15 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
 
     Constants are reported per size with their max/min stability ratio;
     the proofs guarantee existence of bounding constants, not values, so
-    refinement stability is the testable statement.  Each size runs one
-    forward-vector (Levinson-Durbin) pass, up to t, with no right-hand side
-    riding it: L, g and the part-iii rhs (zero-padded past s) are solved
-    from the forward vectors at s and t, and the difference kernel, whose
-    rhs needs L(., t), from the forward vector at s that the solver kept
-    from that pass.  Raises
-    ValueError unless the sizes strictly increase (a repeated size would
-    report its own constant twice and a vacuous stability ratio) and, on
-    every grid of the sweep, s rounds to a node after 0 and t to a later
-    one.
+    refinement stability is the testable statement.  Each size runs three
+    conjugate-gradient solves for forward vectors and no Levinson pass: L,
+    g and the part-iii rhs (zero-padded past s) are solved from the forward
+    vectors at s and t, and the difference kernel, whose rhs needs L(., t),
+    from a second solve at s.
+    Raises ValueError unless the sizes strictly increase (a repeated size
+    would report its own constant twice and a vacuous stability ratio)
+    and, on every grid of the sweep, s rounds to a node after 0 and t to a
+    later one.
     """
     n_sweep = [int(n) for n in n_sweep]
     if any(a >= b for a, b in zip(n_sweep, n_sweep[1:])):

@@ -1,4 +1,9 @@
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from mfbm.kernel_solve import (
     RESIDUAL_TOL,
     SweepSolver,
     _checked,
-    _levinson,
+    _sparse_solutions,
     _smooth_size,
     _tail_integral,
     toeplitz_matvec,
@@ -348,15 +353,15 @@ class TestLevinsonCore:
         assert "residual" in capsys.readouterr().err
 
     def test_breakdown_raises(self):
-        # an indefinite Toeplitz matrix: eps = 2 at order 2, beta = -3
+        # an indefinite Toeplitz matrix, eigenvalues 3 and -1
         with pytest.raises(NumericalError):
-            _levinson(np.array([1.0, 2.0]), np.ones((1, 2)), [2], {})
+            _sparse_solutions(np.array([1.0, 2.0]), np.ones((1, 2)), [2])
 
     def test_rejects_out_of_range_sizes(self):
         with pytest.raises(ValueError):
-            _levinson(np.array([2.0, 1.0]), np.ones((1, 2)), [3], {})
+            _sparse_solutions(np.array([2.0, 1.0]), np.ones((1, 2)), [3])
         with pytest.raises(ValueError):
-            _levinson(np.array([2.0, 1.0]), np.ones((1, 2)), [0], {})
+            _sparse_solutions(np.array([2.0, 1.0]), np.ones((1, 2)), [0])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -372,7 +377,7 @@ class TestLevinsonCore:
         rhs = np.random.default_rng(seed).standard_normal(n)
         column = alpha.coeff * weights.column
         column[0] += 1.0
-        solutions = _levinson(column, rhs[None], keep, {})
+        solutions = _sparse_solutions(column, rhs[None], keep)
         assert sorted(solutions) == keep
         for k in keep:
             assert_matches_oracle(solutions[k][0], dense_oracle(weights, alpha, k, rhs[:k]))
@@ -471,10 +476,10 @@ class TestForwardVectorSolve:
         grid = Grid(1.0, 256)
         sweep = SweepSolver(grid, Alpha.from_h(h))
         rows = _three_rows(grid, sweep)
-        stacked = _levinson(sweep._system, rows, FORWARD_KEEP, {})
+        stacked = _sparse_solutions(sweep._system, rows, FORWARD_KEEP)
         for j in range(3):
-            alone = _levinson(sweep._system, rows[j:j + 1], FORWARD_KEEP, {})
-            pair = _levinson(sweep._system, rows[[j, 1]], FORWARD_KEEP, {})
+            alone = _sparse_solutions(sweep._system, rows[j:j + 1], FORWARD_KEEP)
+            pair = _sparse_solutions(sweep._system, rows[[j, 1]], FORWARD_KEEP)
             for k in FORWARD_KEEP:
                 assert np.array_equal(alone[k][0], stacked[k][j]), (j, k)
                 assert np.array_equal(pair[k][0], stacked[k][j]), (j, k)
@@ -490,7 +495,7 @@ class TestForwardVectorSolve:
             values = l_fields[k].values
             assert values.flags.c_contiguous, k
             v = sweep._drift_rhs(k)
-            assert np.array_equal(values, _levinson(sweep._system, v[None], [k], {})[k][0][::-1]), k
+            assert np.array_equal(values, _sparse_solutions(sweep._system, v[None], [k])[k][0][::-1]), k
 
     def test_sparse_solves_take_no_riding_rows(self, monkeypatch):
         riding = []
@@ -556,11 +561,92 @@ class TestEverySolutionChecked:
 
 
 class TestForwardVectorReuse:
-    """A solve at orders the solver's latest pass kept reads the kept
-    forward vectors: no new pass, the same bits and the same check."""
+    """No forward vector is reused across calls: a solver used again after a
+    sweep solves each order of the new call afresh, with the bits of a
+    fresh solver and the same residual check."""
 
     @staticmethod
-    def _count_passes(monkeypatch):
+    def _count_solves(monkeypatch):
+        solves = []
+        forward = kernel_solve._cg_forward
+
+        def counting(column, k):
+            solves.append(k)
+            return forward(column, k)
+
+        monkeypatch.setattr(kernel_solve, "_cg_forward", counting)
+        return solves
+
+    @pytest.mark.parametrize("h", H_CORE)
+    @pytest.mark.parametrize("ks", BOUNDARY_SIZES[:2])
+    def test_reused_solves_equal_fresh_solves(self, monkeypatch, h, ks):
+        grid, alpha, kt = Grid(1.0, 256), Alpha.from_h(h), 160
+        sweep = SweepSolver(grid, alpha)
+        l_fields, _ = sweep.L_g_sweep([ks, kt])
+        solves = self._count_solves(monkeypatch)
+        reused_D = solve_D(sweep, ks, l_fields[kt])
+        reused_q = solve_q(sweep, ks, np.cos)
+        assert solves == [ks, ks]
+        fresh_D = solve_D(SweepSolver(grid, alpha), ks, l_fields[kt])
+        fresh_q = solve_q(SweepSolver(grid, alpha), ks, np.cos)
+        assert solves == [ks, ks, ks, ks]
+        assert np.array_equal(reused_D.values, fresh_D.values)
+        assert np.array_equal(reused_q.values, fresh_q.values)
+
+    @pytest.mark.parametrize("h", H_CORE)
+    @pytest.mark.parametrize("ks", BOUNDARY_SIZES[:2])
+    def test_reused_order_is_checked(self, monkeypatch, h, ks):
+        sweep = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))
+        l_fields, _ = sweep.L_g_sweep([ks, 160])
+        solves = self._count_solves(monkeypatch)
+        TestEverySolutionChecked._perturb(monkeypatch, ks)
+        with pytest.raises(NumericalError, match=f"block size {ks}$"):
+            solve_D(sweep, ks, l_fields[160])
+        with pytest.raises(NumericalError, match=f"block size {ks}$"):
+            solve_q(sweep, ks, np.cos)
+        assert solves == [ks, ks]
+
+
+CG_ORDERS = sorted({*K_CORE, *BOUNDARY_SIZES})
+
+
+class TestConjugateGradientForward:
+    """The sparse solves take each kept forward vector from its own
+    conjugate-gradient solve; the Levinson pass is the oracle."""
+
+    @pytest.mark.parametrize("h", (*H_CORE, 0.7501))
+    def test_matches_levinson_forward_vectors(self, h):
+        column = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))._system
+        wanted = set(CG_ORDERS)
+        levinson = {k: f[:k].copy() for k, _, f in kernel_solve._forward_vectors(column, 256) if k in wanted}
+        for k in CG_ORDERS:
+            # at most 1.2e-15 (relative) was measured over these orders
+            scale = np.max(np.abs(levinson[k]))
+            assert np.max(np.abs(kernel_solve._cg_forward(column, k) - levinson[k])) <= 4e-15 * scale, k
+
+    @pytest.mark.parametrize("h", (0.7501, 0.85, 1.0))
+    def test_order_alone_equals_order_in_larger_keep_set(self, monkeypatch, h):
+        grid = Grid(1.0, 256)
+        sweep = SweepSolver(grid, Alpha.from_h(h))
+        rows = _three_rows(grid, sweep)
+        solved = []
+        solve = kernel_solve._cg_forward
+
+        def recording(column, k):
+            solved.append((k, solve(column, k)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(kernel_solve, "_cg_forward", recording)
+        together = _sparse_solutions(sweep._system, rows, FORWARD_KEEP)
+        forward_all = dict(solved)
+        assert sorted(forward_all) == sorted(FORWARD_KEEP)
+        for k in FORWARD_KEEP:
+            alone = _sparse_solutions(sweep._system, rows[:, :k], [k])
+            assert solved[-1][0] == k
+            assert np.array_equal(solved[-1][1], forward_all[k]), k
+            assert np.array_equal(alone[k], together[k]), k
+
+    def test_sparse_solves_run_no_levinson_pass(self, monkeypatch):
         passes = []
         forward = kernel_solve._forward_vectors
 
@@ -569,49 +655,83 @@ class TestForwardVectorReuse:
             return forward(column, size)
 
         monkeypatch.setattr(kernel_solve, "_forward_vectors", counting)
-        return passes
+        sweep = SweepSolver(Grid(1.0, 128), ALPHA85)
+        l_fields = sweep.L_g_sweep([32, 96], extra_rhs=np.ones((1, 96)))[0]
+        sweep.L_sweep([17, 128])
+        sweep.g_sweep([5])
+        solve_q(sweep, 64, np.cos)
+        solve_D(sweep, 32, l_fields[96])
+        assert passes == []
+        sweep.path_functionals(np.ones(128), range(1, 129))
+        assert passes == [128]
 
-    @pytest.mark.parametrize("h", H_CORE)
-    @pytest.mark.parametrize("ks", BOUNDARY_SIZES[:2])
-    def test_reused_solves_equal_fresh_solves(self, monkeypatch, h, ks):
-        grid, alpha, kt = Grid(1.0, 256), Alpha.from_h(h), 160
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(kernel_solve, "_CG_MAX_ITER", 1)
+        column = SweepSolver(Grid(1.0, 64), ALPHA85)._system
+        message = r"order 40 did not converge in 1 iterations \(residual [0-9.e+-]+"
+        with pytest.raises(NumericalError, match=message):
+            kernel_solve._cg_forward(column, 40)
+
+    def test_iteration_cap_exits_two(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(kernel_solve, "_CG_MAX_ITER", 1)
+        code = cli_main(["solve-kernel", "--kind", "L", "--H", "0.85", "--s", "0.5", "--n", "256",
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"order 128 did not converge in 1 iterations \(residual [0-9.e+-]+", err), err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_indefinite_preconditioner_raises(self):
+        # toeplitz([1, 2]) is its own circulant, with eigenvalues 3 and -1
+        with pytest.raises(NumericalError, match="order 2: the circulant preconditioner has eigenvalue -1.000e[+]00"):
+            kernel_solve._cg_forward(np.array([1.0, 2.0]), 2)
+
+    def test_indefinite_block_raises_on_curvature(self):
+        # toeplitz([1, 0, 2]) has eigenvalues 3, 1 and -1, its preconditioner
+        # 7/3, 1/3 and 1/3: the first direction has curvature -9/7
+        with pytest.raises(NumericalError, match="order 3 broke down at iteration 1: curvature -1.286e[+]00"):
+            kernel_solve._cg_forward(np.array([1.0, 0.0, 2.0]), 3)
+
+    @pytest.mark.parametrize("horizon", (1e4, 1e8, 1e12))
+    @pytest.mark.parametrize("h", (0.7501, 0.99999))
+    def test_preconditioner_bounds_iterations_at_long_horizons(self, monkeypatch, horizon, h):
+        # unpreconditioned, these orders need 50 to 450 iterations; with the
+        # circulant preconditioner at most 17 were measured up to n = 2**14
+        monkeypatch.setattr(kernel_solve, "_CG_MAX_ITER", 20)
+        column = SweepSolver(Grid(horizon, 1024), Alpha.from_h(h))._system
+        for k in (512, 1024):
+            f = kernel_solve._cg_forward(column, k)
+            residual = toeplitz_matvec(column, f)
+            residual[0] -= 1.0
+            # at most 8e-16 * column[0] * max|f| was measured
+            assert np.max(np.abs(residual)) <= 1e-14 * column[0] * np.max(np.abs(f)), k
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a dot product over threads above 10000 entries,
+        # which changes its rounding; order 12288 is past that
+        src = str(Path(kernel_solve.__file__).resolve().parents[1])
+        probe = ("import hashlib; from mfbm.quadrature import Alpha, Grid; "
+                 "from mfbm.kernel_solve import SweepSolver, _cg_forward; "
+                 "column = SweepSolver(Grid(1.0, 16384), Alpha.from_h(0.85))._system; "
+                 "print(hashlib.sha256(_cg_forward(column, 12288).tobytes()).hexdigest())")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                    text=True, check=True, timeout=120)
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("h", (0.7501, 0.95, 0.999))
+    def test_long_horizon_converges_within_the_cap(self, h):
+        # T = 1e8 stretches the spectrum of I + coeff * W far beyond that
+        # on [0, 1]; the solve still stops within the cap
+        grid, alpha = Grid(1e8, 512), Alpha.from_h(h)
         sweep = SweepSolver(grid, alpha)
-        l_fields, _ = sweep.L_g_sweep([ks, kt])
-        passes = self._count_passes(monkeypatch)
-        reused_D = solve_D(sweep, ks, l_fields[kt])
-        reused_q = solve_q(sweep, ks, np.cos)
-        assert passes == []
-        fresh_D = solve_D(SweepSolver(grid, alpha), ks, l_fields[kt])
-        fresh_q = solve_q(SweepSolver(grid, alpha), ks, np.cos)
-        assert passes == [ks, ks]
-        assert np.array_equal(reused_D.values, fresh_D.values)
-        assert np.array_equal(reused_q.values, fresh_q.values)
-        # an order the pass did not keep runs a pass, which replaces the kept set
-        solve_q(sweep, ks - 1, np.cos)
-        assert passes == [ks, ks, ks - 1]
-        assert sorted(sweep._forward) == [ks - 1]
-
-    @pytest.mark.parametrize("h", H_CORE)
-    @pytest.mark.parametrize("ks", BOUNDARY_SIZES[:2])
-    def test_reused_order_is_checked(self, monkeypatch, h, ks):
-        sweep = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))
-        l_fields, _ = sweep.L_g_sweep([ks, 160])
-        passes = self._count_passes(monkeypatch)
-        TestEverySolutionChecked._perturb(monkeypatch, ks)
-        with pytest.raises(NumericalError, match=f"block size {ks}$"):
-            solve_D(sweep, ks, l_fields[160])
-        with pytest.raises(NumericalError, match=f"block size {ks}$"):
-            solve_q(sweep, ks, np.cos)
-        assert passes == []
-
-    @pytest.mark.parametrize("h", H_CORE)
-    def test_kept_forward_vectors_are_read_only(self, h):
-        sweep = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))
-        sweep.L_g_sweep([64, 65, 160])
-        assert sorted(sweep._forward) == [64, 65, 160]
-        for f_k in sweep._forward.values():
-            with pytest.raises(ValueError):
-                f_k[0] = 0.0
+        g_fields = sweep.g_sweep([300, 512])
+        for k in (300, 512):
+            assert_matches_oracle(g_fields[k].values, dense_oracle(sweep.weights, alpha, k, np.ones(k)))
 
 
 def _is_3_smooth(n):
@@ -627,7 +747,7 @@ def _fused_solutions(keep):
     sweep = SweepSolver(grid, alpha)
     rows = np.array([-alpha.coeff * grid.midpoints ** (-alpha.value), np.ones(grid.cells)])
     column = sweep._system
-    return column, rows, _levinson(column, rows, keep, {})
+    return column, rows, _sparse_solutions(column, rows, keep)
 
 
 def _check(column, rows, solutions):

@@ -320,24 +320,32 @@ class TestBoundAudits:
             with pytest.raises(ValueError, match=re.escape(message)):
                 audit_lemma_bounds(Alpha.from_h(0.85), s, t, sweep)
 
-    def test_one_levinson_pass_per_size(self, monkeypatch):
-        passes, riding = [], []
-        forward, ride = kernel_solve._forward_vectors, kernel_solve._riding_solutions
+    def test_cg_solves_per_size(self, monkeypatch):
+        passes, solves, riding = [], [], []
+        forward, solve = kernel_solve._forward_vectors, kernel_solve._cg_forward
+        ride = kernel_solve._riding_solutions
 
         def counting(column, size):
             passes.append(size)
             return forward(column, size)
+
+        def solving(column, k):
+            solves.append(k)
+            return solve(column, k)
 
         def recording(*args):
             riding.append(args)
             return ride(*args)
 
         monkeypatch.setattr(kernel_solve, "_forward_vectors", counting)
+        monkeypatch.setattr(kernel_solve, "_cg_forward", solving)
         monkeypatch.setattr(kernel_solve, "_riding_solutions", recording)
         audit_lemma_bounds(Alpha.from_h(0.85), 0.5, 0.625, [64, 128, 256, 512])
-        # per size: L, g and part iii up to t; the difference kernel at s
-        # reads the forward vector that pass kept; no row rides the pass
-        assert passes == [5 * n // 8 for n in (64, 128, 256, 512)]
+        # per size: one solve each at s and t serves L, g and part iii, and
+        # one more at s the difference kernel; no Levinson pass runs and no
+        # row rides one
+        assert solves == [k for n in (64, 128, 256, 512) for k in (n // 2, 5 * n // 8, n // 2)]
+        assert passes == []
         assert riding == []
 
 
