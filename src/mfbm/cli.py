@@ -2,14 +2,19 @@
 
 Subcommands cover the kernel solves, path simulation, the pathwise
 decomposition, variogram construction, scaling-exponent fits and the
-bound audits.  Every run writes its outputs plus a JSON manifest of the
-resolved parameters; `mfbm --manifest <file>` replays a recorded run.
+bound audits.  Every run writes its outputs plus a JSON manifest whose
+parameters are the parsed options (output directory and holder's fit
+window resolved).  `mfbm --manifest <file>` replays a recorded run: it
+spells the recorded parameters as a command line, then parses and
+validates that line as it would a fresh one, so a missing, unknown or
+mistyped parameter exits 1.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -95,20 +100,6 @@ def _add_common(parser, prefix_default: str, with_seed=True, with_n=True):
         parser.add_argument("--seed", type=int, default=0, help="base random seed")
 
 
-def _resolve_common(args) -> dict:
-    params = {
-        "T": float(args.T),
-        "out_dir": str(args.out_dir if args.out_dir is not None else out.default_out_dir()),
-        "prefix": str(args.prefix),
-        "threads": None if args.threads is None else int(args.threads),
-    }
-    if hasattr(args, "n"):
-        params["n"] = int(args.n)
-    if hasattr(args, "seed"):
-        params["seed"] = int(args.seed)
-    return params
-
-
 # ---------------------------------------------------------------- solve-kernel
 
 def run_solve_kernel(params: dict) -> int:
@@ -128,16 +119,6 @@ def run_solve_kernel(params: dict) -> int:
         zip(field.midpoints, field.values),
     )
     return _finish("solve-kernel", params, [csv])
-
-
-def _solve_kernel_params(args) -> dict:
-    params = _resolve_common(args)
-    params.pop("seed", None)
-    upper = args.s if args.s is not None else args.t
-    if upper is None or (args.s is not None and args.t is not None):
-        raise _fail("pass exactly one of --s / --t")
-    params.update({"kind": args.kind, "H": float(args.H), "upper": float(upper)})
-    return params
 
 
 # ------------------------------------------------------------------- simulate
@@ -167,12 +148,6 @@ def run_simulate(params: dict) -> int:
     return _finish("simulate", params, [csv])
 
 
-def _simulate_params(args) -> dict:
-    params = _resolve_common(args)
-    params.update({"H": float(args.H), "paths": int(args.paths)})
-    return params
-
-
 # ------------------------------------------------------------------ decompose
 
 def run_decompose(params: dict) -> int:
@@ -197,12 +172,6 @@ def run_decompose(params: dict) -> int:
     print(f"max residual {out.format_float(max_res)} "
           f"({out.format_float(max_res / max(1e-300, float(np.max(np.abs(path.mixed)))))} of max |X|)")
     return _finish("decompose", params, [csv])
-
-
-def _decompose_params(args) -> dict:
-    params = _resolve_common(args)
-    params.update({"H": float(args.H), "decimation": int(args.decimation)})
-    return params
 
 
 # ------------------------------------------------------- variogram and holder
@@ -263,36 +232,13 @@ def run_holder(params: dict) -> int:
         },
     )
     files = [csv, fit_json]
-    if params.get("svg"):
+    if params["svg"]:
         files.append(out.loglog_svg(
             _out_path(params, ".svg"), variogram.lags, variogram.values,
             fit.slope, fit.intercept, fit.target,
         ))
     print(f"slope {fit.slope:.6f} target {fit.target:.6f} r_squared {fit.r_squared:.6f}")
     return _finish("holder", params, files)
-
-
-def _variogram_params(args) -> dict:
-    params = _resolve_common(args)
-    params.update({
-        "H": float(args.H),
-        "t0": float(args.t0),
-        "lags": int(args.lags),
-        "method": args.method,
-        "paths": int(args.paths),
-        "mc_refine": int(args.mc_refine),
-    })
-    return params
-
-
-def _holder_params(args) -> dict:
-    params = _variogram_params(args)
-    params.update({
-        "window_min": None if args.window_min is None else float(args.window_min),
-        "window_max": None if args.window_max is None else float(args.window_max),
-        "svg": bool(args.svg),
-    })
-    return params
 
 
 # --------------------------------------------------------------- audit-bounds
@@ -323,17 +269,6 @@ def run_audit_bounds(params: dict) -> int:
     return _finish("audit-bounds", params, [report])
 
 
-def _audit_bounds_params(args) -> dict:
-    params = _resolve_common(args)
-    params.pop("seed", None)
-    try:
-        sweep = [int(x) for x in args.n_sweep.split(",")]
-    except ValueError:
-        raise _fail(f"cannot parse --n-sweep {args.n_sweep!r}")
-    params.update({"H": float(args.H), "s": float(args.s), "t": float(args.t), "n_sweep": sweep})
-    return params
-
-
 # -------------------------------------------------------------------- wiring
 
 _RUNNERS = {
@@ -346,7 +281,9 @@ _RUNNERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built on the first call only (not at import)."""
     parser = _Parser(prog="mfbm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mfbm {__version__}")
     parser.add_argument("--manifest", default=None,
@@ -359,20 +296,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", type=float, default=None, help="upper limit (drift kernel)")
     p.add_argument("--t", type=float, default=None, help="upper limit (martingale kernel)")
     _add_common(p, "solve_kernel", with_seed=False)
-    p.set_defaults(resolve=_solve_kernel_params)
 
     p = sub.add_parser("simulate", help="simulate component paths or an ensemble summary")
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--paths", type=int, default=1)
     _add_common(p, "simulate")
-    p.set_defaults(resolve=_simulate_params)
 
     p = sub.add_parser("decompose", help="drift / martingale / innovation split of one path")
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--decimation", type=int, default=8,
                    help="solve the kernel families every this many nodes (default 8)")
     _add_common(p, "decompose")
-    p.set_defaults(resolve=_decompose_params)
 
     for name, helptext in (
         ("variogram", "second moments of drift increments over geometric lags"),
@@ -393,7 +327,6 @@ def _build_parser() -> _Parser:
                            help="largest lag in the fit (default t0 / 4)")
             p.add_argument("--svg", action="store_true", help="also write a log-log plot")
         _add_common(p, name)
-        p.set_defaults(resolve=_variogram_params if name == "variogram" else _holder_params)
 
     p = sub.add_parser("audit-bounds", help="refinement stability of the solution-bound constants")
     p.add_argument("--H", type=float, required=True)
@@ -401,28 +334,54 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=float, default=0.625)
     p.add_argument("--n-sweep", default="128,256,512,1024")
     _add_common(p, "audit_bounds", with_seed=False, with_n=False)
-    p.set_defaults(resolve=_audit_bounds_params)
 
     return parser
 
 
-def _run(command: str, params: dict) -> int:
-    """Run one subcommand on its resolved parameters, fresh or replayed."""
-    threads = params.get("threads")
-    if threads is not None and threads < 1:
-        raise _fail(f"--threads must be >= 1, got {threads}")
-    return _RUNNERS[command](params)
-
-
-def _replay(manifest_path: str) -> int:
-    manifest = out.load_manifest(manifest_path)
-    command = manifest["command"]
-    if command not in _RUNNERS:
-        raise _fail(f"manifest names unknown command {command!r}")
-    params = dict(manifest["parameters"])
-    if "method" in params and params["method"] == "monte-carlo":
+def _params(args) -> dict:
+    """The run parameters: the subcommand's parsed options, with the output
+    directory resolved, `--method monte-carlo` spelled `monte_carlo`, the
+    upper limit of solve-kernel's `--s` / `--t` as `upper` and audit-bounds'
+    `--n-sweep` as a list."""
+    params = {key: value for key, value in vars(args).items() if key not in ("command", "manifest")}
+    params["out_dir"] = str(args.out_dir if args.out_dir is not None else out.default_out_dir())
+    if params.get("method") == "monte-carlo":
         params["method"] = "monte_carlo"
-    return _run(command, params)
+    if args.command == "solve-kernel":
+        s, t = params.pop("s"), params.pop("t")
+        if (s is None) == (t is None):
+            raise _fail("pass exactly one of --s / --t")
+        params["upper"] = t if s is None else s
+    elif args.command == "audit-bounds":
+        try:
+            params["n_sweep"] = [int(x) for x in args.n_sweep.split(",")]
+        except ValueError:
+            raise _fail(f"cannot parse --n-sweep {args.n_sweep!r}")
+    return params
+
+
+def _replay_argv(manifest_path: str) -> list:
+    """The command line that a manifest's parameters spell, so that a replay
+    is parsed and validated as that command line would be."""
+    manifest = out.load_manifest(manifest_path)
+    command, params = manifest["command"], manifest["parameters"]
+    if not (isinstance(command, str) and command in _RUNNERS and isinstance(params, dict)):
+        raise _fail(f"manifest {manifest_path} needs a subcommand name and an object of parameters")
+    argv = [command]
+    for key, value in params.items():
+        if value is None or value is False:
+            continue
+        option = "--s" if key == "upper" else "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(option)
+            continue
+        if key == "n_sweep" and isinstance(value, list):
+            value = ",".join(map(str, value))
+        elif key == "method":
+            value = str(value).replace("_", "-")
+        # the = form, so that a value starting with '-' parses as a value
+        argv.append(f"{option}={value}")
+    return argv
 
 
 def main(argv=None) -> int:
@@ -430,14 +389,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.manifest is not None:
-            code = _replay(args.manifest)
-        elif args.command is None:
+            args = parser.parse_args(_replay_argv(args.manifest))
+        if args.command is None:
             parser.print_help()
-            code = 1
-        else:
-            if getattr(args, "method", None) == "monte-carlo":
-                args.method = "monte_carlo"
-            code = _run(args.command, args.resolve(args))
+            return 1
+        params = _params(args)
+        if params["threads"] is not None and params["threads"] < 1:
+            raise _fail(f"--threads must be >= 1, got {params['threads']}")
+        return _RUNNERS[args.command](params)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)
@@ -447,10 +406,10 @@ def main(argv=None) -> int:
         # OverflowError: a float power out of range, e.g. of a huge --T
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an unreadable manifest, an --out-dir that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return code
 
 
 if __name__ == "__main__":

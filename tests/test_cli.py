@@ -433,6 +433,37 @@ class TestAuditBounds:
                      "--out-dir", str(tmp_path)]) == 1
 
 
+# One run per subcommand, with the parameters its manifest must record.
+_RUNS = {
+    "solve-kernel": ["solve-kernel", "--kind", "g", "--H", "0.9", "--t", "0.75", "--n", "64"],
+    "simulate": ["simulate", "--H", "0.85", "--n", "64", "--paths", "3", "--seed", "2",
+                 "--threads", "2"],
+    "decompose": ["decompose", "--H", "0.85", "--n", "128", "--seed", "5", "--decimation", "2",
+                  "--prefix", "r1"],
+    "variogram": ["variogram", "--method", "monte-carlo", "--H", "0.85", "--n", "128",
+                  "--lags", "3", "--paths", "16", "--mc-refine", "1", "--threads", "1"],
+    "holder": ["holder", "--H", "0.85", "--n", "512", "--lags", "5",
+               "--window-min", "0.0078125", "--svg"],
+    "audit-bounds": ["audit-bounds", "--H", "0.85", "--n-sweep", "64,128"],
+}
+_PARAMETERS = {
+    "solve-kernel": {"kind": "g", "H": 0.9, "upper": 0.75, "T": 1.0, "n": 64,
+                     "prefix": "solve_kernel", "threads": None},
+    "simulate": {"H": 0.85, "paths": 3, "T": 1.0, "n": 64, "seed": 2, "prefix": "simulate",
+                 "threads": 2},
+    "decompose": {"H": 0.85, "decimation": 2, "T": 1.0, "n": 128, "seed": 5, "prefix": "r1",
+                  "threads": None},
+    "variogram": {"H": 0.85, "t0": 0.5, "lags": 3, "method": "monte_carlo", "paths": 16,
+                  "mc_refine": 1, "T": 1.0, "n": 128, "seed": 0, "prefix": "variogram",
+                  "threads": 1},
+    "holder": {"H": 0.85, "t0": 0.5, "lags": 5, "method": "reduced", "paths": 5000,
+               "mc_refine": 2, "window_min": 0.0078125, "window_max": 0.125, "svg": True,
+               "T": 1.0, "n": 512, "seed": 0, "prefix": "holder", "threads": None},
+    "audit-bounds": {"H": 0.85, "s": 0.5, "t": 0.625, "n_sweep": [64, 128], "T": 1.0,
+                     "prefix": "audit_bounds", "threads": None},
+}
+
+
 class TestReproducibility:
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         for threads, prefix in ((1, "a"), (4, "b")):
@@ -442,19 +473,33 @@ class TestReproducibility:
             assert code == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_manifest_replay_reproduces_bytes(self, tmp_path):
-        code = main(["decompose", "--H", "0.85", "--n", "128", "--seed", "5",
-                     "--decimation", "2", "--out-dir", str(tmp_path), "--prefix", "r1"])
-        assert code == 0
-        first = (tmp_path / "r1.csv").read_bytes()
-        manifest_path = tmp_path / "r1_manifest.json"
+    @pytest.mark.parametrize("argv", list(_RUNS.values()), ids=list(_RUNS))
+    def test_manifest_replay_reproduces_bytes(self, tmp_path, argv):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([*argv, "--out-dir", str(first)]) == 0
+        (manifest_path,) = first.glob("*_manifest.json")
         manifest = json.loads(manifest_path.read_text())
-        manifest["parameters"]["prefix"] = "r2"
+        manifest["parameters"]["out_dir"] = str(second)
         rewritten = tmp_path / "replay_manifest.json"
         rewritten.write_text(json.dumps(manifest))
         assert main(["--manifest", str(rewritten)]) == 0
-        second = (tmp_path / "r2.csv").read_bytes()
-        assert first == second
+        data = sorted(path.name for path in first.iterdir() if path != manifest_path)
+        assert data == sorted(path.name for path in second.iterdir() if path.name != manifest_path.name)
+        for name in data:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        replayed = json.loads((second / manifest_path.name).read_text())
+        assert replayed["command"] == manifest["command"]
+        assert replayed["parameters"] == manifest["parameters"]
+
+    @pytest.mark.parametrize("command", list(_RUNS))
+    def test_manifest_parameters(self, tmp_path, command):
+        # the parsed options, but for upper, monte_carlo, the n_sweep list
+        # and holder's resolved window
+        assert main([*_RUNS[command], "--out-dir", str(tmp_path)]) == 0
+        (manifest_path,) = tmp_path.glob("*_manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["command"] == command
+        assert manifest["parameters"] == {**_PARAMETERS[command], "out_dir": str(tmp_path)}
 
     def test_out_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
@@ -473,3 +518,48 @@ class TestReproducibility:
         assert header == "r,value"
         value_repr = first_row.split(",")[1]
         assert float(value_repr) == float(format(float(value_repr), ".17g"))
+
+
+class TestBadManifest:
+    """A replay is parsed and validated as a fresh run: bad manifests exit 1."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda manifest: manifest["parameters"].pop("H"),
+        lambda manifest: manifest.update(parameters=["H", 0.85]),
+        lambda manifest: manifest.update(command=["simulate"]),
+        lambda manifest: manifest.update(command="--help"),
+        lambda manifest: manifest["parameters"].update(bogus=1),
+        lambda manifest: manifest["parameters"].update(n="abc"),
+        lambda manifest: manifest["parameters"].update(n=64.5),
+        lambda manifest: manifest["parameters"].update(H=True),
+    ], ids=["missing-H", "parameters-list", "command-list", "command-option", "unknown-key",
+            "n-text", "n-float", "H-bool"])
+    def test_exits_one(self, tmp_path, capsys, edit):
+        record = tmp_path / "record"
+        assert main(["simulate", "--H", "0.85", "--n", "64", "--out-dir", str(record)]) == 0
+        manifest = json.loads((record / "simulate_manifest.json").read_text())
+        replay_dir = tmp_path / "replay"
+        manifest["parameters"]["out_dir"] = str(replay_dir)
+        edit(manifest)
+        path = tmp_path / "bad_manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["--manifest", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not replay_dir.exists()
+
+    def test_missing_manifest_file(self, tmp_path, capsys):
+        assert main(["--manifest", str(tmp_path / "missing.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_out_dir_below_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = main(["solve-kernel", "--kind", "L", "--H", "0.85", "--s", "0.5", "--n", "64",
+                     "--out-dir", str(tmp_path / "file" / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert [path.name for path in tmp_path.iterdir()] == ["file"]
