@@ -7,7 +7,8 @@ parameters are the parsed options (output directory and holder's fit
 window resolved).  `mfbm --manifest <file>` replays a recorded run: it
 spells the recorded parameters as a command line, then parses and
 validates that line as it would a fresh one, so a missing, unknown or
-mistyped parameter exits 1.
+mistyped parameter exits 1.  So do a manifest file that is not a JSON
+object and a subcommand given after `--manifest`.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numerical failure.
 """
@@ -389,6 +390,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.manifest is not None:
+            if args.command is not None:
+                raise _fail("--manifest replays the recorded run; pass no subcommand with it")
             args = parser.parse_args(_replay_argv(args.manifest))
         if args.command is None:
             parser.print_help()

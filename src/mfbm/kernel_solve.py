@@ -40,8 +40,10 @@ __all__ = [
 #: Max-norm residual bound for the linear solve, relative to the rhs scale.
 RESIDUAL_TOL = 1e-10
 
-#: Floats per batched FFT block of the residual check (4 MB).
-_CHUNK_FLOATS = 1 << 19
+#: The residual check's window (1 MB of floats, within a 2-MB L2 cache):
+#: the most one batched FFT block of :func:`_checked` and each of its two
+#: buffers hold, unless a single order alone needs more.
+_CHUNK_FLOATS = 1 << 17
 
 #: Max-norm residual of T_k f = e_1 at which :func:`_cg_forward` stops, far
 #: below RESIDUAL_TOL.
@@ -108,19 +110,35 @@ def toeplitz_matvec(column: np.ndarray, values: np.ndarray) -> np.ndarray:
     return product[:k]
 
 
-def _scratch(workspace: dict, dtype, count: int) -> np.ndarray:
-    """A flat array of `count` entries: a view of the buffer `workspace`
-    keeps for `dtype`, which grows at least twofold when it is too short
-    (so a small check allocates little and a pass reallocates rarely)."""
-    buffer = workspace.get(dtype)
+@dataclass
+class _CheckWorkspace:
+    """What the residual check keeps across the blocks of one
+    :func:`_checked` call: the rhs scale, the circulant symbol of the
+    current embedding size and two FFT buffers (by dtype)."""
+
+    #: max(1, max|rhs[j, :k]|) at [j, k - 1]: the running maximum of each row
+    scale: np.ndarray
+    size: int = 0
+    symbol: Optional[np.ndarray] = None
+    buffers: dict = dataclass_field(default_factory=dict)
+
+
+def _scratch(buffers: dict, dtype, count: int) -> np.ndarray:
+    """A flat array of `count` entries: a view of the buffer `buffers` keeps
+    for `dtype`.  A buffer that is too short grows at least twofold (so a
+    small check allocates little and a pass reallocates rarely), but never
+    past the check window of `_CHUNK_FLOATS` floats unless `count` alone
+    needs more."""
+    buffer = buffers.get(dtype)
     if buffer is None or buffer.size < count:
-        size = count if buffer is None else max(count, 2 * buffer.size)
-        buffer = workspace[dtype] = np.empty(size, dtype)
+        window = _CHUNK_FLOATS * np.dtype(float).itemsize // np.dtype(dtype).itemsize
+        size = count if buffer is None else max(count, min(2 * buffer.size, window))
+        buffer = buffers[dtype] = np.empty(size, dtype)
     return buffer[:count]
 
 
 def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, size: int,
-                     workspace: dict) -> None:
+                     workspace: _CheckWorkspace) -> None:
     """Raise NumericalError unless every row j of every order k in
     `solutions` has
     max|rhs[j, :k] - T_k x_k[j]| <= RESIDUAL_TOL * max(1, max|rhs[j, :k]|).
@@ -128,21 +146,23 @@ def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, size:
     `rhs` is (m, K) and `solutions` maps k to the (m, k) solutions: one
     block of :func:`_checked`, whose orders all embed in the symmetric
     circulant of length `size` (a 2**a * 3**b at least 2k - 1, so its
-    symbol is real), multiplied in one batched FFT.  The FFTs run in two
-    buffers kept in `workspace` (a dict); :func:`_checked` passes the same
-    one for every block of a call, so the buffers are not freed and
-    faulted in again for every block.
+    symbol is real), multiplied in one batched FFT.  `workspace` is the
+    one :func:`_checked` passes to every block of a call: it holds the rhs
+    scale, the symbol (made again only when `size` changes) and the two
+    FFT buffers, so these are not made again for every block.
     """
+    if workspace.size != size:
+        workspace.size, workspace.symbol = size, _circulant_symbol(column, size).real
     ks = sorted(solutions)
     m, width = rhs.shape[0], ks[-1]
     shape = (len(ks), m, size)
-    block = _scratch(workspace, float, len(ks) * m * size).reshape(shape)
+    block = _scratch(workspace.buffers, float, len(ks) * m * size).reshape(shape)
     for row, k in enumerate(ks):
         block[row, :, :k] = solutions[k]
         block[row, :, k:] = 0.0
-    spectrum = _scratch(workspace, complex, len(ks) * m * (size // 2 + 1))
+    spectrum = _scratch(workspace.buffers, complex, len(ks) * m * (size // 2 + 1))
     spectrum = np.fft.rfft(block, out=spectrum.reshape(shape[:2] + (-1,)))
-    spectrum *= _circulant_symbol(column, size).real
+    spectrum *= workspace.symbol
     product = np.fft.irfft(spectrum, n=size, out=block)
     residual = product[..., :width]
     residual -= rhs[:, :width]
@@ -153,8 +173,7 @@ def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, size:
     starts = np.arange(sizes.size) * size
     bounds = np.stack([starts, starts + sizes], axis=1).ravel()
     worst = np.maximum.reduceat(product.ravel(), bounds)[::2]
-    scale = np.maximum(1.0, np.maximum.accumulate(np.abs(rhs[:, :width]), axis=1))
-    relative = worst / scale[np.tile(np.arange(m), len(ks)), sizes - 1]
+    relative = worst / workspace.scale[np.tile(np.arange(m), len(ks)), sizes - 1]
     bad = np.flatnonzero(relative > RESIDUAL_TOL)
     if bad.size:
         raise NumericalError(
@@ -217,20 +236,24 @@ def _checked(column, rows, solved):
 
     Kept solutions are held back in blocks of consecutive orders with one
     check embedding size (`_smooth_size`, which changes only once 2k - 1
-    exceeds it), as many as fit in one batched FFT of `_CHUNK_FLOATS`
-    floats (or one order), so a failed check raises before any solution of
-    its block is handed on.  The check's FFT buffers live for the whole
-    call.
+    exceeds it), as many as keep the block's complex spectrum (m rows of
+    size // 2 + 1 entries per order, at least the m * size floats of the
+    real block) within `_CHUNK_FLOATS` floats, or one order.  So a failed
+    check raises before any solution of its block is handed on.  The rhs
+    scale is taken once per call, the circulant symbol once per embedding
+    size, and the check's FFT buffers live for the whole call.
     """
     m = rows.shape[0]
-    block, embed, workspace = {}, 0, {}
+    block, embed, order_floats = {}, 0, 0
+    workspace = _CheckWorkspace(np.maximum(1.0, np.maximum.accumulate(np.abs(rows), axis=1)))
     for k, x_k in solved:
-        if block and (embed < 2 * k - 1 or (len(block) + 1) * m * embed > _CHUNK_FLOATS):
+        if block and (embed < 2 * k - 1 or (len(block) + 1) * order_floats > _CHUNK_FLOATS):
             _check_residuals(column, rows, block, embed, workspace)
             yield from block.items()
             block = {}
         if embed < 2 * k - 1:
             embed = _smooth_size(k)
+            order_floats = m * 2 * (embed // 2 + 1)
         block[k] = x_k
     if block:
         _check_residuals(column, rows, block, embed, workspace)

@@ -77,6 +77,8 @@ def write_manifest(path, command: str, parameters: dict, outputs, version: str) 
 def load_manifest(path) -> dict:
     with open(path, encoding="utf-8") as handle:
         manifest = json.load(handle)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {path} is not a JSON object")
     for key in ("command", "parameters"):
         if key not in manifest:
             raise ValueError(f"manifest {path} lacks the {key!r} field")

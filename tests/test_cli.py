@@ -549,6 +549,29 @@ class TestBadManifest:
         assert "error:" in err and "Traceback" not in err
         assert not replay_dir.exists()
 
+    @pytest.mark.parametrize("text", ["5", "null", '"x"', "[]"],
+                             ids=["number", "null", "string", "list"])
+    def test_not_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "scalar.json"
+        path.write_text(text)
+        assert main(["--manifest", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert [entry.name for entry in tmp_path.iterdir()] == ["scalar.json"]
+
+    def test_subcommand_after_manifest(self, tmp_path, capsys):
+        record = tmp_path / "record"
+        assert main(["simulate", "--H", "0.85", "--n", "64", "--out-dir", str(record)]) == 0
+        recorded = {path.name: path.read_bytes() for path in record.iterdir()}
+        capsys.readouterr()
+        code = main(["--manifest", str(record / "simulate_manifest.json"), "decompose",
+                     "--H", "0.9", "--out-dir", str(tmp_path / "other")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert {path.name: path.read_bytes() for path in record.iterdir()} == recorded
+        assert [path.name for path in tmp_path.iterdir()] == ["record"]
+
     def test_missing_manifest_file(self, tmp_path, capsys):
         assert main(["--manifest", str(tmp_path / "missing.json")]) == 1
         err = capsys.readouterr().err

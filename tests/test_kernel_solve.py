@@ -800,6 +800,56 @@ class TestResidualCheck:
         _check(column, rows, solutions)
         assert len(calls) == len({_smooth_size(k) for k in range(1, 257)})
 
+    def test_one_symbol_per_embedding_size(self, monkeypatch):
+        # a small window, so that several blocks share an embedding size
+        monkeypatch.setattr(kernel_solve, "_CHUNK_FLOATS", 4096)
+        column, rows, solutions = _fused_solutions(range(1, 257))
+        symbols, blocks = [], []
+        symbol, check = kernel_solve._circulant_symbol, kernel_solve._check_residuals
+
+        def counting_symbol(column, size):
+            symbols.append(size)
+            return symbol(column, size)
+
+        def counting_check(*args):
+            blocks.append(args[3])
+            check(*args)
+
+        monkeypatch.setattr(kernel_solve, "_circulant_symbol", counting_symbol)
+        monkeypatch.setattr(kernel_solve, "_check_residuals", counting_check)
+        _check(column, rows, solutions)
+        assert symbols == sorted({_smooth_size(k) for k in range(1, 257)})
+        assert len(blocks) > len(symbols)
+
+
+class TestCheckWindow:
+    """The check's two buffers stay within the window of `_CHUNK_FLOATS`
+    floats, unless one order alone needs more."""
+
+    @pytest.mark.parametrize("chunk_floats", [None, 4096, 1], ids=["default", "small", "one_order"])
+    def test_all_prefix_buffers_stay_in_the_window(self, monkeypatch, chunk_floats):
+        if chunk_floats is not None:
+            monkeypatch.setattr(kernel_solve, "_CHUNK_FLOATS", chunk_floats)
+        window = kernel_solve._CHUNK_FLOATS * np.dtype(float).itemsize
+        check = kernel_solve._check_residuals
+        largest = {}
+
+        def recording(column, rhs, solutions, size, workspace):
+            check(column, rhs, solutions, size, workspace)
+            m = rhs.shape[0]
+            # the bytes one order of this block needs in each buffer
+            need = {float: m * size * 8, complex: m * (size // 2 + 1) * 16}
+            for dtype, buffer in workspace.buffers.items():
+                largest[dtype] = max(largest.get(dtype, 0), need[dtype])
+                assert buffer.nbytes <= max(window, largest[dtype])
+
+        monkeypatch.setattr(kernel_solve, "_check_residuals", recording)
+        column = SweepSolver(Grid(1.0, 1024), ALPHA85)._system
+        rows = np.array([np.random.default_rng(5).standard_normal(1024), np.ones(1024)])
+        orders = [k for k, _ in kernel_solve._prefix_solutions(column, rows, range(1, 1025))]
+        assert orders == list(range(1, 1025))
+        assert set(largest) == {float, complex}
+
 
 class TestStreamedCheck:
     """The pass checks its solutions block by block as it goes."""
