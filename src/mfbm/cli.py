@@ -212,12 +212,13 @@ def run_variogram(params: dict) -> int:
 
 def run_holder(params: dict) -> int:
     variogram = _variogram_from(params)
-    csv = _write_variogram_csv(params, variogram)
     default = default_fit_window(Grid(params["T"], params["n"]), params["t0"])
     window = (default[0] if params["window_min"] is None else params["window_min"],
               default[1] if params["window_max"] is None else params["window_max"])
     params = {**params, "window_min": window[0], "window_max": window[1]}
+    # fit before writing, so that a window the fit refuses leaves no file
     fit = fit_holder(variogram, window=window)
+    csv = _write_variogram_csv(params, variogram)
     fit_json = out.write_json(
         _out_path(params, "_fit.json"),
         {

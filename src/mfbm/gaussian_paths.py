@@ -186,12 +186,19 @@ def _amplitudes(n: int, h: float, dt: float) -> np.ndarray:
     folded in here.  The embedding of fGn is nonnegative definite for every
     H (Dietrich and Newsam 1997), so an eigenvalue below -EIG_TOL times the
     largest is a numerical failure, and rounding noise above it is clipped.
+    A largest eigenvalue that is not positive and finite is a numerical
+    failure too: at a tiny dt the autocovariance underflows to zero.
     """
     gamma = fgn_autocov(np.arange(n + 1), h, dt)
     row = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[1:n][::-1]])
     lam = np.fft.fft(row).real
-    ratio = lam.min() / lam.max()
-    if ratio < -EIG_TOL:
+    top = lam.max()
+    if not 0.0 < top < np.inf:
+        raise NumericalError(
+            f"circulant embedding has largest eigenvalue {top:.4g} (n={n}, H={h}, dt={dt:.4g})"
+        )
+    ratio = lam.min() / top
+    if not ratio >= -EIG_TOL:
         raise NumericalError(
             f"circulant embedding indefinite (n={n}, H={h}): min/max eigenvalue {ratio:.4g}"
         )

@@ -12,12 +12,12 @@ conjugate-gradient solve per kept order (:func:`_cg_forward`,
 preconditioned by a circulant, every product by FFT) and run no
 Levinson pass: at each kept order T_k^-1 follows from f_k alone
 (Gohberg-Semencul), applied to every row by FFT.  The one caller that
-keeps every order, :meth:`SweepSolver.path_functionals`, grows every f_k
-in one Levinson-Durbin pass (:func:`_forward_vectors`) and has its rows
-ride the pass (:func:`_prefix_solutions`).  Either way the solver returns
+keeps every order, :meth:`SweepSolver.path_functionals`, runs one
+Levinson-Durbin pass (:func:`_prefix_solutions`) whose every order step
+grows f_k and extends each row's solution.  Either way the solver returns
 T_k^-1 rows[:, :k] in prefix order, each solution residual-checked by FFT
-matvec before it is handed on; the sweeps reverse the drift-kernel rows
-afterwards.
+matvec (:func:`_checked`) before it is handed on; the sweeps reverse the
+drift-kernel rows afterwards.
 """
 from __future__ import annotations
 
@@ -110,19 +110,6 @@ def toeplitz_matvec(column: np.ndarray, values: np.ndarray) -> np.ndarray:
     return product[:k]
 
 
-@dataclass
-class _CheckWorkspace:
-    """What the residual check keeps across the blocks of one
-    :func:`_checked` call: the rhs scale, the circulant symbol of the
-    current embedding size and two FFT buffers (by dtype)."""
-
-    #: max(1, max|rhs[j, :k]|) at [j, k - 1]: the running maximum of each row
-    scale: np.ndarray
-    size: int = 0
-    symbol: Optional[np.ndarray] = None
-    buffers: dict = dataclass_field(default_factory=dict)
-
-
 def _scratch(buffers: dict, dtype, count: int) -> np.ndarray:
     """A flat array of `count` entries: a view of the buffer `buffers` keeps
     for `dtype`.  A buffer that is too short grows at least twofold (so a
@@ -137,32 +124,29 @@ def _scratch(buffers: dict, dtype, count: int) -> np.ndarray:
     return buffer[:count]
 
 
-def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, size: int,
-                     workspace: _CheckWorkspace) -> None:
+def _check_residuals(rhs: np.ndarray, scale: np.ndarray, solutions: dict, size: int,
+                     symbol: np.ndarray, buffers: dict) -> None:
     """Raise NumericalError unless every row j of every order k in
     `solutions` has
-    max|rhs[j, :k] - T_k x_k[j]| <= RESIDUAL_TOL * max(1, max|rhs[j, :k]|).
+    max|rhs[j, :k] - T_k x_k[j]| <= RESIDUAL_TOL * scale[j, k - 1].
 
-    `rhs` is (m, K) and `solutions` maps k to the (m, k) solutions: one
-    block of :func:`_checked`, whose orders all embed in the symmetric
-    circulant of length `size` (a 2**a * 3**b at least 2k - 1, so its
-    symbol is real), multiplied in one batched FFT.  `workspace` is the
-    one :func:`_checked` passes to every block of a call: it holds the rhs
-    scale, the symbol (made again only when `size` changes) and the two
-    FFT buffers, so these are not made again for every block.
+    `rhs` is (m, K), `scale` holds max(1, max|rhs[j, :k]|) at [j, k - 1],
+    and `solutions` maps k to the (m, k) solutions: one block of
+    :func:`_checked`, whose orders all embed in the symmetric circulant of
+    length `size` (a 2**a * 3**b at least 2k - 1) with real symbol
+    `symbol`, multiplied in one batched FFT.  The FFT runs in the two
+    buffers `buffers` keeps by dtype (see :func:`_scratch`).
     """
-    if workspace.size != size:
-        workspace.size, workspace.symbol = size, _circulant_symbol(column, size).real
     ks = sorted(solutions)
     m, width = rhs.shape[0], ks[-1]
     shape = (len(ks), m, size)
-    block = _scratch(workspace.buffers, float, len(ks) * m * size).reshape(shape)
+    block = _scratch(buffers, float, len(ks) * m * size).reshape(shape)
     for row, k in enumerate(ks):
         block[row, :, :k] = solutions[k]
         block[row, :, k:] = 0.0
-    spectrum = _scratch(workspace.buffers, complex, len(ks) * m * (size // 2 + 1))
+    spectrum = _scratch(buffers, complex, len(ks) * m * (size // 2 + 1))
     spectrum = np.fft.rfft(block, out=spectrum.reshape(shape[:2] + (-1,)))
-    spectrum *= workspace.symbol
+    spectrum *= symbol
     product = np.fft.irfft(spectrum, n=size, out=block)
     residual = product[..., :width]
     residual -= rhs[:, :width]
@@ -173,7 +157,7 @@ def _check_residuals(column: np.ndarray, rhs: np.ndarray, solutions: dict, size:
     starts = np.arange(sizes.size) * size
     bounds = np.stack([starts, starts + sizes], axis=1).ravel()
     worst = np.maximum.reduceat(product.ravel(), bounds)[::2]
-    relative = worst / workspace.scale[np.tile(np.arange(m), len(ks)), sizes - 1]
+    relative = worst / scale[np.tile(np.arange(m), len(ks)), sizes - 1]
     bad = np.flatnonzero(relative > RESIDUAL_TOL)
     if bad.size:
         raise NumericalError(
@@ -192,44 +176,6 @@ def _kept_orders(column, rows, keep) -> list:
     return keep
 
 
-def _forward_vectors(column, size):
-    """Yield (k, lag, f) for k = 1, ..., size from one Levinson-Durbin pass:
-    f[:k] is the forward vector T_k^-1 e_1 of the leading k x k block of the
-    symmetric positive definite Toeplitz T with first column `column`, and
-    lag holds column[k - 1], ..., column[1], which the step to order k read.
-
-    f is one length-`size` buffer that the next step overwrites; the
-    backward vector T_k^-1 e_k is f[k - 1::-1] because T_k is persymmetric.
-    The step writes its temporaries into a buffer made once (a ufunc's third
-    argument is its output), so it allocates no array; it rounds as
-    f = (f - eps * f[::-1]) / beta does, in the same order.  O(size**2)
-    time.  Raises NumericalError if the recursion breaks down (a diagonal
-    <= 0 or beta = 1 - eps**2 <= 0, impossible for a positive definite T).
-    Only the all-prefix consumer (:func:`_riding_solutions`) runs it; the
-    sparse solves take each kept order from :func:`_cg_forward`.
-    """
-    column = np.asarray(column, dtype=float)
-    if not column[0] > 0.0:
-        raise NumericalError(f"Toeplitz diagonal {column[0]:.3e} is not positive")
-    # lags[size - 1 - k:size - 1] is column[k], ..., column[1]
-    lags = column[size - 1:0:-1].copy()
-    f = np.zeros(size)
-    f_work = np.empty(size)
-    f[0] = 1.0 / column[0]
-    yield 1, lags[size - 1:], f
-    for k in range(1, size):
-        lag = lags[size - 1 - k:]
-        eps = float(lag.dot(f[:k]))
-        beta = 1.0 - eps * eps
-        if not beta > 0.0:
-            raise NumericalError(f"Levinson recursion broke down at order {k + 1} (beta = {beta:.3e})")
-        head, backward, work = f[: k + 1], f[k::-1], f_work[: k + 1]
-        np.multiply(backward, eps, work)
-        np.subtract(head, work, work)
-        np.divide(work, beta, head)
-        yield k + 1, lag, f
-
-
 def _checked(column, rows, solved):
     """Yield the (k, x_k) pairs of `solved` (ascending k) in order, each
     only after its residual check (see :func:`_check_residuals`) passed.
@@ -240,57 +186,26 @@ def _checked(column, rows, solved):
     size // 2 + 1 entries per order, at least the m * size floats of the
     real block) within `_CHUNK_FLOATS` floats, or one order.  So a failed
     check raises before any solution of its block is handed on.  The rhs
-    scale is taken once per call, the circulant symbol once per embedding
-    size, and the check's FFT buffers live for the whole call.
+    scale is taken once per call and the circulant symbol once per
+    embedding size, when the size changes; the check's FFT buffers live
+    for the whole call.
     """
     m = rows.shape[0]
-    block, embed, order_floats = {}, 0, 0
-    workspace = _CheckWorkspace(np.maximum(1.0, np.maximum.accumulate(np.abs(rows), axis=1)))
+    scale = np.maximum(1.0, np.maximum.accumulate(np.abs(rows), axis=1))
+    buffers, block, embed, symbol, order_floats = {}, {}, 0, None, 0
     for k, x_k in solved:
         if block and (embed < 2 * k - 1 or (len(block) + 1) * order_floats > _CHUNK_FLOATS):
-            _check_residuals(column, rows, block, embed, workspace)
+            _check_residuals(rows, scale, block, embed, symbol, buffers)
             yield from block.items()
             block = {}
         if embed < 2 * k - 1:
             embed = _smooth_size(k)
+            symbol = _circulant_symbol(column, embed).real
             order_floats = m * 2 * (embed // 2 + 1)
         block[k] = x_k
     if block:
-        _check_residuals(column, rows, block, embed, workspace)
+        _check_residuals(rows, scale, block, embed, symbol, buffers)
         yield from block.items()
-
-
-def _riding_solutions(column, rows, keep):
-    """(k, x_k) for every k in `keep`, ascending, with every row of `rows`
-    riding the forward pass: each order k extends each row's solution by
-    the Levinson x-step x += (rows[j, k - 1] - lag . x[:k - 1]) * f[k - 1::-1]."""
-    keep = _kept_orders(column, rows, keep)
-    if not keep:
-        return
-    size, m = keep[-1], rows.shape[0]
-    # rhs[k] is the column rows[:, k]
-    rhs = rows[:, :size].T.copy()
-    x = np.zeros((m, size))
-    x_rows = list(x)  # views of the rows of x, made once
-    # The x-step writes into buffers made once per pass; it rounds as
-    # x += gap * f[::-1] does.
-    x_work = np.empty((m, size))
-    gap = np.empty((m, 1))
-    wanted = set(keep)
-    for k, lag, f in _forward_vectors(column, size):
-        if k == 1:
-            x[:, 0] = rows[:, 0] * f[0]
-        else:
-            # One dot product per row: the bits of a matrix-vector product
-            # may depend on how many rows are stacked.
-            rhs_k = rhs[k - 1]
-            for j, x_j in enumerate(x_rows):
-                gap[j, 0] = rhs_k[j] - lag.dot(x_j[:k - 1])
-            head, work = x[:, :k], x_work[:, :k]
-            np.multiply(gap, f[k - 1::-1], work)
-            head += work
-        if k in wanted:
-            yield k, x[:, :k].copy()
 
 
 def _prefix_solutions(column, rows, keep):
@@ -299,17 +214,63 @@ def _prefix_solutions(column, rows, keep):
     Levinson-Durbin pass.
 
     This is the solver for callers that keep (nearly) every order, as
-    :meth:`SweepSolver.path_functionals` does: at O(m K) extra work per
-    order, the x-step is cheaper than solving each kept order afresh.
-    `column` is the first column of a symmetric positive definite Toeplitz
-    matrix T; `rows` is a stack of m right-hand sides (m, K).  Each row
-    keeps its own dot product, so its solutions are bit-identical to a pass
-    over that row alone.  x_k is a new (m, k) array, every row in prefix
-    order.  Every yielded solution is residual-checked (see
-    :func:`_checked`), and a failed check raises before the generator
-    finishes.  O(m K**2) time, O(m K) work space plus one block.
+    :meth:`SweepSolver.path_functionals` does.  `column` is the first
+    column of a symmetric positive definite Toeplitz matrix T; `rows` is a
+    stack of m right-hand sides (m, K).  The step to order k + 1 grows the
+    forward vector f = T_k^-1 e_1 to f_(k+1) (the backward vector is
+    f[k::-1] because T is persymmetric), then extends each row's solution
+    by x += (rows[j, k] - lag . x[:k]) * f[k::-1] with lag = column[k],
+    ..., column[1]: O(m K) extra work per order, cheaper than solving each
+    kept order afresh.  Both steps write their temporaries into buffers
+    made once per pass (a ufunc's third argument is its output), and round
+    as f = (f - eps * f[::-1]) / beta and x += gap * f[::-1] do, in the
+    same order.  Each row keeps its own dot product (the bits of a
+    matrix-vector product may depend on how many rows are stacked), so its
+    solutions are bit-identical to a pass over that row alone.  x_k is a
+    new (m, k) array, every row in prefix order, yielded only after its
+    residual check (see :func:`_checked`).  O(m K**2) time, O(m K) work
+    space plus one check block.  Raises NumericalError if the recursion
+    breaks down (a diagonal <= 0 or beta = 1 - eps**2 <= 0, impossible for
+    a positive definite T).
     """
-    return _checked(column, rows, _riding_solutions(column, rows, keep))
+    keep = _kept_orders(column, rows, keep)
+    if not keep:
+        return
+    column = np.asarray(column, dtype=float)
+    if not column[0] > 0.0:
+        raise NumericalError(f"Toeplitz diagonal {column[0]:.3e} is not positive")
+    size, m = keep[-1], rows.shape[0]
+    # lags[size - 1 - k:] is column[k], ..., column[1]
+    lags = column[size - 1:0:-1].copy()
+    f, f_work = np.zeros(size), np.empty(size)
+    x, x_work = np.zeros((m, size)), np.empty((m, size))
+    x_rows = list(x)  # views of the rows of x, made once
+    gap = np.empty((m, 1))
+    wanted = set(keep)
+    f[0] = 1.0 / column[0]
+    x[:, 0] = rows[:, 0] * f[0]
+
+    def solved():
+        for k in range(size):
+            if k:
+                lag = lags[size - 1 - k:]
+                eps = float(lag.dot(f[:k]))
+                beta = 1.0 - eps * eps
+                if not beta > 0.0:
+                    raise NumericalError(f"Levinson recursion broke down at order {k + 1} (beta = {beta:.3e})")
+                head, backward, work = f[:k + 1], f[k::-1], f_work[:k + 1]
+                np.multiply(backward, eps, work)
+                np.subtract(head, work, work)
+                np.divide(work, beta, head)
+                for j, x_j in enumerate(x_rows):
+                    gap[j, 0] = rows[j, k] - lag.dot(x_j[:k])
+                head, work = x[:, :k + 1], x_work[:, :k + 1]
+                np.multiply(gap, backward, work)
+                head += work
+            if k + 1 in wanted:
+                yield k + 1, x[:, :k + 1].copy()
+
+    yield from _checked(column, rows, solved())
 
 
 def _gohberg_semencul(f, rows):
@@ -541,7 +502,7 @@ class SweepSolver:
     against `RESIDUAL_TOL` in prefix order, as the solvers return it; a
     drift-kernel field is its solution reversed after the check.  Only
     :meth:`path_functionals`, which keeps every order, runs a
-    Levinson-Durbin pass, and has its rows ride it.  It owns W: the single
+    Levinson-Durbin pass (:func:`_prefix_solutions`).  It owns W: the single
     solves (:func:`solve_q`, :func:`solve_D`) take the solver, not a grid,
     exponent and W.
     """

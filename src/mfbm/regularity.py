@@ -297,12 +297,12 @@ def fit_holder(variogram: Variogram, window: Optional[Tuple[float, float]] = Non
     """Ordinary least squares of log V against log lag inside the window.
 
     The reference slope is 4H - 3 (twice the pathwise smoothness order).
-    Requires at least 4 lags inside the window.
+    Requires a finite window 0 < lo < hi with at least 4 lags inside it.
     """
     if window is None:
         window = default_fit_window(Grid(variogram.horizon, variogram.grid_cells), variogram.base_point)
     lo, hi = float(window[0]), float(window[1])
-    if not 0.0 < lo < hi:
+    if not 0.0 < lo < hi < np.inf:
         raise ValueError(f"degenerate fit window ({lo}, {hi})")
     tol = 1e-12 * max(hi, 1.0)
     mask = (variogram.lags >= lo - tol) & (variogram.lags <= hi + tol)

@@ -85,9 +85,11 @@ class TestBadInput:
         assert "Traceback" not in err and "horizon" in err
         assert not list(tmp_path.iterdir())
 
+    # at 1e-300 the fBm autocovariance underflows to zero
+    @pytest.mark.parametrize("horizon", ["1e300", "1e-300"])
     @pytest.mark.parametrize("command", [["simulate", "--H", "0.85"], ["decompose", "--H", "0.85"]])
-    def test_huge_horizon_is_a_numerical_failure(self, tmp_path, capsys, command):
-        code = main([*command, "--T", "1e300", "--n", "64", "--out-dir", str(tmp_path)])
+    def test_huge_horizon_is_a_numerical_failure(self, tmp_path, capsys, command, horizon):
+        code = main([*command, "--T", horizon, "--n", "64", "--out-dir", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "numerical failure" in err
@@ -101,6 +103,19 @@ class TestBadInput:
         assert code == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and f"t0={base_point} is not a grid node" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("window", [
+        ["--window-min", "0.5", "--window-max", "0.1"],
+        ["--window-min", "nan"],
+        ["--window-max", "inf"],
+        ["--lags", "3"],
+    ], ids=["reversed", "nan", "inf", "too_few_lags"])
+    def test_bad_fit_window_writes_nothing(self, tmp_path, capsys, window):
+        code = main(["holder", "--H", "0.85", "--n", "1024", *window, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "window" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("n, refine", [("256", "4096"), ("4096", "1000"), ("4096", "3"), ("2048", "5")])

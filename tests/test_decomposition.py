@@ -164,12 +164,12 @@ class TestDualPass:
             monkeypatch.setattr(kernel_solve, "_CHUNK_FLOATS", chunk_floats)
         check = kernel_solve._check_residuals
 
-        def perturbed(column, rhs, solutions, *args):
+        def perturbed(rhs, scale, solutions, *args):
             if k in solutions:
                 # twice the bound in the perturbed entry's own residual
-                scale = max(1.0, float(np.max(np.abs(rhs[row, :k]))))
-                solutions[k][row, k - 1] += 2.0 * RESIDUAL_TOL * scale / column[0]
-            check(column, rhs, solutions, *args)
+                bound = RESIDUAL_TOL * scale[row, k - 1]
+                solutions[k][row, k - 1] += 2.0 * bound / sweep._system[0]
+            check(rhs, scale, solutions, *args)
 
         monkeypatch.setattr(kernel_solve, "_check_residuals", perturbed)
         path = simulate(Grid(1.0, 256), 0.85, 5)

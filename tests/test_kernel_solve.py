@@ -497,23 +497,6 @@ class TestForwardVectorSolve:
             v = sweep._drift_rhs(k)
             assert np.array_equal(values, _sparse_solutions(sweep._system, v[None], [k])[k][0][::-1]), k
 
-    def test_sparse_solves_take_no_riding_rows(self, monkeypatch):
-        riding = []
-        original = kernel_solve._riding_solutions
-
-        def recording(*args):
-            riding.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(kernel_solve, "_riding_solutions", recording)
-        sweep = SweepSolver(Grid(1.0, 128), ALPHA85)
-        l_fields, _ = sweep.L_g_sweep([32, 96])
-        solve_q(sweep, 64, np.cos)
-        solve_D(sweep, 32, l_fields[96])
-        assert riding == []
-        sweep.path_functionals(np.ones(128), range(1, 129))
-        assert len(riding) == 1
-
 
 class TestEverySolutionChecked:
     """A wrong entry in one Gohberg-Semencul product at one kept order is
@@ -617,10 +600,12 @@ class TestConjugateGradientForward:
     @pytest.mark.parametrize("h", (*H_CORE, 0.7501))
     def test_matches_levinson_forward_vectors(self, h):
         column = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))._system
-        wanted = set(CG_ORDERS)
-        levinson = {k: f[:k].copy() for k, _, f in kernel_solve._forward_vectors(column, 256) if k in wanted}
+        first = np.zeros((1, 256))
+        first[0, 0] = 1.0
+        # the Levinson solutions of T_k f = e_1 are the forward vectors
+        levinson = {k: f[0] for k, f in kernel_solve._prefix_solutions(column, first, CG_ORDERS)}
         for k in CG_ORDERS:
-            # at most 1.2e-15 (relative) was measured over these orders
+            # at most 1.06e-15 (relative) was measured over these orders
             scale = np.max(np.abs(levinson[k]))
             assert np.max(np.abs(kernel_solve._cg_forward(column, k) - levinson[k])) <= 4e-15 * scale, k
 
@@ -648,13 +633,13 @@ class TestConjugateGradientForward:
 
     def test_sparse_solves_run_no_levinson_pass(self, monkeypatch):
         passes = []
-        forward = kernel_solve._forward_vectors
+        original = kernel_solve._prefix_solutions
 
-        def counting(column, size):
-            passes.append(size)
-            return forward(column, size)
+        def recording(column, rows, keep):
+            passes.append(sorted(keep))
+            return original(column, rows, keep)
 
-        monkeypatch.setattr(kernel_solve, "_forward_vectors", counting)
+        monkeypatch.setattr(kernel_solve, "_prefix_solutions", recording)
         sweep = SweepSolver(Grid(1.0, 128), ALPHA85)
         l_fields = sweep.L_g_sweep([32, 96], extra_rhs=np.ones((1, 96)))[0]
         sweep.L_sweep([17, 128])
@@ -663,7 +648,7 @@ class TestConjugateGradientForward:
         solve_D(sweep, 32, l_fields[96])
         assert passes == []
         sweep.path_functionals(np.ones(128), range(1, 129))
-        assert passes == [128]
+        assert passes == [list(range(1, 129))]
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(kernel_solve, "_CG_MAX_ITER", 1)
@@ -811,9 +796,9 @@ class TestResidualCheck:
             symbols.append(size)
             return symbol(column, size)
 
-        def counting_check(*args):
-            blocks.append(args[3])
-            check(*args)
+        def counting_check(rhs, scale, solutions, size, *args):
+            blocks.append(size)
+            check(rhs, scale, solutions, size, *args)
 
         monkeypatch.setattr(kernel_solve, "_circulant_symbol", counting_symbol)
         monkeypatch.setattr(kernel_solve, "_check_residuals", counting_check)
@@ -834,12 +819,12 @@ class TestCheckWindow:
         check = kernel_solve._check_residuals
         largest = {}
 
-        def recording(column, rhs, solutions, size, workspace):
-            check(column, rhs, solutions, size, workspace)
+        def recording(rhs, scale, solutions, size, symbol, buffers):
+            check(rhs, scale, solutions, size, symbol, buffers)
             m = rhs.shape[0]
             # the bytes one order of this block needs in each buffer
             need = {float: m * size * 8, complex: m * (size // 2 + 1) * 16}
-            for dtype, buffer in workspace.buffers.items():
+            for dtype, buffer in buffers.items():
                 largest[dtype] = max(largest.get(dtype, 0), need[dtype])
                 assert buffer.nbytes <= max(window, largest[dtype])
 
@@ -849,6 +834,31 @@ class TestCheckWindow:
         orders = [k for k, _ in kernel_solve._prefix_solutions(column, rows, range(1, 1025))]
         assert orders == list(range(1, 1025))
         assert set(largest) == {float, complex}
+
+    def test_all_prefix_pass_reuses_its_buffers(self, monkeypatch):
+        # a buffer grows at least twofold up to the window, so the pass's
+        # many blocks share about log2(window / first block) buffers of each
+        # dtype; a buffer made per block would give one per block
+        check = kernel_solve._check_residuals
+        seen = {float: [], complex: []}  # every buffer, kept alive so no id is reused
+
+        def recording(rhs, scale, solutions, size, symbol, buffers):
+            check(rhs, scale, solutions, size, symbol, buffers)
+            assert set(buffers) == {float, complex}
+            for dtype, buffer in buffers.items():
+                seen[dtype].append(buffer)
+
+        monkeypatch.setattr(kernel_solve, "_check_residuals", recording)
+        column = SweepSolver(Grid(1.0, 1024), ALPHA85)._system
+        rows = np.array([np.random.default_rng(5).standard_normal(1024), np.ones(1024)])
+        for _ in kernel_solve._prefix_solutions(column, rows, range(1, 1025)):
+            pass
+        blocks = len(seen[float])
+        for dtype, buffers in seen.items():
+            distinct = list({id(buffer): buffer for buffer in buffers}.values())
+            sizes = [buffer.size for buffer in distinct]
+            assert len(distinct) <= 2 + np.log2(sizes[-1] / sizes[0]), (dtype, sizes)
+            assert blocks >= 3 * len(distinct), (dtype, blocks, sizes)
 
 
 class TestStreamedCheck:
@@ -862,9 +872,9 @@ class TestStreamedCheck:
         blocks = []
         check = kernel_solve._check_residuals
 
-        def recording(column, rhs, solutions, *args):
+        def recording(rhs, scale, solutions, *args):
             blocks.append(sorted(solutions))
-            check(column, rhs, solutions, *args)
+            check(rhs, scale, solutions, *args)
 
         monkeypatch.setattr(kernel_solve, "_check_residuals", recording)
         column, rows, solutions = _fused_solutions(keep)

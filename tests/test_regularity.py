@@ -321,32 +321,24 @@ class TestBoundAudits:
                 audit_lemma_bounds(Alpha.from_h(0.85), s, t, sweep)
 
     def test_cg_solves_per_size(self, monkeypatch):
-        passes, solves, riding = [], [], []
-        forward, solve = kernel_solve._forward_vectors, kernel_solve._cg_forward
-        ride = kernel_solve._riding_solutions
-
-        def counting(column, size):
-            passes.append(size)
-            return forward(column, size)
+        passes, solves = [], []
+        solve, levinson = kernel_solve._cg_forward, kernel_solve._prefix_solutions
 
         def solving(column, k):
             solves.append(k)
             return solve(column, k)
 
         def recording(*args):
-            riding.append(args)
-            return ride(*args)
+            passes.append(args)
+            return levinson(*args)
 
-        monkeypatch.setattr(kernel_solve, "_forward_vectors", counting)
         monkeypatch.setattr(kernel_solve, "_cg_forward", solving)
-        monkeypatch.setattr(kernel_solve, "_riding_solutions", recording)
+        monkeypatch.setattr(kernel_solve, "_prefix_solutions", recording)
         audit_lemma_bounds(Alpha.from_h(0.85), 0.5, 0.625, [64, 128, 256, 512])
         # per size: one solve each at s and t serves L, g and part iii, and
-        # one more at s the difference kernel; no Levinson pass runs and no
-        # row rides one
+        # one more at s the difference kernel; no Levinson pass runs
         assert solves == [k for n in (64, 128, 256, 512) for k in (n // 2, 5 * n // 8, n // 2)]
         assert passes == []
-        assert riding == []
 
 
 class TestMcMachinery:
