@@ -20,13 +20,11 @@ from .quadrature import (
 from .kernel_solve import (
     KernelField,
     SweepSolver,
-    check_L_from_g,
     solve_D,
     solve_q,
 )
 from .gaussian_paths import (
     SamplePath,
-    fbm_cov,
     fgn_autocov,
     restrict,
     simulate,
@@ -63,11 +61,9 @@ __all__ = [
     "riesz_moment",
     "KernelField",
     "SweepSolver",
-    "check_L_from_g",
     "solve_D",
     "solve_q",
     "SamplePath",
-    "fbm_cov",
     "fgn_autocov",
     "restrict",
     "simulate",

@@ -407,7 +407,7 @@ def main(argv=None) -> int:
             return 1
         return 0 if exc.code is None else int(exc.code)
     except (NumericalError, OverflowError) as exc:
-        # OverflowError: a float power out of range, e.g. of a huge --T
+        # OverflowError: a backstop for a float power out of range that no check names
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

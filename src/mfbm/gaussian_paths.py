@@ -20,7 +20,6 @@ from .quadrature import Grid
 
 __all__ = [
     "SamplePath",
-    "fbm_cov",
     "fgn_autocov",
     "simulate",
     "simulate_ensemble",
@@ -38,20 +37,6 @@ BLOCK = 64
 
 #: Relative eigenvalue floor below which the embedding is declared invalid.
 EIG_TOL = 1e-9
-
-
-def fbm_cov(s, t, h: float):
-    """Covariance of the long-memory component:
-    0.5 * (t**2H + s**2H - |t - s|**2H)."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(s < 0.0) or np.any(t < 0.0):
-        raise ValueError("times must be nonnegative")
-    if not 0.0 < h <= 1.0:
-        raise ValueError(f"H must be in (0, 1], got {h}")
-    two_h = 2.0 * h
-    out = 0.5 * (t ** two_h + s ** two_h - np.abs(t - s) ** two_h)
-    return out if out.ndim else float(out)
 
 
 def fgn_autocov(k, h: float, dt: float = 1.0):
@@ -187,9 +172,15 @@ def _amplitudes(n: int, h: float, dt: float) -> np.ndarray:
     H (Dietrich and Newsam 1997), so an eigenvalue below -EIG_TOL times the
     largest is a numerical failure, and rounding noise above it is clipped.
     A largest eigenvalue that is not positive and finite is a numerical
-    failure too: at a tiny dt the autocovariance underflows to zero.
+    failure too: at a tiny dt the autocovariance underflows to zero.  At a
+    huge dt its dt**2H overflows, which is one as well.
     """
-    gamma = fgn_autocov(np.arange(n + 1), h, dt)
+    try:
+        gamma = fgn_autocov(np.arange(n + 1), h, dt)
+    except OverflowError:
+        raise NumericalError(
+            f"fGn autocovariance overflows: dt**2H is out of range (n={n}, H={h}, dt={dt:.4g})"
+        ) from None
     row = np.concatenate([gamma[:n], gamma[n:n + 1], gamma[1:n][::-1]])
     lam = np.fft.fft(row).real
     top = lam.max()

@@ -34,7 +34,6 @@ __all__ = [
     "SweepSolver",
     "solve_q",
     "solve_D",
-    "check_L_from_g",
 ]
 
 #: Max-norm residual bound for the linear solve, relative to the rhs scale.
@@ -158,7 +157,8 @@ def _check_residuals(rhs: np.ndarray, scale: np.ndarray, solutions: dict, size: 
     bounds = np.stack([starts, starts + sizes], axis=1).ravel()
     worst = np.maximum.reduceat(product.ravel(), bounds)[::2]
     relative = worst / scale[np.tile(np.arange(m), len(ks)), sizes - 1]
-    bad = np.flatnonzero(relative > RESIDUAL_TOL)
+    # NaN-safe: a NaN or inf in a solution or a rhs fails the check
+    bad = np.flatnonzero(~(relative <= RESIDUAL_TOL))
     if bad.size:
         raise NumericalError(
             f"linear solve residual {relative[bad[0]]:.3e} (relative) exceeds "
@@ -541,6 +541,8 @@ class SweepSolver:
             if extra_rhs.ndim != 2 or extra_rhs.shape[1] < size:
                 raise ValueError(f"extra_rhs must be an (m, K) stack with K >= {size}, "
                                  f"got shape {extra_rhs.shape}")
+            if not np.all(np.isfinite(extra_rhs[:, :size])):
+                raise ValueError("extra_rhs must be finite at all collocation midpoints")
             rows.extend(extra_rhs[:, :size])
         solutions = _sparse_solutions(self._system, np.array(rows), indices)
         fields = tuple(
@@ -620,31 +622,3 @@ class SweepSolver:
             m_values[pos] = z.sum()
             diagonal[pos] = 1.0 - self.alpha.coeff * float(moments[k - 1::-1] @ y)
         return phi, m_values, diagonal
-
-
-def check_L_from_g(sweep: SweepSolver, s_index: int, dt: float) -> float:
-    """Max relative mismatch between the drift kernel and its defining identity.
-
-    The drift kernel equals the upper-limit derivative of the martingale
-    kernel scaled by its diagonal value; this compares the drift-kernel
-    field at s against the central finite difference
-    (g(r, s+dt) - g(r, s-dt)) / (2 dt g(s, s)) on interior midpoints
-    r <= 0.9 s, all from one sweep of `sweep`.
-    """
-    grid, k = sweep.grid, int(s_index)
-    step = int(round(dt / grid.h))
-    if step < 1 or abs(step * grid.h - dt) > 1e-9 * grid.h:
-        raise ValueError(f"dt={dt} is not a positive multiple of the grid spacing")
-    if k - step < 1 or k + step > grid.cells:
-        raise ValueError("dt pushes the shifted upper limits off the grid")
-    l_fields, g_fields = sweep.L_g_sweep([k - step, k, k + step])
-    g_plus, g_minus, g_mid = g_fields[k + step], g_fields[k - step], g_fields[k]
-    l_ref = l_fields[k]
-    s = float(grid.nodes[k])
-    g_ss = sweep.g_diagonal({k: g_mid})[k]
-    if g_ss <= 0.0:
-        raise NumericalError(f"g(s, s) = {g_ss} is not positive")
-    n_keep = np.searchsorted(grid.midpoints[: k - step], 0.9 * s, side="right")
-    fd = (g_plus.values[:n_keep] - g_minus.values[:n_keep]) / (2.0 * step * grid.h * g_ss)
-    ref = l_ref.values[:n_keep]
-    return float(np.max(np.abs(fd - ref) / np.abs(ref)))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Alpha",
@@ -151,10 +152,12 @@ class WeightMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The dense n x n table, built on first access (a test and tracing aid)."""
-        from scipy.linalg import toeplitz
+        """The dense n x n table, built on first access (a test and tracing aid).
 
-        return toeplitz(self.column)
+        Row i is the length-n window of (c[n-1], ..., c[1], c[0], ..., c[n-1])
+        that starts at n - 1 - i."""
+        mirrored = np.concatenate([self.column[:0:-1], self.column])
+        return sliding_window_view(mirrored, self.column.size)[::-1].copy()
 
 
 def build_weight_matrix(grid: Grid, alpha: Alpha) -> WeightMatrix:

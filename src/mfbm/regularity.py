@@ -304,8 +304,9 @@ def fit_holder(variogram: Variogram, window: Optional[Tuple[float, float]] = Non
     lo, hi = float(window[0]), float(window[1])
     if not 0.0 < lo < hi < np.inf:
         raise ValueError(f"degenerate fit window ({lo}, {hi})")
-    tol = 1e-12 * max(hi, 1.0)
-    mask = (variogram.lags >= lo - tol) & (variogram.lags <= hi + tol)
+    # each bound is padded relative to itself, so a huge hi pulls in no lag below lo
+    mask = ((variogram.lags >= lo - 1e-12 * max(lo, 1.0))
+            & (variogram.lags <= hi + 1e-12 * max(hi, 1.0)))
     if int(mask.sum()) < 4:
         raise ValueError(f"need >= 4 lags inside the window, found {int(mask.sum())}")
     if np.any(variogram.values[mask] <= 0.0):

@@ -10,8 +10,8 @@ import pytest
 
 from mfbm.cli import main as cli_main
 from mfbm.quadrature import Alpha, Grid
-from mfbm.kernel_solve import SweepSolver, check_L_from_g
-from mfbm.gaussian_paths import fbm_cov, restrict, simulate, simulate_ensemble
+from mfbm.kernel_solve import SweepSolver
+from mfbm.gaussian_paths import restrict, simulate, simulate_ensemble
 from mfbm.decomposition import decompose
 from mfbm.regularity import (
     audit_lemma_bounds,
@@ -22,6 +22,7 @@ from mfbm.regularity import (
     second_moment_gram,
     second_moment_reduced,
 )
+from oracles import check_L_from_g, fbm_cov
 
 
 def report(number: int, ok: bool, detail: str):

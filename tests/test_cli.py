@@ -85,14 +85,26 @@ class TestBadInput:
         assert "Traceback" not in err and "horizon" in err
         assert not list(tmp_path.iterdir())
 
-    # at 1e-300 the fBm autocovariance underflows to zero
+    # the fBm autocovariance's dt**2H overflows at 1e300 and underflows to zero at 1e-300
     @pytest.mark.parametrize("horizon", ["1e300", "1e-300"])
-    @pytest.mark.parametrize("command", [["simulate", "--H", "0.85"], ["decompose", "--H", "0.85"]])
+    @pytest.mark.parametrize("command", [["simulate", "--H", "0.85"], ["decompose", "--H", "0.85"],
+                                         ["simulate", "--H", "0.85", "--paths", "3"]])
     def test_huge_horizon_is_a_numerical_failure(self, tmp_path, capsys, command, horizon):
         code = main([*command, "--T", horizon, "--n", "64", "--out-dir", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "numerical failure" in err
+        assert "Traceback" not in err and "numerical failure" in err and "dt=" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("horizon, base_point", [("1e300", "5e299"), ("1e-300", "5e-301")])
+    def test_huge_horizon_monte_carlo_variogram_is_a_numerical_failure(self, tmp_path, capsys,
+                                                                       horizon, base_point):
+        code = main(["variogram", "--method", "monte-carlo", "--H", "0.85", "--n", "256",
+                     "--lags", "4", "--paths", "100", "--T", horizon, "--t0", base_point,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "numerical failure" in err and "dt=" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("base_point", ["nan", "inf"])
@@ -290,14 +302,79 @@ class TestContract:
         assert "Traceback" not in err.getvalue(), argv
 
 
-def test_cli_import_loads_no_scipy():
-    # Start-up cost: scipy is only for tests and the benchmark tracer.
+def _run_python(probe, *args):
+    """Run `probe` in a fresh interpreter that imports mfbm from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, mfbm.cli; print('scipy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, check=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+
+
+def test_cli_import_loads_no_scipy():
+    # The package depends on NumPy alone; SciPy is only a test oracle and a
+    # version the benchmark records.
+    result = _run_python("import sys, mfbm.cli; print('scipy' in sys.modules)")
     assert result.stdout.strip() == "False"
+
+
+# The console-script step of the CI workflow, which runs after SciPy is
+# uninstalled: every run, then a replay of each manifest into another
+# directory.
+_CONSOLE_SCRIPT_RUNS = [
+    ["--version"],
+    ["simulate", "--H", "0.85", "--n", "64"],
+    ["audit-bounds", "--H", "0.85", "--s", "0.5", "--t", "0.625", "--n-sweep", "128,256"],
+    ["decompose", "--H", "0.85", "--n", "256", "--decimation", "1"],
+    ["solve-kernel", "--kind", "L", "--H", "0.85", "--s", "0.5", "--n", "256"],
+    ["solve-kernel", "--kind", "g", "--H", "0.85", "--t", "0.5", "--n", "256", "--prefix", "solve_kernel_g"],
+    ["variogram", "--method", "gram", "--H", "0.85", "--n", "256", "--lags", "4"],
+    ["variogram", "--method", "monte-carlo", "--H", "0.85", "--n", "256", "--lags", "4", "--paths", "300",
+     "--prefix", "variogram_mc"],
+    ["holder", "--H", "0.85", "--n", "1024", "--lags", "6", "--window-min", "0.0078125", "--svg"],
+]
+
+_NO_SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+sys.modules["scipy"] = None
+import numpy as np
+from mfbm.cli import main
+from mfbm.quadrature import Alpha, Grid, build_weight_matrix
+
+out = Path(sys.argv[1])
+for n in json.loads(sys.argv[2]):
+    np.save(out / f"entries_{n}.npy", build_weight_matrix(Grid(1.0, n), Alpha.from_h(0.85)).entries)
+first, replay = out / "first", out / "replay"
+codes = [main(argv if argv == ["--version"] else [*argv, "--out-dir", str(first)])
+         for argv in json.loads(sys.argv[3])]
+for manifest in sorted(first.glob("*_manifest.json")):
+    parsed = json.loads(manifest.read_text())
+    parsed["parameters"]["out_dir"] = str(replay)
+    rewritten = out / manifest.name
+    rewritten.write_text(json.dumps(parsed))
+    codes.append(main(["--manifest", str(rewritten)]))
+print(json.dumps(codes))
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    from scipy.linalg import toeplitz
+
+    from mfbm.quadrature import Alpha, Grid, build_weight_matrix
+
+    sizes = [2, 3, 64, 1024]
+    result = _run_python(_NO_SCIPY_PROBE, str(tmp_path), json.dumps(sizes), json.dumps(_CONSOLE_SCRIPT_RUNS))
+    codes = json.loads(result.stdout.strip().splitlines()[-1])
+    manifests = sorted(p.name for p in (tmp_path / "first").glob("*_manifest.json"))
+    assert len(manifests) == len(_CONSOLE_SCRIPT_RUNS) - 1
+    assert codes == [0] * (len(_CONSOLE_SCRIPT_RUNS) + len(manifests)), result.stderr
+    for path in (tmp_path / "first").iterdir():
+        if not path.name.endswith("_manifest.json"):
+            assert path.read_bytes() == (tmp_path / "replay" / path.name).read_bytes(), path.name
+    for n in sizes:
+        column = build_weight_matrix(Grid(1.0, n), Alpha.from_h(0.85)).column
+        entries = np.load(tmp_path / f"entries_{n}.npy")
+        assert entries.tobytes() == toeplitz(column).tobytes() and entries.shape == (n, n)
 
 
 class TestCsvWriter:

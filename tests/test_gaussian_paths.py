@@ -9,12 +9,12 @@ import mfbm.gaussian_paths as gp
 from mfbm.exceptions import NumericalError
 from mfbm.quadrature import Grid
 from mfbm.gaussian_paths import (
-    fbm_cov,
     fgn_autocov,
     restrict,
     simulate,
     simulate_ensemble,
 )
+from oracles import fbm_cov
 
 
 class TestCovariance:

@@ -22,10 +22,10 @@ from mfbm.kernel_solve import (
     _smooth_size,
     _tail_integral,
     toeplitz_matvec,
-    check_L_from_g,
     solve_D,
     solve_q,
 )
+from oracles import check_L_from_g
 
 ALPHA0 = Alpha(0.0)
 ALPHA85 = Alpha.from_h(0.85)
@@ -428,6 +428,20 @@ class TestFusedPass:
         with pytest.raises(ValueError, match="extra_rhs"):
             sweep512.L_g_sweep([128, 160], extra_rhs=np.ones(shape))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_extra_rows_must_be_finite(self, sweep512, value):
+        extra = np.ones((2, 96))
+        extra[1, 40] = value
+        with pytest.raises(ValueError, match="extra_rhs must be finite"):
+            sweep512.L_g_sweep([32, 96], extra_rhs=extra)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_increment_fails_the_residual_check(self, sweep512, value):
+        increments = np.full(128, 0.01)
+        increments[40] = value
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="residual"):
+            sweep512.path_functionals(increments, range(1, 129))
+
     def test_smooth_sizes_are_minimal(self):
         smooth = [n for n in range(2, 2400) if _is_3_smooth(n)]
         for k in range(1, 600):
@@ -755,7 +769,8 @@ class TestResidualCheck:
     @pytest.mark.parametrize("k", BOUNDARY_SIZES)
     @pytest.mark.parametrize("row", [0, 1], ids=["L", "g"])
     @pytest.mark.parametrize("position", ["first", "last"])
-    def test_perturbed_entry_raises(self, monkeypatch, chunk_floats, k, row, position):
+    @pytest.mark.parametrize("perturbation", ["twice_the_bound", "nan", "inf"])
+    def test_perturbed_entry_raises(self, monkeypatch, chunk_floats, k, row, position, perturbation):
         if chunk_floats is not None:
             monkeypatch.setattr(kernel_solve, "_CHUNK_FLOATS", chunk_floats)
         keep = sorted({*BOUNDARY_SIZES, k - 1, k + 1, 256})
@@ -765,11 +780,15 @@ class TestResidualCheck:
         scale = max(1.0, float(np.max(np.abs(rows[row, :k]))))
         bad = dict(solutions)
         bad[k] = solutions[k].copy()
-        # twice the bound in the perturbed entry's own residual; the other
-        # residual entries move by at most column[1] / column[0] (about 1 %)
-        # of that, so only the entry itself can trip the check
-        bad[k][row, entry] += 2.0 * RESIDUAL_TOL * scale / column[0]
-        with pytest.raises(NumericalError, match=f"block size {k}$"):
+        if perturbation == "twice_the_bound":
+            # twice the bound in the perturbed entry's own residual; the other
+            # residual entries move by at most column[1] / column[0] (about 1 %)
+            # of that, so only the entry itself can trip the check
+            bad[k][row, entry] += 2.0 * RESIDUAL_TOL * scale / column[0]
+        else:
+            # a non-finite entry makes its row's residual NaN or inf
+            bad[k][row, entry] = float(perturbation)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=f"block size {k}$"):
             _check(column, rows, bad)
 
 

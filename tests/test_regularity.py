@@ -277,6 +277,14 @@ class TestHolderFit:
         with pytest.raises(ValueError):
             fit_holder(self._synthetic(0.3), window=(0.5, 0.1))
 
+    def test_huge_upper_bound_pulls_in_no_lag_below_the_window(self):
+        # lags 1/128 .. 1/4; each bound is padded relative to itself, so an
+        # upper bound of 1e11 must not widen the lower one past 1/64
+        v = build_variogram(0.85, 0.5, 6, 1024, method="reduced")
+        wide, tight = fit_holder(v, window=(0.02, 1e11)), fit_holder(v, window=(0.02, 0.25))
+        assert wide.n_points == tight.n_points == 4
+        assert wide.slope == tight.slope
+
 
 class TestBoundAudits:
     def test_constant_kernel_constants_exact(self):
