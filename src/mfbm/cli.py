@@ -54,11 +54,6 @@ def _fail(message: str) -> "SystemExit":
     return SystemExit(1)
 
 
-def _check_h(h: float, lower: float = 0.75):
-    if not lower < h <= 1.0:
-        raise _fail(f"--H must be in ({lower}, 1], got {h}")
-
-
 def _check_seed(params: dict):
     if params["seed"] < 0:
         raise _fail(f"--seed must be >= 0, got {params['seed']}")
@@ -104,7 +99,6 @@ def _add_common(parser, prefix_default: str, with_seed=True, with_n=True):
 # ---------------------------------------------------------------- solve-kernel
 
 def run_solve_kernel(params: dict) -> int:
-    _check_h(params["H"])
     _check_n(params["n"])
     if not 0.0 < params["upper"] <= params["T"]:
         raise _fail(f"upper limit {params['upper']} outside (0, {params['T']}]")
@@ -125,7 +119,6 @@ def run_solve_kernel(params: dict) -> int:
 # ------------------------------------------------------------------- simulate
 
 def run_simulate(params: dict) -> int:
-    _check_h(params["H"], lower=0.0)
     _check_n(params["n"])
     _check_seed(params)
     grid = Grid(params["T"], params["n"])
@@ -152,10 +145,7 @@ def run_simulate(params: dict) -> int:
 # ------------------------------------------------------------------ decompose
 
 def run_decompose(params: dict) -> int:
-    _check_h(params["H"])
     _check_n(params["n"])
-    if params["decimation"] < 1 or params["n"] % params["decimation"] != 0:
-        raise _fail(f"--decimation must divide n={params['n']}")
     _check_seed(params)
     grid = Grid(params["T"], params["n"])
     path = simulate(grid, params["H"], params["seed"])
@@ -178,7 +168,6 @@ def run_decompose(params: dict) -> int:
 # ------------------------------------------------------- variogram and holder
 
 def _variogram_from(params: dict):
-    _check_h(params["H"])
     _check_n(params["n"])
     _check_seed(params)
     if params["method"] == "monte_carlo" and params["n"] * params["mc_refine"] > _MAX_MC_CELLS:
@@ -246,7 +235,6 @@ def run_holder(params: dict) -> int:
 # --------------------------------------------------------------- audit-bounds
 
 def run_audit_bounds(params: dict) -> int:
-    _check_h(params["H"])
     sweep = params["n_sweep"]
     if len(sweep) < 2 or any(a >= b for a, b in zip(sweep, sweep[1:])):
         raise _fail("--n-sweep must be an increasing list of at least two sizes")

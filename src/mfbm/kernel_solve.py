@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .exceptions import NumericalError
-from .quadrature import Alpha, Grid, build_weight_matrix, edge_fit, power_moment, riesz_moment
+from .quadrature import Alpha, Grid, build_weight_matrix, edge_fit, riesz_moment
 
 __all__ = [
     "KernelField",
@@ -374,11 +374,16 @@ def _sparse_solutions(column, rows, keep) -> dict:
     by FFT in O(m k log k).  `rows` is a stack of m right-hand sides
     (m, K); x_k is a new (m, k) array, every row in prefix order.  A row's
     solutions are bit-identical whether it is solved alone or stacked with
-    others, and with other kept orders or without.
+    others, and with other kept orders or without.  The column, and each
+    checked solution, is divided by the power of two of the diagonal
+    (exact), so the forward vectors' products do not underflow at a huge
+    horizon (a diagonal of 1e208 to 1e237 at T = 1e300).
     """
     keep = _kept_orders(column, rows, keep)
+    _, exponent = np.frexp(column[0])
+    column = np.ldexp(column, -exponent)
     solved = ((k, _gohberg_semencul(_cg_forward(column, k), rows[:, :k])) for k in keep)
-    return dict(_checked(column, rows, solved))
+    return {k: np.ldexp(x, -exponent) for k, x in _checked(column, rows, solved)}
 
 
 def _ones(r):
@@ -450,7 +455,7 @@ def _tail_integral(L_t: KernelField, s_index: int, r, column: np.ndarray) -> np.
     for j in edge_cells:
         a, b = grid.nodes[j], grid.nodes[j + 1]
         kernel_mid = np.abs(grid.midpoints[j] - r) ** (-alpha.value)
-        out += c * kernel_mid * power_moment(a, b, L_t.upper_limit, alpha.value)
+        out += c * kernel_mid * riesz_moment(a, b, L_t.upper_limit, alpha)
         out += d * riesz_moment(a, b, r, alpha)
     return out
 

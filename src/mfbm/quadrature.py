@@ -22,7 +22,6 @@ __all__ = [
     "WeightMatrix",
     "riesz_moment",
     "build_weight_matrix",
-    "power_moment",
     "edge_fit",
     "integrate_with_edge",
     "edge_weighted_integral",
@@ -104,7 +103,9 @@ def riesz_moment(a, b, r, alpha):
     Computed from the exact antiderivative sign(x)*|x|**(1-alpha)/(1-alpha),
     which splits at tau = r automatically when a < r < b.  Exact up to
     rounding; vectorized over any broadcastable combination of a, b, r.
-    `alpha` may be an :class:`Alpha` or any bare exponent in [0, 1).
+    `alpha` may be an :class:`Alpha` or any bare exponent in [0, 1).  With
+    b <= r it is the one-sided moment of (r - tau)**(-alpha) that the edge
+    models integrate.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -120,21 +121,6 @@ def riesz_moment(a, b, r, alpha):
     hi = b - r
     lo = a - r
     out = (np.sign(hi) * np.abs(hi) ** p - np.sign(lo) * np.abs(lo) ** p) / p
-    return out if out.ndim else float(out)
-
-
-def power_moment(a, b, upper, beta: float):
-    """Integral of (upper - tau)**(-beta) over [a, b] with b <= upper, beta < 1."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(b <= a):
-        raise ValueError("power_moment needs a < b")
-    if np.any(b > np.asarray(upper) + 1e-12):
-        raise ValueError("power_moment needs b <= upper")
-    if beta >= 1.0:
-        raise ValueError(f"beta must be < 1, got {beta}")
-    p = 1.0 - beta
-    out = ((upper - a) ** p - np.maximum(upper - b, 0.0) ** p) / p
     return out if out.ndim else float(out)
 
 
@@ -212,7 +198,7 @@ def integrate_with_edge(values, grid: Grid, upper_index: int, beta: float) -> fl
     c, d = edge_fit(values[k - n_edge:], beta, h)
     lo = grid.nodes[k - n_edge: k]
     hi = grid.nodes[k - n_edge + 1: k + 1]
-    edge = float(np.sum(c * power_moment(lo, hi, t_upper, beta) + d * (hi - lo)))
+    edge = float(np.sum(c * riesz_moment(lo, hi, t_upper, beta) + d * (hi - lo)))
     return bulk + edge
 
 
@@ -236,10 +222,10 @@ def edge_weighted_integral(values, grid: Grid, beta: float, first: int, edge: in
     nodes = grid.nodes
     n_interior = edge - first - min(2, edge - first)
     lo, hi = nodes[first:edge], nodes[first + 1:edge + 1]
-    smooth = sum(sign * power_moment(lo, hi, nodes[u], beta) for sign, u in kernels)
+    smooth = sum(sign * riesz_moment(lo, hi, nodes[u], beta) for sign, u in kernels)
     lo, hi = lo[n_interior:], hi[n_interior:]
-    exact = power_moment(lo, hi, nodes[edge], 2.0 * beta)
-    frozen = power_moment(lo, hi, nodes[edge], beta)
+    exact = riesz_moment(lo, hi, nodes[edge], 2.0 * beta)
+    frozen = riesz_moment(lo, hi, nodes[edge], beta)
     mids = grid.midpoints[first + n_interior:edge]
     singular = sum(sign * (exact if u == edge else (nodes[u] - mids) ** (-beta) * frozen)
                    for sign, u in kernels)

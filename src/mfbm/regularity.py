@@ -20,10 +20,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .exceptions import NumericalError
 from .kernel_solve import KernelField, SweepSolver, check_discretization, toeplitz_matvec
 from .parallelism import parallel_map  # unused here; perfbench/spans.py patches this name
 from .quadrature import (
-    Alpha, Grid, WeightMatrix, edge_fit, edge_weighted_integral, integrate_with_edge, power_moment,
+    Alpha, Grid, WeightMatrix, edge_fit, edge_weighted_integral, integrate_with_edge, riesz_moment,
 )
 from .gaussian_paths import increments_transpose, map_blocks
 from .gaussian_paths import simulate_ensemble  # unused here; perfbench/spans.py patches this name
@@ -133,8 +134,8 @@ def phi_mc_weights(field: KernelField):
     c, d = edge_fit(field.values[k - 2:], a, h)
     for j in (k - 2, k - 1):
         lo, hi = grid.nodes[j], grid.nodes[j + 1]
-        p_single = power_moment(lo, hi, s, a)
-        p_double = power_moment(lo, hi, s, 2.0 * a)
+        p_single = riesz_moment(lo, hi, s, a)
+        p_double = riesz_moment(lo, hi, s, 2.0 * a)
         mean = (c * p_single + d * h) / h
         mean_square = (c * c * p_double + 2.0 * c * d * p_single + d * d * h) / h
         a_w[j] = mean
@@ -156,8 +157,8 @@ class Variogram:
     horizon: float
 
     def __post_init__(self):
-        if np.any(self.values < 0.0):
-            raise ValueError("variogram values must be nonnegative")
+        if not np.all(np.isfinite(self.values) & (self.values > 0.0)):
+            raise ValueError("variogram values must be finite and positive")
 
 
 def default_fit_window(grid: Grid, t0: float) -> Tuple[float, float]:
@@ -235,7 +236,9 @@ def build_variogram(
     the grid.  Deterministic methods ('gram', 'reduced') evaluate the
     moment formulas; 'monte_carlo' estimates the same quantities from a
     common path ensemble (same paths for every lag, simulated on a grid
-    refined by `mc_refine`) and reports standard errors.
+    refined by `mc_refine`) and reports standard errors.  A value that is
+    not finite and positive (the Gram moments underflow at T = 1e300) is a
+    NumericalError.
     """
     if method not in ("gram", "reduced", "monte_carlo"):
         raise ValueError(f"unknown variogram method {method!r}")
@@ -273,6 +276,10 @@ def build_variogram(
             values = np.array([second_moment_reduced(base, fields[k0 + c]) for c in lag_cells])
         else:
             values = np.array([second_moment_gram(base, fields[k0 + c], sweep.weights) for c in lag_cells])
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
+    if bad.size:
+        raise NumericalError(f"variogram value {values[bad[0]]:.3e} at lag {lags[bad[0]]:g} is not "
+                             f"finite and positive ({method} moments at horizon {horizon:g})")
     return Variogram(
         h=h, base_point=t0, lags=lags, values=values, method=method,
         stderr=stderr, grid_cells=n, horizon=horizon,
@@ -309,8 +316,6 @@ def fit_holder(variogram: Variogram, window: Optional[Tuple[float, float]] = Non
             & (variogram.lags <= hi + 1e-12 * max(hi, 1.0)))
     if int(mask.sum()) < 4:
         raise ValueError(f"need >= 4 lags inside the window, found {int(mask.sum())}")
-    if np.any(variogram.values[mask] <= 0.0):
-        raise ValueError("nonpositive variogram values inside the fit window")
     x = np.log(variogram.lags[mask])
     y = np.log(variogram.values[mask])
     m = x.size
@@ -322,7 +327,7 @@ def fit_holder(variogram: Variogram, window: Optional[Tuple[float, float]] = Non
     ss_res = float(np.sum(resid ** 2))
     ss_tot = float(np.sum((y - y_bar) ** 2))
     r_squared = 1.0 - (ss_res / ss_tot if ss_tot > 0.0 else 0.0)
-    slope_stderr = float(np.sqrt(ss_res / (m - 2) / s_xx)) if m > 2 else float("nan")
+    slope_stderr = float(np.sqrt(ss_res / (m - 2) / s_xx))
     return HolderFit(
         slope=slope,
         intercept=intercept,

@@ -68,6 +68,26 @@ class TestSolveKernel:
     def test_unknown_command_exits_one(self):
         assert main(["nonsense"]) == 1
 
+    def test_huge_horizon_drift_kernel(self, tmp_path):
+        # the diagonal of the system is 5.7e208 and the kernel about -1e-299
+        code = main(["solve-kernel", "--kind", "L", "--H", "0.85", "--T", "1e300", "--s", "5e299",
+                     "--n", "64", "--out-dir", str(tmp_path), "--prefix", "huge"])
+        assert code == 0
+        values = np.array([float(r["value"]) for r in read_csv(tmp_path / "huge.csv")])
+        assert values.size == 32 and np.all(values < 0.0)
+
+
+# One otherwise valid run per subcommand, with --H left out.
+_H_COMMANDS = {
+    "solve-kernel-L": ["solve-kernel", "--kind", "L", "--s", "0.5", "--n", "64"],
+    "solve-kernel-g": ["solve-kernel", "--kind", "g", "--t", "0.5", "--n", "64"],
+    "simulate": ["simulate", "--n", "64"],
+    "decompose": ["decompose", "--n", "64"],
+    "variogram": ["variogram", "--n", "256", "--lags", "4"],
+    "holder": ["holder", "--n", "1024", "--lags", "6"],
+    "audit-bounds": ["audit-bounds", "--n-sweep", "64,128"],
+}
+
 
 class TestBadInput:
     """Bad input exits 1 with the CLI's own message and no traceback."""
@@ -105,6 +125,30 @@ class TestBadInput:
         assert code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "numerical failure" in err and "dt=" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["variogram", "holder"])
+    def test_underflowing_variogram_is_a_numerical_failure(self, tmp_path, capsys, command):
+        # the Gram moments multiply two kernels near 1e-298, whose product underflows to 0
+        code = main([command, "--method", "gram", "--H", "0.9", "--T", "1e300", "--t0", "5e299",
+                     "--n", "1024", "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+        assert "numerical failure: variogram value 0.000e+00" in err
+        assert not list(tmp_path.iterdir())
+
+    # The library refuses an H outside its range (Alpha.from_h for the kernel
+    # subcommands, the path synthesizer for simulate) before any file is written.
+    @pytest.mark.parametrize("command, h", [
+        *((command, h) for command in _H_COMMANDS if command != "simulate" for h in ("0.6", "1.5", "nan")),
+        *(("simulate", h) for h in ("0", "1.5", "nan")),
+    ])
+    def test_invalid_h_exits_one(self, tmp_path, capsys, command, h):
+        code = main([*_H_COMMANDS[command], "--H", h, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: H must be in" in err and f"got {float(h)}" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("base_point", ["nan", "inf"])
@@ -317,9 +361,10 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "False"
 
 
-# The console-script step of the CI workflow, which runs after SciPy is
-# uninstalled: every run, then a replay of each manifest into another
-# directory.
+# Every subcommand once with SciPy blocked, then a replay of each manifest
+# into another directory.  The CI workflow repeats only the decompose run
+# and its replay, through the installed console script with SciPy
+# uninstalled, which an in-process test cannot do.
 _CONSOLE_SCRIPT_RUNS = [
     ["--version"],
     ["simulate", "--H", "0.85", "--n", "64"],
@@ -444,9 +489,12 @@ class TestDecompose:
         assert res[0] == 0.0
         assert np.max(np.abs(res)) <= 0.02 * np.max(np.abs(x))
 
-    def test_bad_decimation(self, tmp_path):
+    def test_bad_decimation(self, tmp_path, capsys):
         assert main(["decompose", "--H", "0.85", "--n", "128", "--decimation", "3",
                      "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: decimation 3 does not divide 128 cells" in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestVariogramAndHolder:
@@ -556,14 +604,28 @@ _PARAMETERS = {
 }
 
 
+# The runs whose data files must not depend on --threads: the two that
+# sample on the worker pool, and two that solve without it.
+_THREADED_RUNS = {
+    "variogram-mc": ["variogram", "--method", "monte-carlo", "--H", "0.85", "--n", "256",
+                     "--lags", "4", "--paths", "300"],
+    "simulate-ensemble": ["simulate", "--H", "0.85", "--n", "256", "--paths", "200"],
+    "decompose": ["decompose", "--H", "0.85", "--n", "256", "--decimation", "1"],
+    "audit-bounds": ["audit-bounds", "--H", "0.85", "--n-sweep", "128,256"],
+}
+
+
 class TestReproducibility:
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        for threads, prefix in ((1, "a"), (4, "b")):
-            code = main(["variogram", "--H", "0.85", "--n", "256", "--lags", "4",
-                         "--threads", str(threads), "--out-dir", str(tmp_path),
-                         "--prefix", prefix])
-            assert code == 0
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    @pytest.mark.parametrize("argv", list(_THREADED_RUNS.values()), ids=list(_THREADED_RUNS))
+    def test_thread_count_does_not_change_bytes(self, tmp_path, argv):
+        for threads in ("1", "2"):
+            assert main([*argv, "--threads", threads, "--out-dir", str(tmp_path / threads)]) == 0
+        # data files only: a manifest records --threads
+        names = sorted(path.name for path in (tmp_path / "1").iterdir()
+                       if not path.name.endswith("_manifest.json"))
+        assert names
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     @pytest.mark.parametrize("argv", list(_RUNS.values()), ids=list(_RUNS))
     def test_manifest_replay_reproduces_bytes(self, tmp_path, argv):

@@ -13,7 +13,7 @@ from scipy.linalg import toeplitz
 from mfbm import kernel_solve
 from mfbm.cli import main as cli_main
 from mfbm.exceptions import NumericalError
-from mfbm.quadrature import Alpha, Grid, build_weight_matrix, edge_fit, power_moment, riesz_moment
+from mfbm.quadrature import Alpha, Grid, build_weight_matrix, edge_fit, riesz_moment
 from mfbm.kernel_solve import (
     RESIDUAL_TOL,
     SweepSolver,
@@ -191,7 +191,7 @@ def dense_tail_oracle(L_t, ks, r):
     c, d = edge_fit(L_t.values[kt - n_edge:], alpha.value, grid.h)
     for j in range(kt - n_edge, kt):
         lo, hi = grid.nodes[j], grid.nodes[j + 1]
-        out += c * np.abs(grid.midpoints[j] - r) ** (-alpha.value) * power_moment(lo, hi, L_t.upper_limit, alpha.value)
+        out += c * np.abs(grid.midpoints[j] - r) ** (-alpha.value) * riesz_moment(lo, hi, L_t.upper_limit, alpha.value)
         out += d * riesz_moment(lo, hi, r, alpha)
     return out
 
@@ -731,6 +731,19 @@ class TestConjugateGradientForward:
         g_fields = sweep.g_sweep([300, 512])
         for k in (300, 512):
             assert_matches_oracle(g_fields[k].values, dense_oracle(sweep.weights, alpha, k, np.ones(k)))
+
+    @pytest.mark.parametrize("horizon", (1e200, 1e300))
+    @pytest.mark.parametrize("h, n", ((0.85, 64), (0.9, 1024)))
+    def test_huge_horizon_matches_dense_solve(self, horizon, h, n):
+        # the diagonal reaches 4e237 at T = 1e300: unscaled, the products
+        # of two forward vectors underflowed, L read 0 and g failed its check
+        grid, alpha = Grid(horizon, n), Alpha.from_h(h)
+        sweep = SweepSolver(grid, alpha)
+        k = n // 2
+        L_field, g_field = sweep.L_field(k), sweep.g_field(k)
+        for field, rhs in ((L_field, L_field.rhs(grid.midpoints[:k])), (g_field, np.ones(k))):
+            oracle = dense_oracle(sweep.weights, alpha, k, rhs)
+            assert np.max(np.abs(field.values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def _is_3_smooth(n):

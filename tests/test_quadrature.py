@@ -11,7 +11,6 @@ from mfbm.quadrature import (
     edge_fit,
     integrate_with_edge,
     edge_weighted_integral,
-    power_moment,
     riesz_moment,
 )
 
@@ -163,14 +162,12 @@ class TestWeightMatrix:
 
 
 class TestEdgeTools:
-    def test_power_moment_closed_form(self):
+    def test_one_sided_moment_closed_form(self):
         # integral of (1 - tau)^(-0.6) over [0.5, 1]
         expected = 0.5 ** 0.4 / 0.4
-        assert power_moment(0.5, 1.0, 1.0, 0.6) == pytest.approx(expected, rel=1e-14)
+        assert riesz_moment(0.5, 1.0, 1.0, 0.6) == pytest.approx(expected, rel=1e-14)
         with pytest.raises(ValueError):
-            power_moment(0.5, 1.1, 1.0, 0.6)
-        with pytest.raises(ValueError):
-            power_moment(0.5, 1.0, 1.0, 1.0)
+            riesz_moment(0.5, 1.0, 1.0, 1.0)
 
     def test_edge_fit_reproduces_model(self):
         h = 0.01
@@ -215,8 +212,8 @@ class TestEdgeTools:
         # a constant v has C = 0: every cell takes the exact kernel moments
         grid, b = Grid(1.0, 64), 0.3
         values = np.full(20, 2.5)
-        exact = 2.5 * (power_moment(grid.nodes[12], grid.nodes[32], grid.nodes[32], b)
-                       - power_moment(grid.nodes[12], grid.nodes[32], grid.nodes[40], b))
+        exact = 2.5 * (riesz_moment(grid.nodes[12], grid.nodes[32], grid.nodes[32], b)
+                       - riesz_moment(grid.nodes[12], grid.nodes[32], grid.nodes[40], b))
         result = edge_weighted_integral(values, grid, b, 12, 32, [(1, 32), (-1, 40)])
         assert result == pytest.approx(exact, rel=1e-12)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfbm import kernel_solve
-from mfbm.quadrature import Alpha, Grid, edge_fit, power_moment
+from mfbm.quadrature import Alpha, Grid, edge_fit, riesz_moment
 from mfbm.kernel_solve import SweepSolver
 from mfbm.gaussian_paths import BLOCK, simulate_ensemble
 from mfbm.regularity import (
@@ -152,12 +152,12 @@ def closure_reduced_moment(L_s, L_t):
         interior = np.arange(ks, kt - n_edge)
         total = 0.0
         if interior.size:
-            total += float(v[: interior.size] @ power_moment(nodes[interior], nodes[interior + 1], t_node, a))
+            total += float(v[: interior.size] @ riesz_moment(nodes[interior], nodes[interior + 1], t_node, a))
         c, d = edge_fit(v[v.size - n_edge:], a, h)
         cells = np.arange(kt - n_edge, kt)
         total += float(np.sum(
-            c * power_moment(nodes[cells], nodes[cells + 1], t_node, 2.0 * a)
-            + d * power_moment(nodes[cells], nodes[cells + 1], t_node, a)
+            c * riesz_moment(nodes[cells], nodes[cells + 1], t_node, 2.0 * a)
+            + d * riesz_moment(nodes[cells], nodes[cells + 1], t_node, a)
         ))
         return total
 
@@ -167,11 +167,11 @@ def closure_reduced_moment(L_s, L_t):
         interior = np.arange(0, ks - n_edge)
         total = 0.0
         if interior.size:
-            total += float(dvals[interior] @ power_moment(nodes[interior], nodes[interior + 1], t_node, a))
+            total += float(dvals[interior] @ riesz_moment(nodes[interior], nodes[interior + 1], t_node, a))
         c, d = edge_fit(dvals[ks - n_edge:], a, h)
         for j in range(ks - n_edge, ks):
-            total += c * (t_node - mids[j]) ** (-a) * power_moment(nodes[j], nodes[j + 1], s_node, a)
-            total += d * power_moment(nodes[j], nodes[j + 1], t_node, a)
+            total += c * (t_node - mids[j]) ** (-a) * riesz_moment(nodes[j], nodes[j + 1], s_node, a)
+            total += d * riesz_moment(nodes[j], nodes[j + 1], t_node, a)
         return total
 
     def i2_term():
@@ -180,15 +180,15 @@ def closure_reduced_moment(L_s, L_t):
         interior = np.arange(0, ks - n_edge)
         total = 0.0
         if interior.size:
-            w = (power_moment(nodes[interior], nodes[interior + 1], s_node, a)
-                 - power_moment(nodes[interior], nodes[interior + 1], t_node, a))
+            w = (riesz_moment(nodes[interior], nodes[interior + 1], s_node, a)
+                 - riesz_moment(nodes[interior], nodes[interior + 1], t_node, a))
             total += float(v[interior] @ w)
         c, d = edge_fit(v[ks - n_edge:], a, h)
         for j in range(ks - n_edge, ks):
-            total += c * (power_moment(nodes[j], nodes[j + 1], s_node, 2.0 * a)
-                          - (t_node - mids[j]) ** (-a) * power_moment(nodes[j], nodes[j + 1], s_node, a))
-            total += d * (power_moment(nodes[j], nodes[j + 1], s_node, a)
-                          - power_moment(nodes[j], nodes[j + 1], t_node, a))
+            total += c * (riesz_moment(nodes[j], nodes[j + 1], s_node, 2.0 * a)
+                          - (t_node - mids[j]) ** (-a) * riesz_moment(nodes[j], nodes[j + 1], s_node, a))
+            total += d * (riesz_moment(nodes[j], nodes[j + 1], s_node, a)
+                          - riesz_moment(nodes[j], nodes[j + 1], t_node, a))
         return total
 
     return float(-alpha.coeff * (i1_term() + i2_term() + i3_term()))
