@@ -37,7 +37,6 @@ class DriftPath:
     grid: Grid
     s_subset: np.ndarray
     phi: np.ndarray
-    path_ref: int
 
     @property
     def times(self) -> np.ndarray:
@@ -60,21 +59,23 @@ class InnovationPath:
     bbar: np.ndarray
     residual: Optional[np.ndarray]
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.nodes[self.subset]
 
-
-def _sorted_subset(fields: Mapping[int, KernelField], grid: Grid) -> np.ndarray:
+def _integrals(path: SamplePath, fields: Mapping[int, KernelField]):
+    """(subset, integrals): node 0 and the sorted field indices k, and
+    <field_k, dX[:k]> at each (0 at node 0, the empty integral)."""
     if not fields:
         raise ValueError("need at least one solved kernel field")
+    grid = path.grid
     ks = sorted(int(k) for k in fields)
     if ks[0] < 1 or ks[-1] > grid.cells:
         raise ValueError("field indices outside the grid")
-    for k in ks:
+    increments = path.increments
+    integrals = np.zeros(len(ks) + 1)
+    for pos, k in enumerate(ks, start=1):
         if fields[k].grid is not grid and not np.array_equal(fields[k].grid.nodes, grid.nodes):
             raise ValueError(f"field at index {k} solved on a different grid")
-    return np.array([0] + ks, dtype=int)
+        integrals[pos] = float(fields[k].values @ increments[:k])
+    return np.array([0] + ks, dtype=int), integrals
 
 
 def compute_phi(path: SamplePath, fields: Mapping[int, KernelField]) -> DriftPath:
@@ -83,12 +84,8 @@ def compute_phi(path: SamplePath, fields: Mapping[int, KernelField]) -> DriftPat
     One solved drift-kernel field per requested node index; the value at
     s = 0 is 0 (empty integral) and is always included.
     """
-    subset = _sorted_subset(fields, path.grid)
-    increments = path.increments
-    phi = np.zeros(len(subset))
-    for pos, k in enumerate(subset[1:], start=1):
-        phi[pos] = float(fields[int(k)].values @ increments[: int(k)])
-    return DriftPath(grid=path.grid, s_subset=subset, phi=phi, path_ref=path.seed)
+    subset, phi = _integrals(path, fields)
+    return DriftPath(grid=path.grid, s_subset=subset, phi=phi)
 
 
 def compute_innovation(
@@ -105,15 +102,11 @@ def compute_innovation(
     The residual X_t - bbar_t + int_0^t phi ds requires `drift` on the same
     subset.
     """
-    subset = _sorted_subset(g_fields, path.grid)
-    increments = path.increments
-    m_values = np.zeros(len(subset))
+    subset, m_values = _integrals(path, g_fields)
     diag = np.zeros(len(subset))
-    for pos, k in enumerate(subset[1:], start=1):
-        k = int(k)
+    for pos, k in enumerate(subset[1:].tolist(), start=1):
         if k not in g_diagonal:
             raise ValueError(f"g_diagonal has no value at node index {k}")
-        m_values[pos] = float(g_fields[k].values @ increments[:k])
         diag[pos] = float(g_diagonal[k])
     return _innovation(path, subset, m_values, diag, drift)
 
@@ -151,5 +144,5 @@ def decompose(path: SamplePath, decimation: int = 8):
     phi, m_values, diag = (
         np.concatenate([[0.0], values]) for values in sweep.path_functionals(path.increments, indices)
     )
-    drift = DriftPath(grid=path.grid, s_subset=subset, phi=phi, path_ref=path.seed)
+    drift = DriftPath(grid=path.grid, s_subset=subset, phi=phi)
     return drift, _innovation(path, subset, m_values, diag, drift)

@@ -199,6 +199,11 @@ def _amplitudes(n: int, h: float, dt: float) -> np.ndarray:
     return amp
 
 
+def _check_h(h: float):
+    if not 0.0 < h <= 1.0:
+        raise ValueError(f"H must be in (0, 1], got {h}")
+
+
 def _normals(grid: Grid, h: float, seed: int, first: int, count: int):
     """Standard normals (z, white) of paths first .. first+count-1.
 
@@ -209,8 +214,9 @@ def _normals(grid: Grid, h: float, seed: int, first: int, count: int):
     derives the block's PCG64 states in one pass, and one generator draws
     each row from its own state.  z holds one slope per path at H = 1 and
     otherwise 2n normals for the half spectrum of the order-2n circulant
-    embedding; white holds n.
+    embedding; white holds n.  Raises ValueError unless 0 < H <= 1.
     """
+    _check_h(h)
     n = grid.cells
     z = np.empty((count, 1 if h == 1.0 else 2 * n))
     white = np.empty((count, n))
@@ -251,6 +257,17 @@ def _increments(grid: Grid, h: float, z: np.ndarray, white: np.ndarray):
     return np.fft.irfft(half, n=2 * n, axis=1, norm="forward")[:, :n], white
 
 
+def _nodes(grid: Grid, h: float, z: np.ndarray, white: np.ndarray) -> np.ndarray:
+    """Node values of the paths of the normals from :func:`_normals`: one
+    (3, count, n + 1) array of fbm, bm and mixed, each row starting at 0."""
+    fgn, dB = _increments(grid, h, z, white)
+    nodes = np.zeros((3, len(z), grid.cells + 1))
+    np.cumsum(fgn, axis=1, out=nodes[0, :, 1:])
+    np.cumsum(dB, axis=1, out=nodes[1, :, 1:])
+    np.add(nodes[0], nodes[1], out=nodes[2])
+    return nodes
+
+
 def increments_transpose(grid: Grid, h: float, a: np.ndarray, b: np.ndarray):
     """Weights (A, B) on the normals with z @ A.T + white @ B.T equal to
     fgn @ a.T + dB @ b.T, where (fgn, dB) = _increments(grid, h, z, white).
@@ -279,8 +296,8 @@ def map_blocks(fn, grid: Grid, h: float, seed: int, n_paths: int, threads=None) 
     """[fn(first, z, white) for each block of paths], in path order.
 
     z and white are the block's raw normals from :func:`_normals`; callers
-    synthesize increments with :func:`_increments` or reduce the normals
-    directly through :func:`increments_transpose`.  Blocks hold BLOCK paths
+    synthesize paths with :func:`_nodes` or reduce the normals directly
+    through :func:`increments_transpose`.  Blocks hold BLOCK paths
     (the last one may hold fewer) whatever the worker count, so a caller
     that reduces each block right away keeps O(BLOCK * n) memory and gets
     results independent of `threads`.
@@ -291,11 +308,6 @@ def map_blocks(fn, grid: Grid, h: float, seed: int, n_paths: int, threads=None) 
     return parallel_map(one, range(0, n_paths, BLOCK), threads=threads)
 
 
-def _check_h(h: float):
-    if not 0.0 < h <= 1.0:
-        raise ValueError(f"H must be in (0, 1], got {h}")
-
-
 def simulate(grid: Grid, h: float, seed: int, path_index: int = 0) -> SamplePath:
     """Seeded realization of (B^H, B, X) at the grid nodes.
 
@@ -303,11 +315,8 @@ def simulate(grid: Grid, h: float, seed: int, path_index: int = 0) -> SamplePath
     come from disjoint substreams of the seed.  Bit-identical to row
     `path_index` of :func:`simulate_ensemble`.
     """
-    _check_h(h)
-    fgn, white = _increments(grid, h, *_normals(grid, h, seed, int(path_index), 1))
-    fbm_path = np.concatenate([[0.0], np.cumsum(fgn[0])])
-    bm_path = np.concatenate([[0.0], np.cumsum(white[0])])
-    return SamplePath(grid=grid, h=h, seed=int(seed), fbm=fbm_path, bm=bm_path, mixed=fbm_path + bm_path)
+    fbm, bm, mixed = _nodes(grid, h, *_normals(grid, h, seed, int(path_index), 1))[:, 0]
+    return SamplePath(grid=grid, h=h, seed=int(seed), fbm=fbm, bm=bm, mixed=mixed)
 
 
 def simulate_ensemble(grid: Grid, h: float, seed: int, n_paths: int, threads=None):
@@ -318,18 +327,13 @@ def simulate_ensemble(grid: Grid, h: float, seed: int, n_paths: int, threads=Non
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    _check_h(h)
-    fbm = np.zeros((n_paths, grid.cells + 1))
-    bm = np.zeros_like(fbm)
+    nodes = np.empty((3, n_paths, grid.cells + 1))
 
-    def cumulate(first, z, white):
-        fgn, dB = _increments(grid, h, z, white)
-        rows = slice(first, first + len(z))
-        np.cumsum(fgn, axis=1, out=fbm[rows, 1:])
-        np.cumsum(dB, axis=1, out=bm[rows, 1:])
+    def store(first, z, white):
+        nodes[:, first:first + len(z)] = _nodes(grid, h, z, white)
 
-    map_blocks(cumulate, grid, h, seed, n_paths, threads=threads)
-    return fbm, bm, fbm + bm
+    map_blocks(store, grid, h, seed, n_paths, threads=threads)
+    return nodes[0], nodes[1], nodes[2]
 
 
 def node_moments(grid: Grid, h: float, seed: int, n_paths: int, threads=None):
@@ -343,14 +347,9 @@ def node_moments(grid: Grid, h: float, seed: int, n_paths: int, threads=None):
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a sample variance, got {n_paths}")
-    _check_h(h)
 
     def summarize(first, z, white):
-        fgn, dB = _increments(grid, h, z, white)
-        nodes = np.zeros((3, len(z), grid.cells + 1))
-        np.cumsum(fgn, axis=1, out=nodes[0, :, 1:])
-        np.cumsum(dB, axis=1, out=nodes[1, :, 1:])
-        np.add(nodes[0], nodes[1], out=nodes[2])
+        nodes = _nodes(grid, h, z, white)
         mean = nodes.mean(axis=1)
         nodes -= mean[:, None]
         return len(z), mean, np.square(nodes, out=nodes).sum(axis=1)

@@ -129,12 +129,13 @@ def _check_residuals(rhs: np.ndarray, scale: np.ndarray, solutions: dict, size: 
     `solutions` has
     max|rhs[j, :k] - T_k x_k[j]| <= RESIDUAL_TOL * scale[j, k - 1].
 
-    `rhs` is (m, K), `scale` holds max(1, max|rhs[j, :k]|) at [j, k - 1],
-    and `solutions` maps k to the (m, k) solutions: one block of
-    :func:`_checked`, whose orders all embed in the symmetric circulant of
-    length `size` (a 2**a * 3**b at least 2k - 1) with real symbol
-    `symbol`, multiplied in one batched FFT.  The FFT runs in the two
-    buffers `buffers` keeps by dtype (see :func:`_scratch`).
+    `rhs` is (m, K), `scale` holds max|rhs[j, :k]| at [j, k - 1] (1 where
+    that is 0, as on a zero-padded row), and `solutions` maps k to the
+    (m, k) solutions: one block of :func:`_checked`, whose orders all embed
+    in the symmetric circulant of length `size` (a 2**a * 3**b at least
+    2k - 1) with real symbol `symbol`, multiplied in one batched FFT.  The
+    FFT runs in the two buffers `buffers` keeps by dtype (see
+    :func:`_scratch`).
     """
     ks = sorted(solutions)
     m, width = rhs.shape[0], ks[-1]
@@ -191,7 +192,8 @@ def _checked(column, rows, solved):
     for the whole call.
     """
     m = rows.shape[0]
-    scale = np.maximum(1.0, np.maximum.accumulate(np.abs(rows), axis=1))
+    scale = np.maximum.accumulate(np.abs(rows), axis=1)
+    scale[scale == 0.0] = 1.0
     buffers, block, embed, symbol, order_floats = {}, {}, 0, None, 0
     for k, x_k in solved:
         if block and (embed < 2 * k - 1 or (len(block) + 1) * order_floats > _CHUNK_FLOATS):
@@ -450,6 +452,8 @@ def _tail_integral(L_t: KernelField, s_index: int, r, column: np.ndarray) -> np.
     padded = np.zeros(stop)
     padded[ks:] = L_t.values[ks:stop]
     out = toeplitz_matvec(column, padded)[:ks] if stop > ks else np.zeros(ks)
+    if not n_edge:  # s = t: an empty tail
+        return out
     edge_cells = np.arange(stop, kt)
     c, d = edge_fit(L_t.values[edge_cells], alpha.value, grid.h)
     for j in edge_cells:
@@ -467,8 +471,8 @@ def solve_D(sweep: "SweepSolver", s_index: int, L_t: KernelField) -> KernelField
     `sweep`.  Right-hand side: coeff * ((s-r)**(-a) - (t-r)**(-a)) minus
     the kernel integral of L(., t) over [s, t], which the field's `rhs`
     evaluates at the midpoints of [0, s] only (ValueError elsewhere).
-    s_index equal to L_t's index returns the zero field (the two equations
-    coincide).
+    At s_index equal to L_t's index the two equations coincide: the rhs
+    and the solution are exact zeros.
     """
     if L_t.kind != "L":
         raise ValueError(f"L_t must be a drift-kernel field, got kind {L_t.kind!r}")
@@ -477,11 +481,6 @@ def solve_D(sweep: "SweepSolver", s_index: int, L_t: KernelField) -> KernelField
     ks, kt = int(s_index), L_t.s_index
     if ks > kt:
         raise ValueError(f"need s_index <= the index of L_t, got {ks} > {kt}")
-    if ks == kt:
-        return KernelField(
-            kind="D", alpha=alpha, grid=grid, s_index=ks,
-            values=np.zeros(ks), rhs=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        )
     s = float(grid.nodes[ks])
     t = float(grid.nodes[kt])
 

@@ -62,7 +62,8 @@ class Grid:
     """Uniform partition of [0, T] into `cells` cells, collocated at midpoints.
 
     Midpoints never coincide with nodes, which keeps singular right-hand
-    sides evaluable at every collocation point.
+    sides evaluable at every collocation point.  A subnormal cell width,
+    which would round nodes and midpoints off the grid, is refused.
     """
 
     horizon: float
@@ -76,6 +77,8 @@ class Grid:
         if self.cells < 2:
             raise ValueError(f"need at least 2 cells, got {self.cells}")
         h = self.horizon / self.cells
+        if h < np.finfo(float).tiny:
+            raise ValueError(f"cell width T/n = {h:.4g} is subnormal (T={self.horizon:g}, n={self.cells})")
         object.__setattr__(self, "nodes", np.arange(self.cells + 1) * h)
         object.__setattr__(self, "midpoints", (np.arange(self.cells) + 0.5) * h)
 

@@ -182,8 +182,11 @@ def mc_increment_variances(
     Samples the two-stream drift functional (see :func:`phi_mc_weights`)
     on a grid refined by `refine` relative to `grid`; the requested node
     indices map onto the fine grid exactly, so the deterministic targets
-    stay comparable.  Returns (variances, variance of phi_s).
+    stay comparable.  Returns (variances, variance of phi_s).  Raises
+    ValueError unless n_paths >= 2, the least a sample variance needs.
     """
+    if n_paths < 2:
+        raise ValueError(f"monte carlo needs at least 2 paths, got {n_paths}")
     refine = int(refine)
     if refine < 1:
         raise ValueError(f"refine must be >= 1, got {refine}")
@@ -244,8 +247,6 @@ def build_variogram(
         raise ValueError(f"unknown variogram method {method!r}")
     if int(n_lags) < 1:
         raise ValueError(f"need at least one lag, got {n_lags}")
-    if method == "monte_carlo" and n_paths < 2:
-        raise ValueError(f"monte carlo needs at least 2 paths, got {n_paths}")
     grid = Grid(horizon, n)
     alpha = Alpha.from_h(h)
     k0 = grid.node_index(t0, name="t0")
@@ -387,14 +388,14 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
     g and the part-iii rhs (zero-padded past s) are solved from the forward
     vectors at s and t, and the difference kernel, whose rhs needs L(., t),
     from a second solve at s.
-    Raises ValueError unless the sizes strictly increase (a repeated size
-    would report its own constant twice and a vacuous stability ratio)
-    and, on every grid of the sweep, s rounds to a node after 0 and t to a
-    later one.
+    Raises ValueError unless there are at least two sizes and they
+    strictly increase (a single or repeated size would report a vacuous
+    stability ratio of 1) and, on every grid of the sweep, s rounds to a
+    node after 0 and t to a later one.
     """
     n_sweep = [int(n) for n in n_sweep]
-    if any(a >= b for a, b in zip(n_sweep, n_sweep[1:])):
-        raise ValueError(f"n_sweep must strictly increase, got {n_sweep}")
+    if len(n_sweep) < 2 or any(a >= b for a, b in zip(n_sweep, n_sweep[1:])):
+        raise ValueError(f"n_sweep must hold at least two sizes that strictly increase, got {n_sweep}")
     a = alpha.value
     points = []
     for n in n_sweep:

@@ -64,9 +64,15 @@ class TestSolveKernel:
         assert main(["solve-kernel", "--kind", "L", "--H", "0.9", "--n", "128", *base]) == 1
         assert main(["solve-kernel", "--kind", "L", "--H", "0.9", "--s", "0.5", "--t", "0.5",
                      "--n", "128", *base]) == 1
+        # below half a cell, the upper limit rounds to node 0
+        assert main(["solve-kernel", "--kind", "L", "--H", "0.9", "--s", "0.001", "--n", "128", *base]) == 1
 
     def test_unknown_command_exits_one(self):
         assert main(["nonsense"]) == 1
+
+    def test_no_subcommand_prints_help(self, capsys):
+        assert main([]) == 1
+        assert capsys.readouterr().out.startswith("usage: mfbm")
 
     def test_huge_horizon_drift_kernel(self, tmp_path):
         # the diagonal of the system is 5.7e208 and the kernel about -1e-299
@@ -82,6 +88,7 @@ _H_COMMANDS = {
     "solve-kernel-L": ["solve-kernel", "--kind", "L", "--s", "0.5", "--n", "64"],
     "solve-kernel-g": ["solve-kernel", "--kind", "g", "--t", "0.5", "--n", "64"],
     "simulate": ["simulate", "--n", "64"],
+    "simulate-paths": ["simulate", "--n", "64", "--paths", "3"],
     "decompose": ["decompose", "--n", "64"],
     "variogram": ["variogram", "--n", "256", "--lags", "4"],
     "holder": ["holder", "--n", "1024", "--lags", "6"],
@@ -141,14 +148,34 @@ class TestBadInput:
     # The library refuses an H outside its range (Alpha.from_h for the kernel
     # subcommands, the path synthesizer for simulate) before any file is written.
     @pytest.mark.parametrize("command, h", [
-        *((command, h) for command in _H_COMMANDS if command != "simulate" for h in ("0.6", "1.5", "nan")),
-        *(("simulate", h) for h in ("0", "1.5", "nan")),
+        *((command, h) for command in _H_COMMANDS if not command.startswith("simulate")
+          for h in ("0.6", "1.5", "nan")),
+        *((command, h) for command in ("simulate", "simulate-paths") for h in ("0", "1.5", "nan")),
     ])
     def test_invalid_h_exits_one(self, tmp_path, capsys, command, h):
         code = main([*_H_COMMANDS[command], "--H", h, "--out-dir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error: H must be in" in err and f"got {float(h)}" in err
+        assert not list(tmp_path.iterdir())
+
+    # A subnormal cell width rounds the nodes off the grid: s = T would land on node 63 of 64.
+    @pytest.mark.parametrize("command", [
+        ["solve-kernel", "--kind", "L", "--H", "0.85", "--T", "1e-320", "--s", "1e-320", "--n", "64"],
+        ["simulate", "--H", "0.5", "--T", "1e-310"],
+    ])
+    def test_subnormal_cell_width(self, tmp_path, capsys, command):
+        code = main([*command, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: cell width" in err and "is subnormal" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_no_paths(self, tmp_path, capsys):
+        code = main(["simulate", "--H", "0.85", "--n", "64", "--paths", "0", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: --paths must be >= 1" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("base_point", ["nan", "inf"])
@@ -245,13 +272,14 @@ class TestBadInput:
         assert "Traceback" not in err and message in err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("sweep", ["64,64", "64,128,128", "128,64"])
+    @pytest.mark.parametrize("sweep", ["256", "64,64", "64,128,128", "128,64"])
     def test_audit_sweep_must_strictly_increase(self, tmp_path, capsys, sweep):
+        # the rule is audit_lemma_bounds'; the CLI passes its message on
         code = main(["audit-bounds", "--H", "0.85", "--s", "0.5", "--t", "0.625", "--n-sweep", sweep,
                      "--out-dir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "--n-sweep must be an increasing list" in err
+        assert "Traceback" not in err and "at least two sizes that strictly increase" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
@@ -686,8 +714,9 @@ class TestBadManifest:
         lambda manifest: manifest["parameters"].update(n="abc"),
         lambda manifest: manifest["parameters"].update(n=64.5),
         lambda manifest: manifest["parameters"].update(H=True),
+        lambda manifest: manifest.pop("parameters"),
     ], ids=["missing-H", "parameters-list", "command-list", "command-option", "unknown-key",
-            "n-text", "n-float", "H-bool"])
+            "n-text", "n-float", "H-bool", "no-parameters"])
     def test_exits_one(self, tmp_path, capsys, edit):
         record = tmp_path / "record"
         assert main(["simulate", "--H", "0.85", "--n", "64", "--out-dir", str(record)]) == 0

@@ -60,6 +60,19 @@ class TestDriftDerivative:
         with pytest.raises(ValueError):
             compute_phi(path, {})
 
+    @pytest.mark.parametrize("index", [0, 513])
+    def test_field_index_outside_the_grid_rejected(self, sweep_h1, index):
+        grid = sweep_h1.grid
+        path = _flat_path(grid, np.zeros(grid.cells + 1))
+        with pytest.raises(ValueError, match="outside the grid"):
+            compute_phi(path, {index: sweep_h1.L_field(256)})
+
+    def test_field_of_another_grid_rejected(self, sweep_h1):
+        other = SweepSolver(Grid(2.0, 512), Alpha(0.0))
+        path = _flat_path(sweep_h1.grid, np.zeros(513))
+        with pytest.raises(ValueError, match="index 256 solved on a different grid"):
+            compute_phi(path, other.L_sweep([256]))
+
 
 class TestInnovation:
     def test_deterministic_ramp_refines_to_zero_residual(self):

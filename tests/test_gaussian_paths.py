@@ -47,6 +47,10 @@ class TestIncrementAutocovariance:
     def test_brownian_increments_independent(self):
         assert fgn_autocov(1, 0.5, 1.0) == 0.0
 
+    def test_rejects_negative_lag(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fgn_autocov([0, -1], 0.85)
+
     def test_positive_memory_value(self):
         assert fgn_autocov(1, 0.85, 1.0) == pytest.approx(0.5 * (2 ** 1.7 - 2.0))
 
@@ -123,6 +127,14 @@ class TestSimulate:
     def test_node_moments_need_two_paths(self):
         with pytest.raises(ValueError):
             gp.node_moments(Grid(1.0, 64), 0.85, 0, 1)
+
+    def test_ensemble_needs_a_path(self):
+        with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
+            simulate_ensemble(Grid(1.0, 64), 0.85, 0, 0)
+
+    def test_ensemble_needs_a_worker(self):
+        with pytest.raises(ValueError, match="thread count must be >= 1, got 0"):
+            simulate_ensemble(Grid(1.0, 64), 0.85, 0, 3, threads=0)
 
     def test_sample_moments_match_covariance(self):
         grid = Grid(1.0, 64)

@@ -151,8 +151,11 @@ class TestDriftKernelShape:
 
 class TestDifferenceKernel:
     def test_equal_indices_give_zero(self, sweep512):
+        # the two equations coincide: the general solve gets a zero rhs and
+        # returns exact zeros
         field = solve_D(sweep512, 256, sweep512.L_field(256))
         assert field.s_index == 256
+        assert np.all(field.rhs(sweep512.grid.midpoints[:256]) == 0.0)
         assert np.all(field.values == 0.0)
 
     def test_matches_direct_difference(self, grid512, sweep512):
@@ -356,6 +359,20 @@ class TestLevinsonCore:
         # an indefinite Toeplitz matrix, eigenvalues 3 and -1
         with pytest.raises(NumericalError):
             _sparse_solutions(np.array([1.0, 2.0]), np.ones((1, 2)), [2])
+
+    def test_levinson_rejects_a_nonpositive_diagonal(self):
+        with pytest.raises(NumericalError, match=re.escape("diagonal -1.000e+00 is not positive")):
+            list(kernel_solve._prefix_solutions(np.array([-1.0, 0.0]), np.ones((1, 2)), [2]))
+
+    def test_levinson_breakdown_raises(self):
+        # the indefinite matrix above: beta = 1 - 2**2 at order 2
+        with pytest.raises(NumericalError, match=re.escape("order 2 (beta = -3.000e+00)")):
+            list(kernel_solve._prefix_solutions(np.array([1.0, 2.0]), np.ones((1, 2)), [2]))
+
+    @pytest.mark.parametrize("k", [0, 513])
+    def test_solve_q_rejects_an_index_off_the_grid(self, sweep512, k):
+        with pytest.raises(ValueError, match=re.escape("s_index must be in [1, 512]")):
+            solve_q(sweep512, k, lambda r: np.ones_like(r))
 
     def test_rejects_out_of_range_sizes(self):
         with pytest.raises(ValueError):
@@ -790,7 +807,7 @@ class TestResidualCheck:
         column, rows, solutions = _fused_solutions(keep)
         _check(column, rows, solutions)
         entry = 0 if position == "first" else k - 1
-        scale = max(1.0, float(np.max(np.abs(rows[row, :k]))))
+        scale = float(np.max(np.abs(rows[row, :k])))
         bad = dict(solutions)
         bad[k] = solutions[k].copy()
         if perturbation == "twice_the_bound":
@@ -804,6 +821,15 @@ class TestResidualCheck:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=f"block size {k}$"):
             _check(column, rows, bad)
 
+
+    def test_small_rhs_is_its_own_scale(self):
+        # the drift-kernel rhs at T = 1e300 is about 1e-90: a zero solution
+        # leaves all of it as residual, relative 1, however small it is
+        sweep = SweepSolver(Grid(1e300, 64), ALPHA85)
+        rows = sweep._drift_rhs(64)[None]
+        assert np.max(np.abs(rows)) < 1e-80
+        with pytest.raises(NumericalError, match=re.escape("residual 1.000e+00")):
+            _check(sweep._system, rows, {64: np.zeros((1, 64))})
 
     def test_one_embedding_size_computation_per_size(self, monkeypatch):
         column, rows, solutions = _fused_solutions(range(1, 257))

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,6 +57,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1.0, 1)
 
+    def test_rejects_subnormal_cell_width(self):
+        tiny = np.finfo(float).tiny
+        assert Grid(64 * tiny, 64).h == tiny
+        with pytest.raises(ValueError, match="subnormal"):
+            Grid(32 * tiny, 64)
+
     @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_rejects_nonfinite_or_nonpositive_horizon(self, horizon):
         with pytest.raises(ValueError):
@@ -87,6 +94,8 @@ class TestRieszMoment:
             riesz_moment(1.0, 1.0, 0.5, Alpha(0.3))
         with pytest.raises(ValueError):
             riesz_moment(0.7, 0.2, 0.5, Alpha(0.3))
+        with pytest.raises(ValueError, match="a >= 0"):
+            riesz_moment(-0.1, 0.2, 0.5, Alpha(0.3))
 
     @pytest.mark.parametrize(
         "a,b,r,exponent",
@@ -131,6 +140,13 @@ class TestWeightMatrix:
         w = build_weight_matrix(Grid(2.0, 128), Alpha(0.45))
         assert np.all(np.isfinite(w.entries))
         assert np.all(w.entries > 0)
+
+    def test_rejects_a_vanishing_moment(self):
+        # a stand-in grid whose second midpoint lies so far away that the
+        # cell's moment rounds to 0; a Grid cannot do this
+        far = SimpleNamespace(nodes=np.array([0.0, 1.0, 2.0]), midpoints=np.array([0.5, 1e300]))
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_weight_matrix(far, Alpha(0.3))
 
     def test_matches_pointwise_definition(self):
         grid = Grid(1.0, 32)
@@ -182,6 +198,10 @@ class TestEdgeTools:
         c, d = edge_fit([3.0, 3.5], 0.0, 0.1)
         assert c == 0.0 and d == 3.5
 
+    def test_edge_fit_needs_a_sample(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            edge_fit([], 0.3, 0.1)
+
     def test_integrate_with_edge_exact_on_power_density(self):
         # density (t_k - tau)^(-0.5) + 2 integrated over [0, t_k]
         grid = Grid(1.0, 256)
@@ -197,6 +217,10 @@ class TestEdgeTools:
         grid = Grid(1.0, 64)
         values = np.full(32, 3.0)
         assert integrate_with_edge(values, grid, 32, 0.3) == pytest.approx(1.5, rel=1e-12)
+
+    def test_integrate_with_edge_rejects_bad_cells(self):
+        with pytest.raises(ValueError, match="cover exactly the cells below"):
+            integrate_with_edge(np.ones(31), Grid(1.0, 64), 32, 0.3)
 
     def test_edge_weighted_integral_exact_on_edge_model(self):
         # v = C (t_e - tau)^(-b) + D on the two edge cells against (t_e - tau)^(-b):

@@ -110,6 +110,11 @@ class TestSecondMoments:
         with pytest.raises(ValueError):
             second_moment_reduced(field, field)
 
+    def test_rejects_reversed_limits(self, sweep_h85):
+        l_s, l_t = sweep_h85.L_field(256), sweep_h85.L_field(320)
+        with pytest.raises(ValueError, match="need s <= t"):
+            second_moment_gram(l_t, l_s, sweep_h85.weights)
+
     def test_rejects_mismatched_grids(self, sweep_h85):
         other = SweepSolver(Grid(1.0, 256), Alpha.from_h(0.85))
         with pytest.raises(ValueError):
@@ -237,6 +242,10 @@ class TestVariogram:
         with pytest.raises(ValueError):
             build_variogram(0.85, 0.875, 3, 256, method="reduced")
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown variogram method 'spline'"):
+            build_variogram(0.85, 0.5, 4, 256, method="spline")
+
     def test_negative_values_rejected_by_type(self):
         with pytest.raises(ValueError):
             Variogram(h=0.85, base_point=0.5, lags=np.array([0.1]),
@@ -314,6 +323,12 @@ class TestBoundAudits:
         with pytest.raises(ValueError, match="strictly increase"):
             audit_lemma_bounds(Alpha.from_h(0.85), 0.5, 0.625, sweep)
 
+    @pytest.mark.parametrize("sweep", [[256], []])
+    def test_rejects_fewer_than_two_sizes(self, sweep):
+        # one size has nothing to be stable against: its ratio would read 1
+        with pytest.raises(ValueError, match="at least two sizes that strictly increase"):
+            audit_lemma_bounds(Alpha.from_h(0.85), 0.5, 0.625, sweep)
+
     @pytest.mark.parametrize("s, t, sweep, nodes", [
         # s and t share a node at n = 64, which once gave an infinite ratio
         (0.5, 0.501, [64, 4096], (64, 32, 32)),
@@ -389,3 +404,9 @@ class TestMcMachinery:
         with pytest.raises(ValueError):
             mc_increment_variances(0.85, 256, [320], sweep_h85.grid, seed=1,
                                    n_paths=10, refine=0)
+
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_rejects_fewer_than_two_paths(self, sweep_h85, n_paths):
+        # a sample variance of one path is NaN, and of none there is no sample
+        with pytest.raises(ValueError, match=f"at least 2 paths, got {n_paths}"):
+            mc_increment_variances(0.85, 256, [320], sweep_h85.grid, seed=1, n_paths=n_paths)
