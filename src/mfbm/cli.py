@@ -10,6 +10,11 @@ validates that line as it would a fresh one, so a missing, unknown or
 mistyped parameter exits 1.  So do a manifest file that is not a JSON
 object and a subcommand given after `--manifest`.
 
+Each input rule lives in one layer: the parser checks every option on its
+own, the library checks ranges (H, time points against the horizon, the
+audit's sweep), and a runner checks only the Monte Carlo grid cap, which
+spans two options.
+
 Exit codes: 0 success, 1 usage or validation error, 2 numerical failure.
 """
 from __future__ import annotations
@@ -53,14 +58,29 @@ def _fail(message: str) -> "SystemExit":
     return SystemExit(f"error: {message}")
 
 
-def _check_seed(params: dict):
-    if params["seed"] < 0:
-        raise _fail(f"--seed must be >= 0, got {params['seed']}")
+def _integer(rule: str, holds):
+    """A `type=` converter: an integer for which `holds` is true, else an
+    ArgumentTypeError that states `rule`."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _check_n(n: int):
-    if n < 64 or n > 4096 or n & (n - 1) != 0:
-        raise _fail(f"--n must be a power of two in [64, 4096], got {n}")
+_grid_size = _integer("a power of two in [64, 4096]", lambda n: 64 <= n <= 4096 and n & (n - 1) == 0)
+_nonnegative = _integer(">= 0", lambda value: value >= 0)
+_positive = _integer(">= 1", lambda value: value >= 1)
+
+
+def _grid_sizes(text: str) -> list:
+    """`--n-sweep`: a comma list of `--n` sizes."""
+    return [_grid_size(part) for part in text.split(",")]
 
 
 #: Largest Monte Carlo sampling grid, n * mc_refine: that of --n 4096 at the
@@ -85,27 +105,22 @@ def _finish(command: str, params: dict, files) -> int:
 def _add_common(parser, prefix_default: str, with_seed=True, with_n=True):
     parser.add_argument("--T", type=float, default=1.0, help="time horizon (default 1.0)")
     if with_n:
-        parser.add_argument("--n", type=int, default=1024, help="grid cells, power of two in [64, 4096]")
+        parser.add_argument("--n", type=_grid_size, default=1024, help="grid cells, power of two in [64, 4096]")
     parser.add_argument("--out-dir", default=None,
                         help=f"output directory (default ${out.OUT_DIR_ENV} or '.')")
     parser.add_argument("--prefix", default=prefix_default, help="output file name prefix")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_positive, default=None,
                         help="worker cap for parallel axes (results are unaffected)")
     if with_seed:
-        parser.add_argument("--seed", type=int, default=0, help="base random seed")
+        parser.add_argument("--seed", type=_nonnegative, default=0, help="base random seed")
 
 
 # ---------------------------------------------------------------- solve-kernel
 
 def run_solve_kernel(params: dict) -> int:
-    _check_n(params["n"])
-    if not 0.0 < params["upper"] <= params["T"]:
-        raise _fail(f"upper limit {params['upper']} outside (0, {params['T']}]")
     grid = Grid(params["T"], params["n"])
     alpha = Alpha.from_h(params["H"])
-    k = grid.nearest_node_index(params["upper"])
-    if k < 1:
-        raise _fail("upper limit rounds to node 0")
+    k = grid.nearest_node_index(params["upper"], "upper")
     solver = SweepSolver(grid, alpha)
     field = solver.L_field(k) if params["kind"] == "L" else solver.g_field(k)
     csv = out.write_csv(
@@ -118,11 +133,7 @@ def run_solve_kernel(params: dict) -> int:
 # ------------------------------------------------------------------- simulate
 
 def run_simulate(params: dict) -> int:
-    _check_n(params["n"])
-    _check_seed(params)
     grid = Grid(params["T"], params["n"])
-    if params["paths"] < 1:
-        raise _fail("--paths must be >= 1")
     if params["paths"] == 1:
         path = simulate(grid, params["H"], params["seed"])
         csv = out.write_csv(
@@ -144,8 +155,6 @@ def run_simulate(params: dict) -> int:
 # ------------------------------------------------------------------ decompose
 
 def run_decompose(params: dict) -> int:
-    _check_n(params["n"])
-    _check_seed(params)
     grid = Grid(params["T"], params["n"])
     path = simulate(grid, params["H"], params["seed"])
     drift, innovation = decompose(path, decimation=params["decimation"])
@@ -167,8 +176,6 @@ def run_decompose(params: dict) -> int:
 # ------------------------------------------------------- variogram and holder
 
 def _variogram_from(params: dict):
-    _check_n(params["n"])
-    _check_seed(params)
     if params["method"] == "monte_carlo" and params["n"] * params["mc_refine"] > _MAX_MC_CELLS:
         raise _fail(f"--n * --mc-refine must be <= {_MAX_MC_CELLS}, "
                     f"got {params['n']} * {params['mc_refine']}")
@@ -234,13 +241,8 @@ def run_holder(params: dict) -> int:
 # --------------------------------------------------------------- audit-bounds
 
 def run_audit_bounds(params: dict) -> int:
-    sweep = params["n_sweep"]
-    for n in sweep:
-        _check_n(n)
-    if not 0.0 < params["s"] < params["t"] <= params["T"]:
-        raise _fail("need 0 < s < t <= T")
     reports = audit_lemma_bounds(
-        Alpha.from_h(params["H"]), params["s"], params["t"], sweep,
+        Alpha.from_h(params["H"]), params["s"], params["t"], params["n_sweep"],
         horizon=params["T"],
     )
     payload = {
@@ -280,13 +282,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve-kernel", help="solve one kernel equation and dump the midpoint values")
     p.add_argument("--kind", choices=["L", "g"], required=True)
     p.add_argument("--H", type=float, required=True)
-    p.add_argument("--s", type=float, default=None, help="upper limit (drift kernel)")
-    p.add_argument("--t", type=float, default=None, help="upper limit (martingale kernel)")
+    upper = p.add_mutually_exclusive_group(required=True)
+    upper.add_argument("--s", dest="upper", type=float, metavar="S", help="upper limit (drift kernel)")
+    upper.add_argument("--t", dest="upper", type=float, metavar="T", help="upper limit (martingale kernel)")
     _add_common(p, "solve_kernel", with_seed=False)
 
     p = sub.add_parser("simulate", help="simulate component paths or an ensemble summary")
     p.add_argument("--H", type=float, required=True)
-    p.add_argument("--paths", type=int, default=1)
+    p.add_argument("--paths", type=_positive, default=1)
     _add_common(p, "simulate")
 
     p = sub.add_parser("decompose", help="drift / martingale / innovation split of one path")
@@ -303,7 +306,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--H", type=float, required=True)
         p.add_argument("--t0", type=float, default=0.5, help="base point (default T/2 = 0.5)")
         p.add_argument("--lags", type=int, default=6, help="number of dyadic lags (default 6)")
-        p.add_argument("--method", choices=["gram", "reduced", "monte-carlo"], default="reduced")
+        # monte_carlo, as manifests record it, parses too
+        p.add_argument("--method", type=lambda text: text.replace("-", "_"),
+                       choices=["gram", "reduced", "monte_carlo"],
+                       metavar="{gram,reduced,monte-carlo}", default="reduced")
         p.add_argument("--paths", type=int, default=5000, help="ensemble size for monte-carlo")
         p.add_argument("--mc-refine", type=int, default=2,
                        help="grid refinement for monte-carlo sampling (default 2)")
@@ -319,37 +325,27 @@ def _build_parser() -> _Parser:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--t", type=float, default=0.625)
-    p.add_argument("--n-sweep", default="128,256,512,1024")
+    p.add_argument("--n-sweep", type=_grid_sizes, default="128,256,512,1024",
+                   help="grid sizes, each a power of two in [64, 4096]")
     _add_common(p, "audit_bounds", with_seed=False, with_n=False)
 
     return parser
 
 
 def _params(args) -> dict:
-    """The run parameters: the subcommand's parsed options, with the output
-    directory resolved, `--method monte-carlo` spelled `monte_carlo`, the
-    upper limit of solve-kernel's `--s` / `--t` as `upper` and audit-bounds'
-    `--n-sweep` as a list."""
+    """The run parameters: the subcommand's parsed options (solve-kernel's
+    `--s` / `--t` as `upper`, `--method` as `monte_carlo`, `--n-sweep` as a
+    list, all done by the parser), with the output directory resolved."""
     params = {key: value for key, value in vars(args).items() if key not in ("command", "manifest")}
     params["out_dir"] = str(args.out_dir if args.out_dir is not None else out.default_out_dir())
-    if params.get("method") == "monte-carlo":
-        params["method"] = "monte_carlo"
-    if args.command == "solve-kernel":
-        s, t = params.pop("s"), params.pop("t")
-        if (s is None) == (t is None):
-            raise _fail("pass exactly one of --s / --t")
-        params["upper"] = t if s is None else s
-    elif args.command == "audit-bounds":
-        try:
-            params["n_sweep"] = [int(x) for x in args.n_sweep.split(",")]
-        except ValueError:
-            raise _fail(f"cannot parse --n-sweep {args.n_sweep!r}")
     return params
 
 
 def _replay_argv(manifest_path: str) -> list:
     """The command line that a manifest's parameters spell, so that a replay
-    is parsed and validated as that command line would be."""
+    is parsed and validated as that command line would be: `upper` as
+    `--s`, a list of two or more items comma-joined, a true flag bare, null
+    and false left out."""
     manifest = out.load_manifest(manifest_path)
     command, params = manifest["command"], manifest["parameters"]
     if not (isinstance(command, str) and command in _RUNNERS and isinstance(params, dict)):
@@ -362,10 +358,10 @@ def _replay_argv(manifest_path: str) -> list:
         if value is True:
             argv.append(option)
             continue
-        if key == "n_sweep" and isinstance(value, list):
+        if isinstance(value, list) and len(value) > 1:
+            # comma-joined, as --n-sweep takes it; a one-element list keeps its
+            # brackets, so that no option takes it as a scalar (no sweep has one size)
             value = ",".join(map(str, value))
-        elif key == "method":
-            value = str(value).replace("_", "-")
         # the = form, so that a value starting with '-' parses as a value
         argv.append(f"{option}={value}")
     return argv
@@ -382,10 +378,7 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_help()
             return 1
-        params = _params(args)
-        if params["threads"] is not None and params["threads"] < 1:
-            raise _fail(f"--threads must be >= 1, got {params['threads']}")
-        return _RUNNERS[args.command](params)
+        return _RUNNERS[args.command](_params(args))
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)

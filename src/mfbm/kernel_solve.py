@@ -167,13 +167,12 @@ def _check_residuals(rhs: np.ndarray, scale: np.ndarray, solutions: dict, size: 
         )
 
 
-def _kept_orders(column, rows, keep) -> list:
+def _kept_orders(column, keep) -> list:
     """`keep` as an ascending list of distinct orders, each a block size of
-    both toeplitz(column) and the (m, K) stack `rows`."""
+    toeplitz(column): in [1, len(column)]."""
     keep = sorted({int(k) for k in keep})
-    limit = min(len(column), rows.shape[1])
-    if keep and (keep[0] < 1 or keep[-1] > limit):
-        raise ValueError(f"block sizes must be in [1, {limit}], got {keep}")
+    if keep and not 1 <= keep[0] <= keep[-1] <= len(column):
+        raise ValueError(f"block sizes must be in [1, {len(column)}], got {keep}")
     return keep
 
 
@@ -235,7 +234,7 @@ def _prefix_solutions(column, rows, keep):
     breaks down (a diagonal <= 0 or beta = 1 - eps**2 <= 0, impossible for
     a positive definite T).
     """
-    keep = _kept_orders(column, rows, keep)
+    keep = _kept_orders(column, keep)
     if not keep:
         return
     column = np.asarray(column, dtype=float)
@@ -381,7 +380,7 @@ def _sparse_solutions(column, rows, keep) -> dict:
     (exact), so the forward vectors' products do not underflow at a huge
     horizon (a diagonal of 1e208 to 1e237 at T = 1e300).
     """
-    keep = _kept_orders(column, rows, keep)
+    keep = _kept_orders(column, keep)
     _, exponent = np.frexp(column[0])
     column = np.ldexp(column, -exponent)
     solved = ((k, _gohberg_semencul(_cg_forward(column, k), rows[:, :k])) for k in keep)
@@ -538,7 +537,8 @@ class SweepSolver:
         the fields as one more item.
         """
         indices = {int(i) for i in indices}
-        size = max(indices, default=0)
+        # the rows stop at the grid; the solver refuses an index past it
+        size = min(max(indices, default=0), self.grid.cells)
         rows = [self._drift_rhs(size) if kind == "L" else np.ones(size) for kind in kinds]
         if extra_rhs is not None:
             extra_rhs = np.asarray(extra_rhs, dtype=float)

@@ -87,17 +87,21 @@ class Grid:
         return self.horizon / self.cells
 
     def node_index(self, t: float, name: str = "t") -> int:
-        """Index of the node equal to `t`; rejects off-grid values."""
+        """Index of the node equal to `t` within 1e-9 of a cell width;
+        rejects off-grid values."""
         if not np.isfinite(t):
             raise ValueError(f"{name}={t} is not a grid node (h={self.h})")
         k = int(round(t / self.h))
-        if k < 0 or k > self.cells or abs(k * self.h - t) > 1e-9 * max(self.h, 1.0):
+        if k < 0 or k > self.cells or abs(k * self.h - t) > 1e-9 * self.h:
             raise ValueError(f"{name}={t} is not a grid node (h={self.h})")
         return k
 
-    def nearest_node_index(self, t: float) -> int:
-        """Index of the node closest to `t` (clamped to the grid)."""
-        return int(min(max(round(t / self.h), 0), self.cells))
+    def nearest_node_index(self, t: float, name: str = "t") -> int:
+        """Index of the node closest to `t`.  A `t` outside [0, T], NaN and
+        infinities included, is refused rather than clamped to the grid."""
+        if not 0.0 <= t <= self.horizon:
+            raise ValueError(f"{name}={t} is outside [0, {self.horizon}]")
+        return int(round(t / self.h))
 
 
 def riesz_moment(a, b, r, alpha):

@@ -390,8 +390,8 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
     from a second solve at s.
     Raises ValueError unless there are at least two sizes and they
     strictly increase (a single or repeated size would report a vacuous
-    stability ratio of 1) and, on every grid of the sweep, s rounds to a
-    node after 0 and t to a later one.
+    stability ratio of 1), s and t lie in [0, horizon] and, on every grid
+    of the sweep, s rounds to a node after 0 and t to a later one.
     """
     n_sweep = [int(n) for n in n_sweep]
     if len(n_sweep) < 2 or any(a >= b for a, b in zip(n_sweep, n_sweep[1:])):
@@ -400,7 +400,7 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
     points = []
     for n in n_sweep:
         grid = Grid(horizon, n)
-        ks, kt = grid.nearest_node_index(s), grid.nearest_node_index(t)
+        ks, kt = grid.nearest_node_index(s, "s"), grid.nearest_node_index(t, "t")
         if not 1 <= ks < kt:
             raise ValueError(f"s={s} and t={t} must round to distinct nodes after 0 on every grid, "
                              f"but at n={n} they round to nodes {ks} and {kt}")

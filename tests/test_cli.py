@@ -175,7 +175,7 @@ class TestBadInput:
         code = main(["simulate", "--H", "0.85", "--n", "64", "--paths", "0", "--out-dir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "error: --paths must be >= 1" in err
+        assert "Traceback" not in err and "argument --paths: must be >= 1" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("base_point", ["nan", "inf"])
@@ -186,6 +186,16 @@ class TestBadInput:
         assert code == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and f"t0={base_point} is not a grid node" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_base_point_off_a_tiny_grid(self, tmp_path, capsys):
+        # h = 3.9e-15 and t0 lies 0.36 h past node 79, which an absolute
+        # tolerance of 1e-9 once let through as node 79
+        code = main(["variogram", "--H", "0.85", "--T", "1e-12", "--t0", "3.1e-13", "--n", "256",
+                     "--lags", "2", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: t0=3.1e-13 is not a grid node" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("window", [
@@ -228,7 +238,7 @@ class TestBadInput:
         code = main([*command, "--seed", "-1", "--out-dir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "--seed must be >= 0" in err and "non-negative" not in err
+        assert "argument --seed: must be >= 0" in err and "non-negative" not in err
 
     @pytest.mark.parametrize("lags", ["0", "-2"])
     @pytest.mark.parametrize("command", ["variogram", "holder"])
@@ -254,7 +264,7 @@ class TestBadInput:
         code = main([*command, "--threads", threads, "--out-dir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "--threads must be >= 1" in err
+        assert "Traceback" not in err and "argument --threads: must be >= 1" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("points, sweep, message", [
@@ -263,6 +273,10 @@ class TestBadInput:
         (["--s", "0.5", "--t", "0.501"], "64,4096", "at n=64 they round to nodes 32 and 32"),
         (["--s", "0.5", "--t", "0.501"], "64,128", "at n=64 they round to nodes 32 and 32"),
         (["--s", "0.001"], "128,256,512,1024", "at n=128 they round to nodes 0 and 80"),
+        # a point off [0, T] is refused, no longer clamped to the horizon
+        (["--t", "2"], "64,128", "error: t=2.0 is outside [0, 1.0]"),
+        (["--s", "-0.25"], "64,128", "error: s=-0.25 is outside [0, 1.0]"),
+        (["--s", "0.5", "--t", "0.75", "--T", "0.6"], "64,128", "error: t=0.75 is outside [0, 0.6]"),
     ])
     def test_audit_points_on_distinct_nodes(self, tmp_path, capsys, points, sweep, message):
         code = main(["audit-bounds", "--H", "0.85", *points, "--n-sweep", sweep,
@@ -317,7 +331,7 @@ class TestBadInput:
         manifest.write_text(json.dumps(record))
         capsys.readouterr()
         assert main(["--manifest", str(manifest)]) == 1
-        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert "argument --threads: must be >= 1" in capsys.readouterr().err
 
 
 # Per subcommand: valid values of each option (every valid run stays at
@@ -568,6 +582,15 @@ class TestVariogramAndHolder:
         manifest = json.loads((tmp_path / "lone_manifest.json").read_text())["parameters"]
         assert [manifest["window_min"], manifest["window_max"]] == window
 
+    def test_method_as_manifests_spell_it(self, tmp_path):
+        # a manifest records monte_carlo; the parser takes either spelling
+        for method in ("monte-carlo", "monte_carlo"):
+            assert main(["variogram", "--H", "0.85", "--n", "128", "--lags", "3", "--paths", "16",
+                         "--mc-refine", "1", "--method", method,
+                         "--out-dir", str(tmp_path / method)]) == 0
+        assert (tmp_path / "monte-carlo" / "variogram.csv").read_bytes() == \
+            (tmp_path / "monte_carlo" / "variogram.csv").read_bytes()
+
     def test_gram_method_column(self, tmp_path):
         code = main(["variogram", "--H", "0.85", "--n", "256", "--lags", "4",
                      "--method", "gram", "--out-dir", str(tmp_path), "--prefix", "vgg"])
@@ -714,9 +737,10 @@ class TestBadManifest:
         lambda manifest: manifest["parameters"].update(n="abc"),
         lambda manifest: manifest["parameters"].update(n=64.5),
         lambda manifest: manifest["parameters"].update(H=True),
+        lambda manifest: manifest["parameters"].update(H=[0.85]),
         lambda manifest: manifest.pop("parameters"),
     ], ids=["missing-H", "parameters-list", "command-list", "command-option", "unknown-key",
-            "n-text", "n-float", "H-bool", "no-parameters"])
+            "n-text", "n-float", "H-bool", "H-list", "no-parameters"])
     def test_exits_one(self, tmp_path, capsys, edit):
         record = tmp_path / "record"
         assert main(["simulate", "--H", "0.85", "--n", "64", "--out-dir", str(record)]) == 0
@@ -730,6 +754,29 @@ class TestBadManifest:
         assert main(["--manifest", str(path)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+        assert not replay_dir.exists()
+
+    @pytest.mark.parametrize("command, key, value, option", [
+        (["simulate", "--H", "0.85", "--n", "64"], "n", 100, "--n"),
+        (["simulate", "--H", "0.85", "--n", "64"], "seed", -1, "--seed"),
+        (["simulate", "--H", "0.85", "--n", "64"], "paths", 0, "--paths"),
+        (["audit-bounds", "--H", "0.85", "--n-sweep", "64,128"], "n_sweep", [64, 100], "--n-sweep"),
+        (["audit-bounds", "--H", "0.85", "--n-sweep", "64,128"], "n_sweep", "x", "--n-sweep"),
+    ], ids=["n", "seed", "paths", "n_sweep-size", "n_sweep-text"])
+    def test_parser_rule_refuses_a_replay(self, tmp_path, capsys, command, key, value, option):
+        # a replay meets the parser's option rules as a fresh run does
+        record = tmp_path / "record"
+        assert main([*command, "--out-dir", str(record)]) == 0
+        (path,) = record.glob("*_manifest.json")
+        manifest = json.loads(path.read_text())
+        replay_dir = tmp_path / "replay"
+        manifest["parameters"].update({key: value, "out_dir": str(replay_dir)})
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["--manifest", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be" in err and "Traceback" not in err
+        assert "invalid" not in err
         assert not replay_dir.exists()
 
     @pytest.mark.parametrize("text", ["5", "null", '"x"', "[]"],

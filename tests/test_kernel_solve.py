@@ -374,6 +374,12 @@ class TestLevinsonCore:
         with pytest.raises(ValueError, match=re.escape("s_index must be in [1, 512]")):
             solve_q(sweep512, k, lambda r: np.ones_like(r))
 
+    @pytest.mark.parametrize("sweep, k", [("L_sweep", 0), ("g_sweep", 65), ("L_g_sweep", 65)])
+    def test_sweep_index_off_the_grid_names_the_grid(self, sweep, k):
+        solver = SweepSolver(Grid(1.0, 64), ALPHA85)
+        with pytest.raises(ValueError, match=re.escape(f"block sizes must be in [1, 64], got [{k}]")):
+            getattr(solver, sweep)([k])
+
     def test_rejects_out_of_range_sizes(self):
         with pytest.raises(ValueError):
             _sparse_solutions(np.array([2.0, 1.0]), np.ones((1, 2)), [3])

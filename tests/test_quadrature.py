@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,6 +76,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.node_index(0.51)
         assert g.nearest_node_index(0.51) == 33
+
+    def test_node_tolerance_is_relative_to_the_cell(self):
+        # 1.234e-13 lies 0.10 h off node 8 of a grid with h = 1.5625e-14
+        with pytest.raises(ValueError, match="t0=1.234e-13 is not a grid node"):
+            Grid(1e-12, 64).node_index(1.234e-13, "t0")
+        for horizon in (1e-300, 1.0, 7.3, 1e8, 1e300):
+            assert Grid(horizon, 256).node_index(horizon / 2) == 128
+
+    @pytest.mark.parametrize("t", [-0.25, 2.0, float("nan"), float("inf")])
+    def test_nearest_node_index_refuses_a_time_off_the_horizon(self, t):
+        # once clamped to node 0 or node n without a word
+        with pytest.raises(ValueError, match=re.escape(f"s={t} is outside [0, 1.0]")):
+            Grid(1.0, 64).nearest_node_index(t, "s")
 
 
 class TestRieszMoment:

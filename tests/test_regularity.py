@@ -343,6 +343,12 @@ class TestBoundAudits:
             with pytest.raises(ValueError, match=re.escape(message)):
                 audit_lemma_bounds(Alpha.from_h(0.85), s, t, sweep)
 
+    @pytest.mark.parametrize("s, t", [(0.5, 2.0), (-0.25, 0.5), (0.5, float("nan"))])
+    def test_rejects_points_off_the_horizon(self, s, t):
+        # t = 2 was once clamped to T = 1 while envelope i was computed at t = 2
+        with pytest.raises(ValueError, match=re.escape("is outside [0, 1.0]")):
+            audit_lemma_bounds(Alpha.from_h(0.85), s, t, [64, 128], horizon=1.0)
+
     def test_cg_solves_per_size(self, monkeypatch):
         passes, solves = [], []
         solve, levinson = kernel_solve._cg_forward, kernel_solve._prefix_solutions
