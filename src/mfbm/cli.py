@@ -20,7 +20,9 @@ Exit codes: 0 success, 1 usage or validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import json
 import sys
 from pathlib import Path
 
@@ -33,7 +35,8 @@ from .kernel_solve import SweepSolver
 from .gaussian_paths import node_moments, simulate
 from .gaussian_paths import simulate_ensemble  # unused here; perfbench/spans.py patches this name
 from .decomposition import decompose
-from .regularity import build_variogram, default_fit_window, fit_holder, audit_lemma_bounds
+from .regularity import build_variogram, fit_holder, audit_lemma_bounds
+from .regularity import default_fit_window  # unused here; perfbench/spans.py patches this name
 from . import outputs as out
 
 __all__ = ["main"]
@@ -76,6 +79,7 @@ def _integer(rule: str, holds):
 _grid_size = _integer("a power of two in [64, 4096]", lambda n: 64 <= n <= 4096 and n & (n - 1) == 0)
 _nonnegative = _integer(">= 0", lambda value: value >= 0)
 _positive = _integer(">= 1", lambda value: value >= 1)
+_ensemble_size = _integer(">= 2", lambda value: value >= 2)
 
 
 def _grid_sizes(text: str) -> list:
@@ -207,27 +211,12 @@ def run_variogram(params: dict) -> int:
 
 def run_holder(params: dict) -> int:
     variogram = _variogram_from(params)
-    default = default_fit_window(Grid(params["T"], params["n"]), params["t0"])
-    window = (default[0] if params["window_min"] is None else params["window_min"],
-              default[1] if params["window_max"] is None else params["window_max"])
-    params = {**params, "window_min": window[0], "window_max": window[1]}
     # fit before writing, so that a window the fit refuses leaves no file
-    fit = fit_holder(variogram, window=window)
+    fit = fit_holder(variogram, window=(params["window_min"], params["window_max"]))
+    params = {**params, "window_min": fit.window[0], "window_max": fit.window[1]}
     csv = _write_variogram_csv(params, variogram)
-    fit_json = out.write_json(
-        _out_path(params, "_fit.json"),
-        {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "slope_stderr": fit.slope_stderr,
-            "residual_norm": fit.residual_norm,
-            "target": fit.target,
-            "window": list(fit.lag_window),
-            "n_points": fit.n_points,
-            "method": variogram.method,
-        },
-    )
+    fit_json = out.write_json(_out_path(params, "_fit.json"),
+                              {**dataclasses.asdict(fit), "method": variogram.method})
     files = [csv, fit_json]
     if params["svg"]:
         files.append(out.loglog_svg(
@@ -246,12 +235,7 @@ def run_audit_bounds(params: dict) -> int:
         horizon=params["T"],
     )
     payload = {
-        part: {
-            "grid_sizes": list(rep.grid_sizes),
-            "constants": list(rep.constants),
-            "stability_ratio": rep.stability_ratio,
-            **({"envelope": rep.envelope} if rep.envelope is not None else {}),
-        }
+        part: {key: value for key, value in dataclasses.asdict(rep).items() if value is not None}
         for part, rep in reports.items()
     }
     report = out.write_json(_out_path(params, "_bounds.json"), payload)
@@ -310,8 +294,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--method", type=lambda text: text.replace("-", "_"),
                        choices=["gram", "reduced", "monte_carlo"],
                        metavar="{gram,reduced,monte-carlo}", default="reduced")
-        p.add_argument("--paths", type=int, default=5000, help="ensemble size for monte-carlo")
-        p.add_argument("--mc-refine", type=int, default=2,
+        # checked whatever the method, since the manifest records them either way
+        p.add_argument("--paths", type=_ensemble_size, default=5000, help="ensemble size for monte-carlo")
+        p.add_argument("--mc-refine", type=_positive, default=2,
                        help="grid refinement for monte-carlo sampling (default 2)")
         if name == "holder":
             p.add_argument("--window-min", type=float, default=None,
@@ -345,9 +330,12 @@ def _replay_argv(manifest_path: str) -> list:
     """The command line that a manifest's parameters spell, so that a replay
     is parsed and validated as that command line would be: `upper` as
     `--s`, a list of two or more items comma-joined, a true flag bare, null
-    and false left out."""
-    manifest = out.load_manifest(manifest_path)
-    command, params = manifest["command"], manifest["parameters"]
+    and false left out.  The one check made here is the record's shape: a
+    JSON object with a known subcommand name and an object of parameters."""
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    record = manifest if isinstance(manifest, dict) else {}
+    command, params = record.get("command"), record.get("parameters")
     if not (isinstance(command, str) and command in _RUNNERS and isinstance(params, dict)):
         raise _fail(f"manifest {manifest_path} needs a subcommand name and an object of parameters")
     argv = [command]

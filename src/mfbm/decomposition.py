@@ -133,6 +133,12 @@ def decompose(path: SamplePath, decimation: int = 8):
     :meth:`SweepSolver.path_functionals`), which stores no kernel field:
     O(n) memory.  Innovation and residual are assembled on that subset as
     in :func:`compute_innovation`.
+
+    phi is the left-point estimate from node data: the kernel's midpoint
+    values against the path's cell increments, with no edge model.  Its
+    increments fall short of the continuum second moment, by 13 % at
+    H = 0.85 and 39 % at H = 0.8 (n = 4096, lag 1/64 at t = 1/2), and the
+    shortfall decays only like h**(4H - 3) (see the README).
     """
     decimation = int(decimation)
     n = path.grid.cells

@@ -519,10 +519,17 @@ class SweepSolver:
         self._system[0] += 1.0
 
     def L_field(self, s_index: int) -> KernelField:
-        return self.L_sweep([s_index])[int(s_index)]
+        return self._single_field(self.L_sweep, s_index)
 
     def g_field(self, t_index: int) -> KernelField:
-        return self.g_sweep([t_index])[int(t_index)]
+        return self._single_field(self.g_sweep, t_index)
+
+    def _single_field(self, sweep, index: int) -> KernelField:
+        # an upper limit up to half a cell rounds to node 0, whose block is empty
+        if int(index) == 0:
+            raise ValueError(f"the upper limit rounds to node 0: it must be more than half a cell "
+                             f"({self.grid.h / 2:g}) above 0")
+        return sweep([index])[int(index)]
 
     def _sweep(self, indices: Iterable[int], kinds: str, extra_rhs=None) -> tuple:
         """Fields of each family in `kinds` ('L', 'G') at every index, from one

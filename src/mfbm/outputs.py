@@ -17,7 +17,6 @@ __all__ = [
     "write_csv",
     "write_json",
     "write_manifest",
-    "load_manifest",
     "default_out_dir",
     "loglog_svg",
 ]
@@ -72,17 +71,6 @@ def write_manifest(path, command: str, parameters: dict, outputs, version: str) 
         "outputs": [str(p) for p in outputs],
     }
     return write_json(path, manifest)
-
-
-def load_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"manifest {path} is not a JSON object")
-    for key in ("command", "parameters"):
-        if key not in manifest:
-            raise ValueError(f"manifest {path} lacks the {key!r} field")
-    return manifest
 
 
 def loglog_svg(path, lags, values, slope: float, intercept: float, target: float) -> Path:

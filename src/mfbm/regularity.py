@@ -289,7 +289,8 @@ def build_variogram(
 
 @dataclass(frozen=True)
 class HolderFit:
-    """Log-log regression of the variogram against lag."""
+    """Log-log regression of the variogram against lag.  Its fields, with
+    the variogram's method, are the keys of `holder`'s fit JSON."""
 
     slope: float
     intercept: float
@@ -297,19 +298,23 @@ class HolderFit:
     slope_stderr: float
     residual_norm: float
     target: float
-    lag_window: Tuple[float, float]
+    window: Tuple[float, float]
     n_points: int
 
 
-def fit_holder(variogram: Variogram, window: Optional[Tuple[float, float]] = None) -> HolderFit:
+def fit_holder(variogram: Variogram,
+               window: Tuple[Optional[float], Optional[float]] = (None, None)) -> HolderFit:
     """Ordinary least squares of log V against log lag inside the window.
 
     The reference slope is 4H - 3 (twice the pathwise smoothness order).
-    Requires a finite window 0 < lo < hi with at least 4 lags inside it.
+    A bound given as None is that of :func:`default_fit_window`.  Requires
+    a finite window 0 < lo < hi with at least 4 lags inside it.
     """
-    if window is None:
-        window = default_fit_window(Grid(variogram.horizon, variogram.grid_cells), variogram.base_point)
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = window
+    if lo is None or hi is None:
+        default = default_fit_window(Grid(variogram.horizon, variogram.grid_cells), variogram.base_point)
+        lo, hi = default[0] if lo is None else lo, default[1] if hi is None else hi
+    lo, hi = float(lo), float(hi)
     if not 0.0 < lo < hi < np.inf:
         raise ValueError(f"degenerate fit window ({lo}, {hi})")
     # each bound is padded relative to itself, so a huge hi pulls in no lag below lo
@@ -336,16 +341,17 @@ def fit_holder(variogram: Variogram, window: Optional[Tuple[float, float]] = Non
         slope_stderr=slope_stderr,
         residual_norm=float(np.sqrt(ss_res)),
         target=4.0 * variogram.h - 3.0,
-        lag_window=(lo, hi),
+        window=(lo, hi),
         n_points=m,
     )
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Fitted constant of one solution bound across a grid refinement sweep."""
+    """Fitted constant of one solution bound across a grid refinement sweep.
+    Its fields that are not None are the keys of the part's entry in the
+    `audit-bounds` JSON."""
 
-    lemma_part: str
     grid_sizes: Tuple[int, ...]
     constants: Tuple[float, ...]
     stability_ratio: float
@@ -434,7 +440,6 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
     for part in ("i", "ii", "iii", "composite"):
         constants = tuple(res[part] for res in per_size)
         reports[part] = BoundReport(
-            lemma_part=part,
             grid_sizes=tuple(n_sweep),
             constants=constants,
             stability_ratio=_stability_ratio(constants),

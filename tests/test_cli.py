@@ -56,7 +56,7 @@ class TestSolveKernel:
         interior = np.abs(coarse[:224] - fine[4::8][:224])
         assert np.max(interior / np.abs(fine[4::8][:224])) <= 0.02
 
-    def test_validation_exit_codes(self, tmp_path):
+    def test_validation_exit_codes(self, tmp_path, capsys):
         base = ["--out-dir", str(tmp_path)]
         assert main(["solve-kernel", "--kind", "L", "--H", "0.6", "--s", "1", "--n", "128", *base]) == 1
         assert main(["solve-kernel", "--kind", "L", "--H", "0.9", "--s", "1", "--n", "100", *base]) == 1
@@ -65,7 +65,10 @@ class TestSolveKernel:
         assert main(["solve-kernel", "--kind", "L", "--H", "0.9", "--s", "0.5", "--t", "0.5",
                      "--n", "128", *base]) == 1
         # below half a cell, the upper limit rounds to node 0
+        capsys.readouterr()
         assert main(["solve-kernel", "--kind", "L", "--H", "0.9", "--s", "0.001", "--n", "128", *base]) == 1
+        assert "the upper limit rounds to node 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_command_exits_one(self):
         assert main(["nonsense"]) == 1
@@ -323,6 +326,23 @@ class TestBadInput:
         assert "Traceback" not in err and f"unrecognized arguments: {option[0]}" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("method", ["reduced", "gram"])
+    @pytest.mark.parametrize("command", ["variogram", "holder"])
+    @pytest.mark.parametrize("option, rule", [
+        (["--paths", "-1", "--mc-refine", "-5"], "argument --paths: must be >= 2, got '-1'"),
+        (["--paths", "1"], "argument --paths: must be >= 2, got '1'"),
+        (["--mc-refine", "-5"], "argument --mc-refine: must be >= 1, got '-5'"),
+    ], ids=["both", "paths", "mc-refine"])
+    def test_monte_carlo_options_checked_whatever_the_method(self, tmp_path, capsys, command,
+                                                               method, option, rule):
+        # the manifest records --paths and --mc-refine whatever the method
+        code = main([command, "--method", method, "--H", "0.85", "--n", "256", "--lags", "4",
+                     *option, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and rule in err
+        assert not list(tmp_path.iterdir())
+
     def test_replayed_threads_below_one(self, tmp_path, capsys):
         assert main(["simulate", "--H", "0.85", "--n", "64", "--out-dir", str(tmp_path)]) == 0
         manifest = tmp_path / "simulate_manifest.json"
@@ -389,11 +409,12 @@ class TestContract:
 
 
 def _run_python(probe, *args):
-    """Run `probe` in a fresh interpreter that imports mfbm from src/."""
+    """Run `probe` in a fresh interpreter that imports mfbm from src/ and,
+    as tier-1 does, fails on a RuntimeWarning."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", probe, *args], env=env, capture_output=True,
-                          text=True, check=True, timeout=300)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", probe, *args], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
 
 
 def test_cli_import_loads_no_scipy():
@@ -403,15 +424,40 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "False"
 
 
-# Every subcommand once with SciPy blocked, then a replay of each manifest
-# into another directory.  The CI workflow repeats only the decompose run
-# and its replay, through the installed console script with SciPy
-# uninstalled, which an in-process test cannot do.
-_CONSOLE_SCRIPT_RUNS = [
-    ["--version"],
+# The commands of the CI workflow's console-script step, through cli.main
+# with SciPy blocked: the version, one decompose run, and the replay of its
+# manifest into a second directory, whose CSV must match byte for byte.
+# What only the step runs is the installed [project.scripts] entry point.
+_CONSOLE_SCRIPT_STEP = """
+import json, sys
+from pathlib import Path
+sys.modules["scipy"] = None
+from mfbm.cli import main
+
+out = Path(sys.argv[1])
+first, replay, rewritten = out / "first", out / "replay", out / "decompose_manifest.json"
+codes = [main(["--version"]),
+         main(["decompose", "--H", "0.85", "--n", "256", "--decimation", "1", "--out-dir", str(first)])]
+manifest = json.loads((first / "decompose_manifest.json").read_text())
+manifest["parameters"]["out_dir"] = str(replay)
+rewritten.write_text(json.dumps(manifest))
+codes.append(main(["--manifest", str(rewritten)]))
+print(json.dumps(codes))
+"""
+
+
+def test_console_script_step(tmp_path):
+    result = _run_python(_CONSOLE_SCRIPT_STEP, str(tmp_path))
+    assert json.loads(result.stdout.strip().splitlines()[-1]) == [0, 0, 0], result.stderr
+    assert (tmp_path / "first" / "decompose.csv").read_bytes() == \
+        (tmp_path / "replay" / "decompose.csv").read_bytes()
+
+
+# Every subcommand but decompose (run above) once with SciPy blocked, then a
+# replay of each manifest into another directory.
+_NO_SCIPY_RUNS = [
     ["simulate", "--H", "0.85", "--n", "64"],
     ["audit-bounds", "--H", "0.85", "--s", "0.5", "--t", "0.625", "--n-sweep", "128,256"],
-    ["decompose", "--H", "0.85", "--n", "256", "--decimation", "1"],
     ["solve-kernel", "--kind", "L", "--H", "0.85", "--s", "0.5", "--n", "256"],
     ["solve-kernel", "--kind", "g", "--H", "0.85", "--t", "0.5", "--n", "256", "--prefix", "solve_kernel_g"],
     ["variogram", "--method", "gram", "--H", "0.85", "--n", "256", "--lags", "4"],
@@ -432,8 +478,7 @@ out = Path(sys.argv[1])
 for n in json.loads(sys.argv[2]):
     np.save(out / f"entries_{n}.npy", build_weight_matrix(Grid(1.0, n), Alpha.from_h(0.85)).entries)
 first, replay = out / "first", out / "replay"
-codes = [main(argv if argv == ["--version"] else [*argv, "--out-dir", str(first)])
-         for argv in json.loads(sys.argv[3])]
+codes = [main([*argv, "--out-dir", str(first)]) for argv in json.loads(sys.argv[3])]
 for manifest in sorted(first.glob("*_manifest.json")):
     parsed = json.loads(manifest.read_text())
     parsed["parameters"]["out_dir"] = str(replay)
@@ -450,11 +495,11 @@ def test_runtime_needs_no_scipy(tmp_path):
     from mfbm.quadrature import Alpha, Grid, build_weight_matrix
 
     sizes = [2, 3, 64, 1024]
-    result = _run_python(_NO_SCIPY_PROBE, str(tmp_path), json.dumps(sizes), json.dumps(_CONSOLE_SCRIPT_RUNS))
+    result = _run_python(_NO_SCIPY_PROBE, str(tmp_path), json.dumps(sizes), json.dumps(_NO_SCIPY_RUNS))
     codes = json.loads(result.stdout.strip().splitlines()[-1])
     manifests = sorted(p.name for p in (tmp_path / "first").glob("*_manifest.json"))
-    assert len(manifests) == len(_CONSOLE_SCRIPT_RUNS) - 1
-    assert codes == [0] * (len(_CONSOLE_SCRIPT_RUNS) + len(manifests)), result.stderr
+    assert len(manifests) == len(_NO_SCIPY_RUNS)
+    assert codes == [0] * (2 * len(_NO_SCIPY_RUNS)), result.stderr
     for path in (tmp_path / "first").iterdir():
         if not path.name.endswith("_manifest.json"):
             assert path.read_bytes() == (tmp_path / "replay" / path.name).read_bytes(), path.name
@@ -561,9 +606,9 @@ class TestVariogramAndHolder:
                      "--out-dir", str(tmp_path), "--prefix", "ho"])
         assert code == 0
         fit = json.loads((tmp_path / "ho_fit.json").read_text())
-        for key in ("slope", "intercept", "r_squared", "target", "window",
-                    "slope_stderr", "n_points"):
-            assert key in fit
+        # the keys perfbench/workloads.py and earlier fit files hold
+        assert set(fit) == {"slope", "intercept", "r_squared", "slope_stderr", "residual_norm",
+                            "target", "window", "n_points", "method"}
         assert fit["target"] == pytest.approx(0.4)
         assert abs(fit["slope"] - fit["target"]) <= 0.1
         svg = (tmp_path / "ho.svg").read_text()
@@ -606,11 +651,12 @@ class TestAuditBounds:
         assert code == 0
         payload = json.loads((tmp_path / "ab_bounds.json").read_text())
         assert set(payload) == {"i", "ii", "iii", "composite"}
-        for part in payload.values():
+        for name, part in payload.items():
+            assert set(part) == {"grid_sizes", "constants", "stability_ratio",
+                                 *(["envelope"] if name == "i" else [])}
             assert part["grid_sizes"] == [64, 128]
             assert len(part["constants"]) == 2
             assert part["stability_ratio"] >= 1.0
-        assert "envelope" in payload["i"]
 
     def test_json_is_finite(self, tmp_path):
         with pytest.raises(ValueError):

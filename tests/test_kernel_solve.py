@@ -380,6 +380,14 @@ class TestLevinsonCore:
         with pytest.raises(ValueError, match=re.escape(f"block sizes must be in [1, 64], got [{k}]")):
             getattr(solver, sweep)([k])
 
+    @pytest.mark.parametrize("field", ["L_field", "g_field"])
+    def test_single_field_at_node_0_names_it(self, field):
+        # an upper limit up to half a cell rounds to node 0, whose block is empty
+        solver = SweepSolver(Grid(1.0, 64), ALPHA85)
+        with pytest.raises(ValueError, match=re.escape("the upper limit rounds to node 0: it must be "
+                                                       "more than half a cell (0.0078125) above 0")):
+            getattr(solver, field)(0)
+
     def test_rejects_out_of_range_sizes(self):
         with pytest.raises(ValueError):
             _sparse_solutions(np.array([2.0, 1.0]), np.ones((1, 2)), [3])

@@ -278,6 +278,15 @@ class TestHolderFit:
         assert lo == pytest.approx(16.0 / 1024)
         assert hi == pytest.approx(0.125)
 
+    @pytest.mark.parametrize("window", [(None, None), (None, 0.25), (0.0078125, None)],
+                             ids=["both-default", "default-lo", "default-hi"])
+    def test_missing_bound_is_the_default(self, window):
+        v = self._synthetic(0.3)
+        default = default_fit_window(Grid(v.horizon, v.grid_cells), v.base_point)
+        spelled = tuple(d if w is None else w for w, d in zip(window, default))
+        assert fit_holder(v, window=window) == fit_holder(v, window=spelled)
+        assert fit_holder(v, window=window).window == spelled
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_holder(self._synthetic(0.3, n_lags=3), window=(1e-9, 1.0))
