@@ -245,10 +245,10 @@ def _increments(grid: Grid, h: float, z: np.ndarray, white: np.ndarray):
     """
     n, dt = grid.cells, grid.h
     white = white * np.sqrt(dt)
+    amp = _amplitudes(n, h, dt)  # at H = 1 too, for its dt**2 range check
     if h == 1.0:
         # Degenerate covariance: the path is xi * t for one standard Gaussian.
         return np.repeat(z * dt, n, axis=1), white
-    amp = _amplitudes(n, h, dt)
     half = np.zeros((len(z), n + 1), dtype=complex)
     half.real[:, 0] = amp[0] * z[:, 0]
     half.real[:, n] = amp[n] * z[:, 1]
@@ -280,9 +280,9 @@ def increments_transpose(grid: Grid, h: float, a: np.ndarray, b: np.ndarray):
     """
     n, dt = grid.cells, grid.h
     b = b * np.sqrt(dt)
+    amp = _amplitudes(n, h, dt)  # at H = 1 too, for its dt**2 range check
     if h == 1.0:
         return dt * a.sum(axis=-1, keepdims=True), b
-    amp = _amplitudes(n, h, dt)
     spec = np.fft.rfft(a, n=2 * n, axis=-1)
     out = np.empty(a.shape[:-1] + (2 * n,))
     out[..., 0] = amp[0] * spec[..., 0].real

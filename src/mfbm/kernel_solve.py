@@ -7,10 +7,11 @@ collocation matrix is I + coeff * W[:k, :k], the leading block of one
 symmetric positive definite Toeplitz matrix stored as its first column.
 Every solve starts from the forward vector f_k = T_k^-1 e_1, and there
 are two ways to reach it.  Callers that keep a few orders (the single
-solves and the L/g sweeps, through :func:`_sparse_solutions`) take one
-conjugate-gradient solve per kept order (:func:`_cg_forward`,
-preconditioned by a circulant, every product by FFT) and run no
-Levinson pass: at each kept order T_k^-1 follows from f_k alone
+solves and the L/g sweeps, through :func:`_sparse_solutions`) take f_k
+from one conjugate-gradient solve per order and solver
+(:func:`_cg_forward`, preconditioned by a circulant, every product by
+FFT), which the :class:`SweepSolver` keeps for its later calls, and run
+no Levinson pass: at each kept order T_k^-1 follows from f_k alone
 (Gohberg-Semencul), applied to every row by FFT.  The one caller that
 keeps every order, :meth:`SweepSolver.path_functionals`, runs one
 Levinson-Durbin pass (:func:`_prefix_solutions`) whose every order step
@@ -363,27 +364,35 @@ def _cg_forward(column, k):
     )
 
 
-def _sparse_solutions(column, rows, keep) -> dict:
+def _sparse_solutions(column, rows, keep, forward: dict) -> dict:
     """{k: x_k} for every k in `keep`: the solutions of
     toeplitz(column)[:k, :k] x = rows[:, :k], each residual-checked.
 
     This is the solver for callers that keep a few orders (every solve but
     :meth:`SweepSolver.path_functionals`); no Levinson pass runs.  Each
-    kept order k takes its forward vector from one conjugate-gradient solve
-    (:func:`_cg_forward`, O(k log k) per iteration), and its
+    kept order k takes its forward vector from `forward`, a {k: f_k} dict
+    of read-only vectors solved before for this same column; on a miss
+    from one conjugate-gradient solve (:func:`_cg_forward`, O(k log k) per
+    iteration), which is stored there once it returns.  Its
     Gohberg-Semencul inverse (:func:`_gohberg_semencul`) solves all rows
     by FFT in O(m k log k).  `rows` is a stack of m right-hand sides
     (m, K); x_k is a new (m, k) array, every row in prefix order.  A row's
     solutions are bit-identical whether it is solved alone or stacked with
-    others, and with other kept orders or without.  The column, and each
-    checked solution, is divided by the power of two of the diagonal
-    (exact), so the forward vectors' products do not underflow at a huge
-    horizon (a diagonal of 1e208 to 1e237 at T = 1e300).
+    others, with other kept orders or without, and with a stored forward
+    vector or a new one (f_k depends on the column and k only).  The
+    column, and each checked solution, is divided by the power of two of
+    the diagonal (exact), so the forward vectors' products do not
+    underflow at a huge horizon (a diagonal of 1e208 to 1e237 at
+    T = 1e300); the stored vectors are those of the scaled column.
     """
     keep = _kept_orders(column, keep)
     _, exponent = np.frexp(column[0])
     column = np.ldexp(column, -exponent)
-    solved = ((k, _gohberg_semencul(_cg_forward(column, k), rows[:, :k])) for k in keep)
+    for k in keep:
+        if k not in forward:
+            forward[k] = _cg_forward(column, k)
+            forward[k].flags.writeable = False
+    solved = ((k, _gohberg_semencul(forward[k], rows[:, :k])) for k in keep)
     return {k: np.ldexp(x, -exponent) for k, x in _checked(column, rows, solved)}
 
 
@@ -405,7 +414,7 @@ def solve_q(sweep: "SweepSolver", s_index: int, rhs: Callable, kind: str = "Q") 
     f = np.broadcast_to(np.asarray(rhs(mids), dtype=float), (k,)).copy()
     if not np.all(np.isfinite(f)):
         raise ValueError("rhs must be finite at all collocation midpoints")
-    x = _sparse_solutions(sweep._system, f[None], [k])[k][0]
+    x = _sparse_solutions(sweep._system, f[None], [k], sweep._forward)[k][0]
     return KernelField(kind=kind, alpha=sweep.alpha, grid=grid, s_index=k, values=x, rhs=rhs)
 
 
@@ -499,14 +508,16 @@ class SweepSolver:
     one symmetric positive definite Toeplitz matrix I + coeff * W.  A sweep
     (see :func:`_sparse_solutions`) takes the forward vector at each
     requested index k from one preconditioned conjugate-gradient solve with
-    FFT products, shared by the families of :meth:`L_g_sweep`, and every
-    requested field from it by FFT: O(k log k) per iteration and per field,
-    and O(n) matrix storage.  The residual of every solution is checked
-    against `RESIDUAL_TOL` in prefix order, as the solvers return it; a
-    drift-kernel field is its solution reversed after the check.  Only
-    :meth:`path_functionals`, which keeps every order, runs a
-    Levinson-Durbin pass (:func:`_prefix_solutions`).  It owns W: the single
-    solves (:func:`solve_q`, :func:`solve_D`) take the solver, not a grid,
+    FFT products, and every requested field from it by FFT: O(k log k) per
+    iteration and per field, and O(n) matrix storage.  The solver keeps
+    each forward vector it solved, read-only, so a later sweep or single
+    solve at that index runs no second conjugate-gradient solve; every call
+    still checks the residual of every solution against `RESIDUAL_TOL` in
+    prefix order, as the solvers return it.  A drift-kernel field is its
+    solution reversed after the check.  Only :meth:`path_functionals`,
+    which keeps every order, runs a Levinson-Durbin pass
+    (:func:`_prefix_solutions`).  It owns W: the single solves
+    (:func:`solve_q`, :func:`solve_D`) take the solver, not a grid,
     exponent and W.
     """
 
@@ -517,6 +528,8 @@ class SweepSolver:
         # first column of the collocation matrix I + coeff * W
         self._system = alpha.coeff * self.weights.column
         self._system[0] += 1.0
+        # {k: f_k} of the power-of-two-scaled _system (see _sparse_solutions)
+        self._forward = {}
 
     def L_field(self, s_index: int) -> KernelField:
         return self._single_field(self.L_sweep, s_index)
@@ -531,63 +544,30 @@ class SweepSolver:
                              f"({self.grid.h / 2:g}) above 0")
         return sweep([index])[int(index)]
 
-    def _sweep(self, indices: Iterable[int], kinds: str, extra_rhs=None) -> tuple:
-        """Fields of each family in `kinds` ('L', 'G') at every index, from one
-        forward vector per index.
+    def L_sweep(self, indices: Iterable[int]) -> dict:
+        """Drift-kernel fields for every index.
 
         The L rhs at index k is v[k - 1 - i] with v_j = -coeff * m_j**(-a),
         the reversed k-prefix of one vector; the matrix is persymmetric, so
         the solver solves for the prefix v[:k] and each L field is a
-        C-contiguous copy of that solution reversed.  The g rhs is
-        identically 1.  Rows of `extra_rhs` are solved after the families,
-        from the same forward vectors; their solutions, {k: (m, k)}, follow
-        the fields as one more item.
+        C-contiguous copy of that solution reversed.
         """
-        indices = {int(i) for i in indices}
-        # the rows stop at the grid; the solver refuses an index past it
-        size = min(max(indices, default=0), self.grid.cells)
-        rows = [self._drift_rhs(size) if kind == "L" else np.ones(size) for kind in kinds]
-        if extra_rhs is not None:
-            extra_rhs = np.asarray(extra_rhs, dtype=float)
-            if extra_rhs.ndim != 2 or extra_rhs.shape[1] < size:
-                raise ValueError(f"extra_rhs must be an (m, K) stack with K >= {size}, "
-                                 f"got shape {extra_rhs.shape}")
-            if not np.all(np.isfinite(extra_rhs[:, :size])):
-                raise ValueError("extra_rhs must be finite at all collocation midpoints")
-            rows.extend(extra_rhs[:, :size])
-        solutions = _sparse_solutions(self._system, np.array(rows), indices)
-        fields = tuple(
-            {k: KernelField(kind=kind, alpha=self.alpha, grid=self.grid, s_index=k,
-                            values=x[j, ::-1].copy() if kind == "L" else x[j],
-                            rhs=_l_rhs(self.alpha, float(self.grid.nodes[k])) if kind == "L" else _ones)
-             for k, x in solutions.items()}
-            for j, kind in enumerate(kinds)
-        )
-        if extra_rhs is None:
-            return fields
-        return fields + ({k: x[len(kinds):] for k, x in solutions.items()},)
-
-    def L_g_sweep(self, indices: Iterable[int], extra_rhs=None) -> tuple:
-        """(drift-kernel fields, martingale-kernel fields) at every index, from
-        one forward vector per index.
-
-        `extra_rhs`, an optional (m, K) stack of further right-hand sides on
-        the first K >= max(indices) midpoints, is solved from the same
-        forward vectors, and a third item maps every index k to the (m, k)
-        solutions for extra_rhs[:, :k].  A rhs meant for one index k only is
-        zero-padded past k and read at k.  A row's solution at k depends on
-        the row and on the forward vector at k only, so it is bit-identical
-        to :func:`solve_q` with that rhs.
-        """
-        return self._sweep(indices, "LG", extra_rhs)
-
-    def L_sweep(self, indices: Iterable[int]) -> dict:
-        """Drift-kernel fields for every index."""
-        return self._sweep(indices, "L")[0]
+        return {k: KernelField(kind="L", alpha=self.alpha, grid=self.grid, s_index=k,
+                               values=x[0, ::-1].copy(), rhs=_l_rhs(self.alpha, float(self.grid.nodes[k])))
+                for k, x in self._sweep(indices, self._drift_rhs).items()}
 
     def g_sweep(self, indices: Iterable[int]) -> dict:
         """Martingale-kernel fields (rhs identically 1) for every index."""
-        return self._sweep(indices, "G")[0]
+        return {k: KernelField(kind="G", alpha=self.alpha, grid=self.grid, s_index=k, values=x[0], rhs=_ones)
+                for k, x in self._sweep(indices, np.ones).items()}
+
+    def _sweep(self, indices: Iterable[int], row) -> dict:
+        """{k: (1, k) solution} at every index k, for the rhs row(K)[:k]
+        (`row` builds the length-K rhs, K the largest index)."""
+        indices = {int(i) for i in indices}
+        # the row stops at the grid; the solver refuses an index past it
+        size = min(max(indices, default=0), self.grid.cells)
+        return _sparse_solutions(self._system, row(size)[None], indices, self._forward)
 
     def _drift_rhs(self, size: int) -> np.ndarray:
         """v[:size] with v_j = -coeff * m_j**(-a): the drift-kernel rhs at

@@ -389,11 +389,11 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
 
     Constants are reported per size with their max/min stability ratio;
     the proofs guarantee existence of bounding constants, not values, so
-    refinement stability is the testable statement.  Each size runs three
-    conjugate-gradient solves for forward vectors and no Levinson pass: L,
-    g and the part-iii rhs (zero-padded past s) are solved from the forward
-    vectors at s and t, and the difference kernel, whose rhs needs L(., t),
-    from a second solve at s.
+    refinement stability is the testable statement.  Each size runs two
+    conjugate-gradient solves for forward vectors, one at s and one at t,
+    and no Levinson pass: its solver keeps them, so L at s and t, g at t,
+    the part-iii rhs at s and the difference kernel at s, whose rhs needs
+    L(., t), are all solved from those two.
     Raises ValueError unless there are at least two sizes and they
     strictly increase (a single or repeated size would report a vacuous
     stability ratio of 1), s and t lie in [0, horizon] and, on every grid
@@ -414,21 +414,22 @@ def audit_lemma_bounds(alpha: Alpha, s: float, t: float, n_sweep, horizon: float
 
     def constants_for(grid, ks, kt):
         # imported at call time, so that a wrapper perfbench/spans.py puts on
-        # kernel_solve.solve_D is the one called
-        from .kernel_solve import solve_D
+        # kernel_solve.solve_q or solve_D is the one called
+        from .kernel_solve import solve_D, solve_q
 
         sweep = SweepSolver(grid, alpha)
         s_node, t_node = grid.nodes[ks], grid.nodes[kt]
         mids_s = grid.midpoints[:ks]
         out = {}
-        shape = (s_node - mids_s) ** (-a) - (t_node - mids_s) ** (-a)
-        part_iii = np.zeros((1, kt))
-        part_iii[0, :ks] = shape
-        drift_fields, g_fields, extra = sweep.L_g_sweep([ks, kt], extra_rhs=part_iii)
-        out["i"] = _fitted_constant(g_fields[kt].values, np.ones(kt))
-        q_drift = drift_fields[ks]
-        out["ii"] = _fitted_constant(q_drift.values * (s_node - mids_s) ** a, np.ones(ks))
-        out["iii"] = _fitted_constant(extra[ks][0], shape)
+
+        def part_iii(r):
+            return (s_node - r) ** (-a) - (t_node - r) ** (-a)
+
+        shape = part_iii(mids_s)
+        drift_fields = sweep.L_sweep([ks, kt])
+        out["i"] = _fitted_constant(sweep.g_field(kt).values, np.ones(kt))
+        out["ii"] = _fitted_constant(drift_fields[ks].values * (s_node - mids_s) ** a, np.ones(ks))
+        out["iii"] = _fitted_constant(solve_q(sweep, ks, part_iii).values, shape)
         d_field = solve_D(sweep, ks, drift_fields[kt])
         composite_shape = shape + (t_node - s_node) ** (1.0 - a) * (s_node - mids_s) ** (-a)
         out["composite"] = _fitted_constant(d_field.values, composite_shape)

@@ -30,7 +30,7 @@ def check_L_from_g(sweep: SweepSolver, s_index: int, dt: float) -> float:
     kernel scaled by its diagonal value; this compares the drift-kernel
     field at s against the central finite difference
     (g(r, s+dt) - g(r, s-dt)) / (2 dt g(s, s)) on interior midpoints
-    r <= 0.9 s, all from one sweep of `sweep`.
+    r <= 0.9 s, all from sweeps of `sweep`.
     """
     grid, k = sweep.grid, int(s_index)
     step = int(round(dt / grid.h))
@@ -38,9 +38,9 @@ def check_L_from_g(sweep: SweepSolver, s_index: int, dt: float) -> float:
         raise ValueError(f"dt={dt} is not a positive multiple of the grid spacing")
     if k - step < 1 or k + step > grid.cells:
         raise ValueError("dt pushes the shifted upper limits off the grid")
-    l_fields, g_fields = sweep.L_g_sweep([k - step, k, k + step])
+    g_fields = sweep.g_sweep([k - step, k, k + step])
     g_plus, g_minus, g_mid = g_fields[k + step], g_fields[k - step], g_fields[k]
-    l_ref = l_fields[k]
+    l_ref = sweep.L_sweep([k])[k]
     s = float(grid.nodes[k])
     g_ss = sweep.g_diagonal({k: g_mid})[k]
     if g_ss <= 0.0:

@@ -43,3 +43,10 @@ def test_traced_cli_runs(spans, tmp_path):
     assert {"kernel_solve.sweep", "decomposition.decompose", "outputs.write"} <= kinds
     assert tracer.residual_samples
     assert tracer.max_rel_residual() <= 1e-10
+    # the bound audit reaches the solver through the wrapped sweeps too
+    audit = spans.Tracer()
+    with spans.instrument(audit):
+        assert main(["audit-bounds", "--H", "0.85", "--n-sweep", "64,128", "--out-dir", str(tmp_path)]) == 0
+    assert "kernel_solve.sweep" in {span.kind for span in audit.spans}
+    assert audit.residual_samples
+    assert audit.max_rel_residual() <= 1e-10

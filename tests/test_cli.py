@@ -118,7 +118,8 @@ class TestBadInput:
     # the fBm autocovariance's dt**2H overflows at 1e300 and underflows to zero at 1e-300
     @pytest.mark.parametrize("horizon", ["1e300", "1e-300"])
     @pytest.mark.parametrize("command", [["simulate", "--H", "0.85"], ["decompose", "--H", "0.85"],
-                                         ["simulate", "--H", "0.85", "--paths", "3"]])
+                                         ["simulate", "--H", "0.85", "--paths", "3"],
+                                         ["simulate", "--H", "1"], ["simulate", "--H", "1", "--paths", "3"]])
     def test_huge_horizon_is_a_numerical_failure(self, tmp_path, capsys, command, horizon):
         code = main([*command, "--T", horizon, "--n", "64", "--out-dir", str(tmp_path)])
         assert code == 2

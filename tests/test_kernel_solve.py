@@ -358,7 +358,7 @@ class TestLevinsonCore:
     def test_breakdown_raises(self):
         # an indefinite Toeplitz matrix, eigenvalues 3 and -1
         with pytest.raises(NumericalError):
-            _sparse_solutions(np.array([1.0, 2.0]), np.ones((1, 2)), [2])
+            _sparse_solutions(np.array([1.0, 2.0]), np.ones((1, 2)), [2], {})
 
     def test_levinson_rejects_a_nonpositive_diagonal(self):
         with pytest.raises(NumericalError, match=re.escape("diagonal -1.000e+00 is not positive")):
@@ -374,7 +374,7 @@ class TestLevinsonCore:
         with pytest.raises(ValueError, match=re.escape("s_index must be in [1, 512]")):
             solve_q(sweep512, k, lambda r: np.ones_like(r))
 
-    @pytest.mark.parametrize("sweep, k", [("L_sweep", 0), ("g_sweep", 65), ("L_g_sweep", 65)])
+    @pytest.mark.parametrize("sweep, k", [("L_sweep", 0), ("g_sweep", 65)])
     def test_sweep_index_off_the_grid_names_the_grid(self, sweep, k):
         solver = SweepSolver(Grid(1.0, 64), ALPHA85)
         with pytest.raises(ValueError, match=re.escape(f"block sizes must be in [1, 64], got [{k}]")):
@@ -390,9 +390,9 @@ class TestLevinsonCore:
 
     def test_rejects_out_of_range_sizes(self):
         with pytest.raises(ValueError):
-            _sparse_solutions(np.array([2.0, 1.0]), np.ones((1, 2)), [3])
+            _sparse_solutions(np.array([2.0, 1.0]), np.ones((1, 2)), [3], {})
         with pytest.raises(ValueError):
-            _sparse_solutions(np.array([2.0, 1.0]), np.ones((1, 2)), [0])
+            _sparse_solutions(np.array([2.0, 1.0]), np.ones((1, 2)), [0], {})
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -408,7 +408,7 @@ class TestLevinsonCore:
         rhs = np.random.default_rng(seed).standard_normal(n)
         column = alpha.coeff * weights.column
         column[0] += 1.0
-        solutions = _sparse_solutions(column, rhs[None], keep)
+        solutions = _sparse_solutions(column, rhs[None], keep, {})
         assert sorted(solutions) == keep
         for k in keep:
             assert_matches_oracle(solutions[k][0], dense_oracle(weights, alpha, k, rhs[:k]))
@@ -419,52 +419,43 @@ BOUNDARY_SIZES = (64, 65, 96, 97, 128, 129)  # each pair straddles a check embed
 
 
 class TestFusedPass:
-    """One Levinson pass serves both kernel families, bit for bit."""
+    """Kernel families share forward vectors, and rows share a pass, bit for
+    bit."""
 
     @pytest.mark.parametrize("h", H_CORE)
     @pytest.mark.parametrize("keep", [range(1, 257), SPARSE_KEEP], ids=["all_prefix", "sparse"])
     def test_fields_equal_single_family_sweeps(self, h, keep):
-        sweep = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))
-        l_fields, g_fields = sweep.L_g_sweep(keep)
-        l_alone, g_alone = sweep.L_sweep(keep), sweep.g_sweep(keep)
-        assert sorted(l_fields) == sorted(g_fields) == sorted(keep)
+        # a solver that already holds the forward vectors gives a fresh
+        # solver's bits: L after g, and g after L
+        grid, alpha = Grid(1.0, 256), Alpha.from_h(h)
+        l_first, g_first = SweepSolver(grid, alpha), SweepSolver(grid, alpha)
+        l_fresh, g_fresh = l_first.L_sweep(keep), g_first.g_sweep(keep)
+        assert sorted(l_first._forward) == sorted(g_first._forward) == sorted(keep)
+        l_warm, g_warm = g_first.L_sweep(keep), l_first.g_sweep(keep)
+        assert sorted(l_warm) == sorted(g_warm) == sorted(keep)
         for k in keep:
-            assert np.array_equal(l_fields[k].values, l_alone[k].values)
-            assert np.array_equal(g_fields[k].values, g_alone[k].values)
-            assert (l_fields[k].kind, g_fields[k].kind) == ("L", "G")
+            assert np.array_equal(l_warm[k].values, l_fresh[k].values)
+            assert np.array_equal(g_warm[k].values, g_fresh[k].values)
+            assert (l_warm[k].kind, g_warm[k].kind) == ("L", "G")
 
     @pytest.mark.parametrize("h", H_CORE)
-    def test_extra_rows_equal_solve_q(self, h):
+    def test_audit_rows_on_a_warm_solver_equal_fresh_solve_q(self, h):
+        # the audit's order: L at s and t, then solve_q at s and t on the
+        # solver that holds both forward vectors
         grid, alpha = Grid(1.0, 256), Alpha.from_h(h)
         sweep = SweepSolver(grid, alpha)
         ks, kt = 128, 160
         rhs = lambda r: (0.5 - np.asarray(r)) ** (-alpha.value) - (0.625 - np.asarray(r)) ** (-alpha.value)
-        extra = np.zeros((2, kt))
-        extra[0, :ks] = rhs(grid.midpoints[:ks])
-        extra[1] = np.cos(grid.midpoints[:kt])
-        l_fields, g_fields, solutions = sweep.L_g_sweep([ks, kt], extra_rhs=extra)
-        assert sorted(solutions) == [ks, kt]
-        assert solutions[ks].shape == (2, ks) and solutions[kt].shape == (2, kt)
-        assert np.array_equal(solutions[ks][0], solve_q(sweep, ks, rhs).values)
         cosine = lambda r: np.cos(np.asarray(r))
+        l_fields = sweep.L_sweep([ks, kt])
+        assert sorted(sweep._forward) == [ks, kt]
+        assert np.array_equal(solve_q(sweep, ks, rhs).values, solve_q(SweepSolver(grid, alpha), ks, rhs).values)
         for k in (ks, kt):
-            assert np.array_equal(solutions[k][1], solve_q(sweep, k, cosine).values)
-        l_alone, g_alone = sweep.L_g_sweep([ks, kt])
+            assert np.array_equal(solve_q(sweep, k, cosine).values,
+                                  solve_q(SweepSolver(grid, alpha), k, cosine).values)
+        l_again = sweep.L_sweep([ks, kt])
         for k in (ks, kt):
-            assert np.array_equal(l_fields[k].values, l_alone[k].values)
-            assert np.array_equal(g_fields[k].values, g_alone[k].values)
-
-    @pytest.mark.parametrize("shape", [(160,), (1, 159)])
-    def test_extra_rows_need_a_stack_covering_the_pass(self, sweep512, shape):
-        with pytest.raises(ValueError, match="extra_rhs"):
-            sweep512.L_g_sweep([128, 160], extra_rhs=np.ones(shape))
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_extra_rows_must_be_finite(self, sweep512, value):
-        extra = np.ones((2, 96))
-        extra[1, 40] = value
-        with pytest.raises(ValueError, match="extra_rhs must be finite"):
-            sweep512.L_g_sweep([32, 96], extra_rhs=extra)
+            assert np.array_equal(l_again[k].values, l_fields[k].values)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_increment_fails_the_residual_check(self, sweep512, value):
@@ -504,7 +495,8 @@ class TestForwardVectorSolve:
         sweep = SweepSolver(grid, Alpha.from_h(h))
         rows = _three_rows(grid, sweep)
         assert len({_smooth_size(k) for k in FORWARD_KEEP}) > 1
-        l_fields, g_fields, extra = sweep.L_g_sweep(FORWARD_KEEP, extra_rhs=rows[2:])
+        l_fields, g_fields = sweep.L_sweep(FORWARD_KEEP), sweep.g_sweep(FORWARD_KEEP)
+        extra = _sparse_solutions(sweep._system, rows[2:], FORWARD_KEEP, sweep._forward)
         riding = dict(kernel_solve._prefix_solutions(sweep._system, rows, FORWARD_KEEP))
         for k in FORWARD_KEEP:
             solved = np.array([l_fields[k].values, g_fields[k].values, extra[k][0]])
@@ -521,26 +513,28 @@ class TestForwardVectorSolve:
         grid = Grid(1.0, 256)
         sweep = SweepSolver(grid, Alpha.from_h(h))
         rows = _three_rows(grid, sweep)
-        stacked = _sparse_solutions(sweep._system, rows, FORWARD_KEEP)
+        stacked = _sparse_solutions(sweep._system, rows, FORWARD_KEEP, {})
         for j in range(3):
-            alone = _sparse_solutions(sweep._system, rows[j:j + 1], FORWARD_KEEP)
-            pair = _sparse_solutions(sweep._system, rows[[j, 1]], FORWARD_KEEP)
+            alone = _sparse_solutions(sweep._system, rows[j:j + 1], FORWARD_KEEP, {})
+            pair = _sparse_solutions(sweep._system, rows[[j, 1]], FORWARD_KEEP, {})
             for k in FORWARD_KEEP:
                 assert np.array_equal(alone[k][0], stacked[k][j]), (j, k)
                 assert np.array_equal(pair[k][0], stacked[k][j]), (j, k)
 
     @pytest.mark.parametrize("h", (0.85, 1.0))
-    @pytest.mark.parametrize("fused", [False, True], ids=["L_sweep", "L_g_sweep"])
-    def test_drift_field_is_reversed_prefix_solution(self, h, fused):
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    def test_drift_field_is_reversed_prefix_solution(self, h, warm):
         # the sweep reverses the drift row once, after the check, into a
-        # C-contiguous copy
+        # C-contiguous copy, also when the forward vectors are stored ones
         sweep = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))
-        l_fields = sweep.L_g_sweep(FORWARD_KEEP)[0] if fused else sweep.L_sweep(FORWARD_KEEP)
+        if warm:
+            sweep.g_sweep(FORWARD_KEEP)
+        l_fields = sweep.L_sweep(FORWARD_KEEP)
         for k in FORWARD_KEEP:
             values = l_fields[k].values
             assert values.flags.c_contiguous, k
             v = sweep._drift_rhs(k)
-            assert np.array_equal(values, _sparse_solutions(sweep._system, v[None], [k])[k][0][::-1]), k
+            assert np.array_equal(values, _sparse_solutions(sweep._system, v[None], [k], {})[k][0][::-1]), k
 
 
 class TestEverySolutionChecked:
@@ -560,12 +554,18 @@ class TestEverySolutionChecked:
         monkeypatch.setattr(kernel_solve, "_gohberg_semencul", perturbed)
 
     @pytest.mark.parametrize("order", [32, 96])
-    @pytest.mark.parametrize("row", [0, 1, 2], ids=["L", "g", "extra"])
-    def test_fused_sweep_raises(self, monkeypatch, order, row):
+    @pytest.mark.parametrize("solve", [
+        lambda sweep, order: sweep.L_sweep([32, 96]),
+        lambda sweep, order: sweep.g_sweep([32, 96]),
+        lambda sweep, order: solve_q(sweep, order, np.cos),
+    ], ids=["L_sweep", "g_sweep", "solve_q"])
+    def test_warm_solver_raises(self, monkeypatch, order, solve):
+        # on a warm solver: its stored forward vectors are no way round the check
         sweep = SweepSolver(Grid(1.0, 128), ALPHA85)
-        self._perturb(monkeypatch, order, row)
+        sweep.L_sweep([32, 96])
+        self._perturb(monkeypatch, order)
         with pytest.raises(NumericalError, match=f"block size {order}$"):
-            sweep.L_g_sweep([32, 96], extra_rhs=np.ones((1, 96)))
+            solve(sweep, order)
 
     def test_solve_q_raises(self, monkeypatch):
         sweep = SweepSolver(Grid(1.0, 128), ALPHA85)
@@ -589,9 +589,10 @@ class TestEverySolutionChecked:
 
 
 class TestForwardVectorReuse:
-    """No forward vector is reused across calls: a solver used again after a
-    sweep solves each order of the new call afresh, with the bits of a
-    fresh solver and the same residual check."""
+    """A solver keeps the forward vector of every order it solved, read-only,
+    and a later call at that order reuses it: it runs no second
+    conjugate-gradient solve, gives a fresh solver's bits and still
+    residual-checks every solution it returns."""
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -610,14 +611,14 @@ class TestForwardVectorReuse:
     def test_reused_solves_equal_fresh_solves(self, monkeypatch, h, ks):
         grid, alpha, kt = Grid(1.0, 256), Alpha.from_h(h), 160
         sweep = SweepSolver(grid, alpha)
-        l_fields, _ = sweep.L_g_sweep([ks, kt])
+        l_fields = sweep.L_sweep([ks, kt])
         solves = self._count_solves(monkeypatch)
         reused_D = solve_D(sweep, ks, l_fields[kt])
         reused_q = solve_q(sweep, ks, np.cos)
-        assert solves == [ks, ks]
+        assert solves == []
         fresh_D = solve_D(SweepSolver(grid, alpha), ks, l_fields[kt])
         fresh_q = solve_q(SweepSolver(grid, alpha), ks, np.cos)
-        assert solves == [ks, ks, ks, ks]
+        assert solves == [ks, ks]
         assert np.array_equal(reused_D.values, fresh_D.values)
         assert np.array_equal(reused_q.values, fresh_q.values)
 
@@ -625,14 +626,34 @@ class TestForwardVectorReuse:
     @pytest.mark.parametrize("ks", BOUNDARY_SIZES[:2])
     def test_reused_order_is_checked(self, monkeypatch, h, ks):
         sweep = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))
-        l_fields, _ = sweep.L_g_sweep([ks, 160])
+        l_fields = sweep.L_sweep([ks, 160])
         solves = self._count_solves(monkeypatch)
         TestEverySolutionChecked._perturb(monkeypatch, ks)
         with pytest.raises(NumericalError, match=f"block size {ks}$"):
             solve_D(sweep, ks, l_fields[160])
         with pytest.raises(NumericalError, match=f"block size {ks}$"):
             solve_q(sweep, ks, np.cos)
-        assert solves == [ks, ks]
+        assert solves == []
+
+    def test_stored_vector_is_read_only(self):
+        sweep = SweepSolver(Grid(1.0, 128), ALPHA85)
+        sweep.g_sweep([40, 128])
+        assert sorted(sweep._forward) == [40, 128]
+        for f in sweep._forward.values():
+            with pytest.raises(ValueError, match="read-only"):
+                f[0] = 0.0
+
+    def test_failed_solve_stores_nothing(self, monkeypatch):
+        grid = Grid(1.0, 64)
+        sweep = SweepSolver(grid, ALPHA85)
+        monkeypatch.setattr(kernel_solve, "_CG_MAX_ITER", 1)
+        with pytest.raises(NumericalError, match="order 40 did not converge in 1 iterations"):
+            sweep.g_sweep([40])
+        assert sweep._forward == {}
+        monkeypatch.undo()
+        fresh = SweepSolver(grid, ALPHA85)
+        assert np.array_equal(sweep.g_field(40).values, fresh.g_field(40).values)
+        assert np.array_equal(sweep._forward[40], fresh._forward[40])
 
 
 CG_ORDERS = sorted({*K_CORE, *BOUNDARY_SIZES})
@@ -667,11 +688,11 @@ class TestConjugateGradientForward:
             return solved[-1][1]
 
         monkeypatch.setattr(kernel_solve, "_cg_forward", recording)
-        together = _sparse_solutions(sweep._system, rows, FORWARD_KEEP)
+        together = _sparse_solutions(sweep._system, rows, FORWARD_KEEP, {})
         forward_all = dict(solved)
         assert sorted(forward_all) == sorted(FORWARD_KEEP)
         for k in FORWARD_KEEP:
-            alone = _sparse_solutions(sweep._system, rows[:, :k], [k])
+            alone = _sparse_solutions(sweep._system, rows[:, :k], [k], {})
             assert solved[-1][0] == k
             assert np.array_equal(solved[-1][1], forward_all[k]), k
             assert np.array_equal(alone[k], together[k]), k
@@ -686,9 +707,9 @@ class TestConjugateGradientForward:
 
         monkeypatch.setattr(kernel_solve, "_prefix_solutions", recording)
         sweep = SweepSolver(Grid(1.0, 128), ALPHA85)
-        l_fields = sweep.L_g_sweep([32, 96], extra_rhs=np.ones((1, 96)))[0]
+        l_fields = sweep.L_sweep([32, 96])
+        sweep.g_sweep([5, 96])
         sweep.L_sweep([17, 128])
-        sweep.g_sweep([5])
         solve_q(sweep, 64, np.cos)
         solve_D(sweep, 32, l_fields[96])
         assert passes == []
@@ -790,7 +811,7 @@ def _fused_solutions(keep):
     sweep = SweepSolver(grid, alpha)
     rows = np.array([-alpha.coeff * grid.midpoints ** (-alpha.value), np.ones(grid.cells)])
     column = sweep._system
-    return column, rows, _sparse_solutions(column, rows, keep)
+    return column, rows, _sparse_solutions(column, rows, keep, {})
 
 
 def _check(column, rows, solutions):

@@ -373,9 +373,9 @@ class TestBoundAudits:
         monkeypatch.setattr(kernel_solve, "_cg_forward", solving)
         monkeypatch.setattr(kernel_solve, "_prefix_solutions", recording)
         audit_lemma_bounds(Alpha.from_h(0.85), 0.5, 0.625, [64, 128, 256, 512])
-        # per size: one solve each at s and t serves L, g and part iii, and
-        # one more at s the difference kernel; no Levinson pass runs
-        assert solves == [k for n in (64, 128, 256, 512) for k in (n // 2, 5 * n // 8, n // 2)]
+        # per size: one solve each at s and t, which the size's solver keeps
+        # for L, g, part iii and the difference kernel; no Levinson pass runs
+        assert solves == [k for n in (64, 128, 256, 512) for k in (n // 2, 5 * n // 8)]
         assert passes == []
 
 
