@@ -7,17 +7,21 @@ collocation matrix is I + coeff * W[:k, :k], the leading block of one
 symmetric positive definite Toeplitz matrix stored as its first column.
 Every solve starts from the forward vector f_k = T_k^-1 e_1, and there
 are two ways to reach it.  Callers that keep a few orders (the single
-solves and the L/g sweeps, through :func:`_sparse_solutions`) take f_k
-from one conjugate-gradient solve per order and solver
-(:func:`_cg_forward`, preconditioned by a circulant, every product by
-FFT), which the :class:`SweepSolver` keeps for its later calls, and run
-no Levinson pass: at each kept order T_k^-1 follows from f_k alone
-(Gohberg-Semencul), applied to every row by FFT.  The one caller that
-keeps every order, :meth:`SweepSolver.path_functionals`, runs one
-Levinson-Durbin pass (:func:`_prefix_solutions`) whose every order step
-grows f_k and extends each row's solution.  Either way the solver returns
-T_k^-1 rows[:, :k] in prefix order, each solution residual-checked by FFT
-matvec (:func:`_checked`) before it is handed on; the sweeps reverse the
+solves and the L/g sweeps, through :func:`_sparse_solutions`) give every
+order k an anchor a(k) <= k within min(128, k / 8) of it, computed from k
+alone (:func:`_anchor`).  An anchor takes f_a from one conjugate-gradient
+solve from zero (:func:`_cg_forward`, preconditioned by a circulant, every
+product by FFT); any other kept order grows f_a(k) by k - a(k) Levinson
+order steps (:func:`_forward_step`) and polishes the result by conjugate
+gradients started from it.  The :class:`SweepSolver` keeps every forward
+vector it reached for its later calls.  No Levinson pass runs there: at
+each kept order T_k^-1 follows from f_k alone (Gohberg-Semencul), applied
+to every row by FFT.  The one caller that keeps every order,
+:meth:`SweepSolver.path_functionals`, runs one Levinson-Durbin pass
+(:func:`_prefix_solutions`) whose every order step grows f_k and extends
+each row's solution.  Either way the solver returns T_k^-1 rows[:, :k] in
+prefix order, each solution residual-checked by FFT matvec
+(:func:`_checked`) before it is handed on; the sweeps reverse the
 drift-kernel rows afterwards.
 """
 from __future__ import annotations
@@ -49,10 +53,18 @@ _CHUNK_FLOATS = 1 << 17
 #: below RESIDUAL_TOL.
 _CG_TOL = 1e-15
 
-#: Iteration cap of :func:`_cg_forward`.  It needs at most 8 iterations on
-#: [0, 1] (H -> 3/4; 1 at H = 1) and at most 17 up to T = 1e12, for every
-#: order up to n = 2**14.
+#: Iteration cap of :func:`_conjugate_gradients`.  From zero it needs at
+#: most 8 iterations on [0, 1] (H -> 3/4; 1 at H = 1) and at most 17 up to
+#: T = 1e12, for every order up to n = 2**14.
 _CG_MAX_ITER = 100
+
+#: Largest spacing of the anchor orders (see :func:`_anchor`): a kept order
+#: that is not an anchor is reached from its anchor's forward vector by
+#: fewer than this many O(k) Levinson order steps, then polished.  The 128
+#: steps from order 2048 to 2176 took 1.00 ms, 0.89 times the 1.12 ms of
+#: one conjugate-gradient solve from zero at order 2176 (H = 0.85,
+#: n = 4096, medians of 200 on a 2-core VM); fewer steps cost less.
+_ANCHOR_STRIDE = 128
 
 
 @dataclass
@@ -210,6 +222,38 @@ def _checked(column, rows, solved):
         yield from block.items()
 
 
+def _dot(u, v) -> float:
+    """u . v by BLAS, in pieces of at most 8192 entries: OpenBLAS splits a
+    longer dot product over its threads, which changes its rounding, so
+    the bits would depend on the thread count past 10000 entries."""
+    piece = 8192
+    if u.size <= piece:
+        return float(u.dot(v))
+    return sum(float(u[i:i + piece].dot(v[i:i + piece])) for i in range(0, u.size, piece))
+
+
+def _forward_step(f, k, lag, work):
+    """The Levinson-Durbin order step: grow f[:k], the forward vector
+    T_k^-1 e_1, in place to f[:k + 1] = T_(k+1)^-1 e_1, and return the new
+    backward vector f[k::-1] (T is persymmetric).
+
+    f[k] must be 0 on entry.  `lag` is column[k], ..., column[1] and `work`
+    a buffer of at least k + 1 floats; f = (f - eps * f[::-1]) / beta with
+    eps = lag . f[:k] and beta = 1 - eps**2, written through `work`, so the
+    step allocates nothing.  O(k).  Raises NumericalError, naming order
+    k + 1, if beta <= 0 (impossible for a positive definite T).
+    """
+    eps = _dot(lag, f[:k])
+    beta = 1.0 - eps * eps
+    if not beta > 0.0:
+        raise NumericalError(f"Levinson recursion broke down at order {k + 1} (beta = {beta:.3e})")
+    head, backward, work = f[:k + 1], f[k::-1], work[:k + 1]
+    np.multiply(backward, eps, work)
+    np.subtract(head, work, work)
+    np.divide(work, beta, head)
+    return backward
+
+
 def _prefix_solutions(column, rows, keep):
     """Yield (k, x_k) for every k in `keep`, ascending: the solutions of
     toeplitz(column)[:k, :k] x = rows[:, :k], every row riding one
@@ -219,9 +263,9 @@ def _prefix_solutions(column, rows, keep):
     :meth:`SweepSolver.path_functionals` does.  `column` is the first
     column of a symmetric positive definite Toeplitz matrix T; `rows` is a
     stack of m right-hand sides (m, K).  The step to order k + 1 grows the
-    forward vector f = T_k^-1 e_1 to f_(k+1) (the backward vector is
-    f[k::-1] because T is persymmetric), then extends each row's solution
-    by x += (rows[j, k] - lag . x[:k]) * f[k::-1] with lag = column[k],
+    forward vector f = T_k^-1 e_1 to f_(k+1) (:func:`_forward_step`, whose
+    backward vector is f[k::-1]), then extends each row's solution by
+    x += (rows[j, k] - lag . x[:k]) * f[k::-1] with lag = column[k],
     ..., column[1]: O(m K) extra work per order, cheaper than solving each
     kept order afresh.  Both steps write their temporaries into buffers
     made once per pass (a ufunc's third argument is its output), and round
@@ -256,14 +300,7 @@ def _prefix_solutions(column, rows, keep):
         for k in range(size):
             if k:
                 lag = lags[size - 1 - k:]
-                eps = float(lag.dot(f[:k]))
-                beta = 1.0 - eps * eps
-                if not beta > 0.0:
-                    raise NumericalError(f"Levinson recursion broke down at order {k + 1} (beta = {beta:.3e})")
-                head, backward, work = f[:k + 1], f[k::-1], f_work[:k + 1]
-                np.multiply(backward, eps, work)
-                np.subtract(head, work, work)
-                np.divide(work, beta, head)
+                backward = _forward_step(f, k, lag, f_work)
                 for j, x_j in enumerate(x_rows):
                     gap[j, 0] = rows[j, k] - lag.dot(x_j[:k])
                 head, work = x[:, :k + 1], x_work[:, :k + 1]
@@ -302,7 +339,19 @@ def _gohberg_semencul(f, rows):
 def _cg_forward(column, k):
     """The forward vector f_k = T_k^-1 e_1 of the leading k x k block T_k of
     the symmetric positive definite Toeplitz T with first column `column`,
-    by preconditioned conjugate gradients from f = 0.
+    by :func:`_conjugate_gradients` from f = 0: the solve each anchor order
+    (:func:`_anchor`) runs, and an order that is not an anchor runs at its
+    anchor before its order steps and polish (:func:`_store_forward`).  No
+    guess is taken from another order, so f_k depends on the column and k
+    only."""
+    return _conjugate_gradients(column, k, None)
+
+
+def _conjugate_gradients(column, k, start):
+    """Preconditioned conjugate gradients for T_k f = e_1 (see
+    :func:`_cg_forward`), from f = 0 if `start` is None, else from a copy of
+    the length-k vector `start` (the polish of an extended forward vector,
+    see :func:`_store_forward`).
 
     Each product T_k p is an rfft/irfft product on the `_smooth_size(k)`
     circulant embedding, the one the residual check uses.  The
@@ -312,17 +361,29 @@ def _cg_forward(column, k):
     T_k, so they are positive when T_k is positive definite, and the
     iteration count hardly grows with k or the horizon (counts at
     `_CG_MAX_ITER`).  The solve stops once the max-norm of the recursive
-    residual is `_CG_TOL` or below.  Inner products are NumPy sums, not
-    BLAS calls, so the bits do not depend on the BLAS thread count; no
-    guess is taken from another order, so f_k depends on the column and k
-    only.  Raises NumericalError, naming k, if an eigenvalue
-    of the preconditioner or the curvature p . T_k p is not positive (T_k
-    is not positive definite), or if `_CG_MAX_ITER` iterations do not reach
-    the stop (naming the last residual).
+    residual is `_CG_TOL` or below; a start that already meets it is
+    returned as it is, with no iteration.  Inner products are NumPy sums,
+    not BLAS calls, so the bits do not depend on the BLAS thread count.
+    Raises NumericalError, naming k, if an eigenvalue of the preconditioner
+    or the curvature p . T_k p is not positive (T_k is not positive
+    definite), or if `_CG_MAX_ITER` iterations do not reach the stop
+    (naming the last residual).
     """
     column = np.asarray(column, dtype=float)
     size = _smooth_size(k)
     symbol = _circulant_symbol(column, size).real
+    if start is None:
+        f = np.zeros(k)
+        residual = np.zeros(k)
+        residual[0] = 1.0
+        worst = 1.0
+    else:
+        f = np.array(start, dtype=float)
+        residual = -np.fft.irfft(np.fft.rfft(f, n=size) * symbol, n=size)[:k]
+        residual[0] += 1.0
+        worst = float(np.max(np.abs(residual)))
+        if worst <= _CG_TOL:
+            return f
     lags = np.arange(k)
     wrapped = np.zeros(k)
     wrapped[1:] = column[k - 1:0:-1]
@@ -333,12 +394,9 @@ def _cg_forward(column, k):
             f"preconditioner has eigenvalue {np.min(eigen):.3e}, so the block is not "
             f"positive definite"
         )
-    f = np.zeros(k)
-    residual = np.zeros(k)
-    residual[0] = 1.0
     smoothed = np.fft.irfft(np.fft.rfft(residual) / eigen, n=k)
     direction = smoothed.copy()
-    fit, worst = float(np.sum(residual * smoothed)), 1.0
+    fit = float(np.sum(residual * smoothed))
     for iteration in range(1, _CG_MAX_ITER + 1):
         product = np.fft.irfft(np.fft.rfft(direction, n=size) * symbol, n=size)[:k]
         curvature = float(np.sum(direction * product))
@@ -364,6 +422,58 @@ def _cg_forward(column, k):
     )
 
 
+def _anchor(k: int) -> int:
+    """The anchor a(k) of order k: k rounded down to a multiple of
+    min(_ANCHOR_STRIDE, 2**max(0, bit_length(k) - 4)).  So a(k) <= k,
+    k - a(k) < min(_ANCHOR_STRIDE, max(1, k / 8)) and a(a(k)) = a(k); every
+    order below 16 and every n / 2 and 5n / 8 of a power-of-two n is its
+    own anchor.  It depends on k alone, never on which other orders a call
+    keeps."""
+    stride = min(_ANCHOR_STRIDE, 1 << max(0, k.bit_length() - 4))
+    return k - k % stride
+
+
+def _read_only(f):
+    f.flags.writeable = False
+    return f
+
+
+def _store_forward(column, orders, forward: dict) -> None:
+    """Put f_k into `forward`, read-only, for every k in `orders`
+    (ascending, none of them in `forward`).
+
+    An anchor order (k = a(k), see :func:`_anchor`) runs one
+    conjugate-gradient solve from zero (:func:`_cg_forward`).  Any other
+    order takes f_a(k) from `forward` (solved and stored there first if it
+    is missing) and grows it by k - a(k) Levinson order steps
+    (:func:`_forward_step`), O(k) each; conjugate gradients started from
+    that vector then polish it to the `_CG_TOL` stop
+    (:func:`_conjugate_gradients`).  The orders that share an anchor ride
+    one run of steps up to the largest of them: the vector after j steps
+    from f_a does not depend on how far the run goes on, so each f_k still
+    depends on the column and k only.  An order whose steps or polish
+    raise (a breakdown, or `_CG_MAX_ITER` reached, each naming the order)
+    stores nothing.
+    """
+    by_anchor = {}
+    for k in orders:
+        by_anchor.setdefault(_anchor(k), []).append(k)
+    for anchor, ks in by_anchor.items():
+        if anchor not in forward:
+            forward[anchor] = _read_only(_cg_forward(column, anchor))
+        top = ks[-1]
+        if top == anchor:
+            continue
+        # lags[top - 1 - j:] is column[j], ..., column[1]
+        lags = column[top - 1:0:-1]
+        f, work = np.zeros(top), np.empty(top)
+        f[:anchor] = forward[anchor]
+        for j in range(anchor, top):
+            _forward_step(f, j, lags[top - 1 - j:], work)
+            if j + 1 in ks:
+                forward[j + 1] = _read_only(_conjugate_gradients(column, j + 1, f[:j + 1]))
+
+
 def _sparse_solutions(column, rows, keep, forward: dict) -> dict:
     """{k: x_k} for every k in `keep`: the solutions of
     toeplitz(column)[:k, :k] x = rows[:, :k], each residual-checked.
@@ -372,26 +482,26 @@ def _sparse_solutions(column, rows, keep, forward: dict) -> dict:
     :meth:`SweepSolver.path_functionals`); no Levinson pass runs.  Each
     kept order k takes its forward vector from `forward`, a {k: f_k} dict
     of read-only vectors solved before for this same column; on a miss
-    from one conjugate-gradient solve (:func:`_cg_forward`, O(k log k) per
-    iteration), which is stored there once it returns.  Its
+    :func:`_store_forward` reaches it from its anchor a(k) (an order within
+    min(128, k / 8) below k): a conjugate-gradient solve from zero at the
+    anchor (O(k log k) per iteration), then k - a(k) Levinson order steps
+    and a conjugate-gradient polish for an order that is not an anchor.
+    The dict keeps the anchors and the extended orders alike.  Its
     Gohberg-Semencul inverse (:func:`_gohberg_semencul`) solves all rows
     by FFT in O(m k log k).  `rows` is a stack of m right-hand sides
     (m, K); x_k is a new (m, k) array, every row in prefix order.  A row's
     solutions are bit-identical whether it is solved alone or stacked with
-    others, with other kept orders or without, and with a stored forward
-    vector or a new one (f_k depends on the column and k only).  The
-    column, and each checked solution, is divided by the power of two of
-    the diagonal (exact), so the forward vectors' products do not
-    underflow at a huge horizon (a diagonal of 1e208 to 1e237 at
+    others, with other kept orders (its anchor among them) or without, and
+    with a stored forward vector or a new one (f_k depends on the column
+    and k only).  The column, and each checked solution, is divided by the
+    power of two of the diagonal (exact), so the forward vectors' products
+    do not underflow at a huge horizon (a diagonal of 1e208 to 1e237 at
     T = 1e300); the stored vectors are those of the scaled column.
     """
     keep = _kept_orders(column, keep)
     _, exponent = np.frexp(column[0])
     column = np.ldexp(column, -exponent)
-    for k in keep:
-        if k not in forward:
-            forward[k] = _cg_forward(column, k)
-            forward[k].flags.writeable = False
+    _store_forward(column, [k for k in keep if k not in forward], forward)
     solved = ((k, _gohberg_semencul(forward[k], rows[:, :k])) for k in keep)
     return {k: np.ldexp(x, -exponent) for k, x in _checked(column, rows, solved)}
 
@@ -507,11 +617,19 @@ class SweepSolver:
     The collocation matrices for all upper limits are the leading blocks of
     one symmetric positive definite Toeplitz matrix I + coeff * W.  A sweep
     (see :func:`_sparse_solutions`) takes the forward vector at each
-    requested index k from one preconditioned conjugate-gradient solve with
-    FFT products, and every requested field from it by FFT: O(k log k) per
-    iteration and per field, and O(n) matrix storage.  The solver keeps
-    each forward vector it solved, read-only, so a later sweep or single
-    solve at that index runs no second conjugate-gradient solve; every call
+    requested index k from its anchor a(k): one preconditioned
+    conjugate-gradient solve with FFT products at the anchor, then, for an
+    index that is not an anchor, k - a(k) < 128 Levinson order steps and a
+    conjugate-gradient polish.  Every requested field follows from the
+    forward vector by FFT: O(k log k) per iteration and per field, and O(n)
+    matrix storage.  A variogram at t0 = T/2 keeps the anchor n/2, and its
+    lags below min(128, n/16) cells ride it (at n = 4096 the orders 2080
+    and 2112, lags 32h and 64h).  One isolated index that is not an anchor
+    pays for its anchor's solve as well as the steps: at n = 4096, H = 0.85,
+    a single L_field took 2.7 to 2.8 ms at orders 2175 and 2303 where a
+    solve from zero took 1.8 to 1.9 ms (2-core VM).  The solver keeps each
+    forward vector it reached, anchors included, read-only, so a later
+    sweep or single solve at that index runs no second solve; every call
     still checks the residual of every solution against `RESIDUAL_TOL` in
     prefix order, as the solvers return it.  A drift-kernel field is its
     solution reversed after the check.  Only :meth:`path_functionals`,
@@ -574,16 +692,11 @@ class SweepSolver:
         index k is v[k - 1::-1]."""
         return -self.alpha.coeff * self.grid.midpoints[:size] ** (-self.alpha.value)
 
-    def _first_cell_moments(self) -> np.ndarray:
-        """mu_i: the kernel moment of the first cell against node t_(i+1).
-        The moment of cell j against node t_k depends on k - 1 - j only, so
-        mu[k - 1::-1] holds the moments of the k cells below t_k."""
-        nodes = self.grid.nodes
-        return riesz_moment(nodes[0], nodes[1], nodes[1:], self.alpha)
-
     def g_diagonal(self, g_fields: dict) -> dict:
-        """Endpoint values g(t_k, t_k) by Nystrom interpolation, per index."""
-        moments = self._first_cell_moments()
+        """Endpoint values g(t_k, t_k) by Nystrom interpolation, per index:
+        mu[k - 1::-1] (see :meth:`Grid.first_cell_moments`) holds the kernel
+        moments of the k cells below t_k."""
+        moments = self.grid.first_cell_moments(self.alpha)
         return {
             k: 1.0 - self.alpha.coeff * float(moments[k - 1::-1] @ fld.values)
             for k, fld in g_fields.items()
@@ -605,7 +718,7 @@ class SweepSolver:
         indices = sorted({int(i) for i in indices})
         size = indices[-1] if indices else 0
         v = self._drift_rhs(size)
-        moments = self._first_cell_moments()
+        moments = self.grid.first_cell_moments(self.alpha)
         rows = np.array([np.asarray(increments, dtype=float)[:size], np.ones(size)])
         phi, m_values, diagonal = (np.empty(len(indices)) for _ in range(3))
         for pos, (k, (z, y)) in enumerate(_prefix_solutions(self._system, rows, indices)):

@@ -70,6 +70,7 @@ class Grid:
     cells: int
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     midpoints: np.ndarray = field(init=False, repr=False, compare=False)
+    _moments: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
@@ -102,6 +103,22 @@ class Grid:
         if not 0.0 <= t <= self.horizon:
             raise ValueError(f"{name}={t} is outside [0, {self.horizon}]")
         return int(round(t / self.h))
+
+    def first_cell_moments(self, alpha) -> np.ndarray:
+        """mu[i] = riesz_moment(t_0, t_1, t_(i+1), alpha) for i < cells:
+        the kernel moments of the first cell against every later node, made
+        once per grid and exponent and read-only.  The moment of cell j
+        against node t_u depends on u - 1 - j only, so mu[u - edge:u - first]
+        reversed holds those of cells first .. edge - 1 against t_u: bit for
+        bit where the node differences are exact (as at T = 1 with a
+        power-of-two n), else to rounding."""
+        exponent = alpha.value if isinstance(alpha, Alpha) else float(alpha)
+        moments = self._moments.get(exponent)
+        if moments is None:
+            moments = riesz_moment(self.nodes[0], self.nodes[1], self.nodes[1:], exponent)
+            moments.flags.writeable = False
+            self._moments[exponent] = moments
+        return moments
 
 
 def riesz_moment(a, b, r, alpha):
@@ -216,9 +233,10 @@ def edge_weighted_integral(values, grid: Grid, beta: float, first: int, edge: in
     `values` are the midpoint samples of v on those cells; v may blow up
     like (t_edge - tau)**(-beta) at the upper edge.  Each u is a node index
     >= edge.  Interior cells weigh the samples with the exact kernel
-    moments; the last one or two cells use the fitted edge model
-    C*(t_edge - tau)**(-beta) + D (see :func:`edge_fit`).  Its constant
-    part takes the exact kernel moments too; its singular part is
+    moments, read as reversed slices of the grid's first-cell moments
+    (:meth:`Grid.first_cell_moments`); the last one or two cells use the
+    fitted edge model C*(t_edge - tau)**(-beta) + D (see :func:`edge_fit`).
+    Its constant part takes the same kernel moments; its singular part is
     integrated exactly against a kernel with u = edge and against the
     kernel frozen at the cell midpoint otherwise.  beta < 1/2 required.
     """
@@ -228,9 +246,9 @@ def edge_weighted_integral(values, grid: Grid, beta: float, first: int, edge: in
         raise ValueError(f"values must cover exactly the cells {first} .. {edge - 1}")
     nodes = grid.nodes
     n_interior = edge - first - min(2, edge - first)
-    lo, hi = nodes[first:edge], nodes[first + 1:edge + 1]
-    smooth = sum(sign * riesz_moment(lo, hi, nodes[u], beta) for sign, u in kernels)
-    lo, hi = lo[n_interior:], hi[n_interior:]
+    moments = grid.first_cell_moments(beta)
+    smooth = sum(sign * moments[u - edge:u - first][::-1] for sign, u in kernels)
+    lo, hi = nodes[first + n_interior:edge], nodes[first + n_interior + 1:edge + 1]
     exact = riesz_moment(lo, hi, nodes[edge], 2.0 * beta)
     frozen = riesz_moment(lo, hi, nodes[edge], beta)
     mids = grid.midpoints[first + n_interior:edge]

@@ -65,13 +65,18 @@ def phi_cross_gram(L_s: KernelField, L_t: KernelField, weights: WeightMatrix) ->
     (s - r)**(-a) otherwise.
     """
     _check_pair(L_s, L_t, weights)
+    return _cross_moment(L_s, L_t, toeplitz_matvec(weights.column, L_t.values))
+
+
+def _cross_moment(L_s: KernelField, L_t: KernelField, inner_t: np.ndarray) -> float:
+    """:func:`phi_cross_gram` of a checked pair, with inner_t = W L_t (the
+    Toeplitz product of L_t's whole field) given."""
     grid, alpha = L_s.grid, L_s.alpha
     ka, kb = L_s.s_index, L_t.s_index
     beta = 2.0 * alpha.value if ka == kb else alpha.value
     plain = L_s.values * L_t.values[:ka]
     t1 = integrate_with_edge(plain, grid, ka, beta)
-    inner = toeplitz_matvec(weights.column, L_t.values)[:ka]
-    t2 = integrate_with_edge(L_s.values * inner, grid, ka, beta)
+    t2 = integrate_with_edge(L_s.values * inner_t[:ka], grid, ka, beta)
     return t1 + alpha.coeff * t2
 
 
@@ -81,9 +86,15 @@ def second_moment_gram(L_s: KernelField, L_t: KernelField, weights: WeightMatrix
     _check_pair(L_s, L_t, weights)
     if L_s.s_index == L_t.s_index:
         return 0.0
-    v_tt = phi_cross_gram(L_t, L_t, weights)
-    v_ss = phi_cross_gram(L_s, L_s, weights)
-    v_st = phi_cross_gram(L_s, L_t, weights)
+    v_ss = _cross_moment(L_s, L_s, toeplitz_matvec(weights.column, L_s.values))
+    return _gram_increment(L_s, L_t, v_ss, toeplitz_matvec(weights.column, L_t.values))
+
+
+def _gram_increment(L_s: KernelField, L_t: KernelField, v_ss: float, inner_t: np.ndarray) -> float:
+    """v_tt + v_ss - 2 v_st for a checked pair with s < t, given the base
+    moment v_ss = E[phi_s^2] and inner_t = W L_t, which v_tt and v_st share."""
+    v_tt = _cross_moment(L_t, L_t, inner_t)
+    v_st = _cross_moment(L_s, L_t, inner_t)
     return v_tt + v_ss - 2.0 * v_st
 
 
@@ -239,7 +250,9 @@ def build_variogram(
     the grid.  Deterministic methods ('gram', 'reduced') evaluate the
     moment formulas; 'monte_carlo' estimates the same quantities from a
     common path ensemble (same paths for every lag, simulated on a grid
-    refined by `mc_refine`) and reports standard errors.  A value that is
+    refined by `mc_refine`) and reports standard errors.  The Gram route
+    takes each field's Toeplitz product and the base moment once for all
+    lags (the bits of :func:`second_moment_gram` per lag).  A value that is
     not finite and positive (the Gram moments underflow at T = 1e300) is a
     NumericalError.
     """
@@ -276,7 +289,10 @@ def build_variogram(
         if method == "reduced":
             values = np.array([second_moment_reduced(base, fields[k0 + c]) for c in lag_cells])
         else:
-            values = np.array([second_moment_gram(base, fields[k0 + c], sweep.weights) for c in lag_cells])
+            # one Toeplitz product per field and one base moment, shared by every lag
+            inner = {k: toeplitz_matvec(sweep.weights.column, field.values) for k, field in fields.items()}
+            v_ss = _cross_moment(base, base, inner[k0])
+            values = np.array([_gram_increment(base, fields[k0 + c], v_ss, inner[k0 + c]) for c in lag_cells])
     bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
     if bad.size:
         raise NumericalError(f"variogram value {values[bad[0]]:.3e} at lag {lags[bad[0]]:g} is not "

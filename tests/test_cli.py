@@ -644,6 +644,14 @@ class TestVariogramAndHolder:
         rows = read_csv(tmp_path / "vgg.csv")
         assert rows[0]["method"] == "gram"
 
+    @pytest.mark.parametrize("h", ["0.99", "0.9999"])
+    def test_long_horizon_near_one_exits_zero(self, tmp_path, h):
+        # lags 32h and 64h put orders 2080 and 2112 on anchor 2048; at
+        # H = 0.9999 their extended forward vectors failed the residual
+        # check (1.4e-10 at block size 2080) until the polish
+        assert main(["holder", "--H", h, "--T", "1e8", "--t0", "5e7", "--n", "4096",
+                     "--out-dir", str(tmp_path)]) == 0
+
 
 class TestAuditBounds:
     def test_report_schema(self, tmp_path):

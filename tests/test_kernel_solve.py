@@ -430,7 +430,8 @@ class TestFusedPass:
         grid, alpha = Grid(1.0, 256), Alpha.from_h(h)
         l_first, g_first = SweepSolver(grid, alpha), SweepSolver(grid, alpha)
         l_fresh, g_fresh = l_first.L_sweep(keep), g_first.g_sweep(keep)
-        assert sorted(l_first._forward) == sorted(g_first._forward) == sorted(keep)
+        held = sorted({*keep, *map(kernel_solve._anchor, keep)})
+        assert sorted(l_first._forward) == sorted(g_first._forward) == held
         l_warm, g_warm = g_first.L_sweep(keep), l_first.g_sweep(keep)
         assert sorted(l_warm) == sorted(g_warm) == sorted(keep)
         for k in keep:
@@ -618,7 +619,7 @@ class TestForwardVectorReuse:
         assert solves == []
         fresh_D = solve_D(SweepSolver(grid, alpha), ks, l_fields[kt])
         fresh_q = solve_q(SweepSolver(grid, alpha), ks, np.cos)
-        assert solves == [ks, ks]
+        assert solves == [64, 64]  # the anchor of 64 and of 65
         assert np.array_equal(reused_D.values, fresh_D.values)
         assert np.array_equal(reused_q.values, fresh_q.values)
 
@@ -690,11 +691,11 @@ class TestConjugateGradientForward:
         monkeypatch.setattr(kernel_solve, "_cg_forward", recording)
         together = _sparse_solutions(sweep._system, rows, FORWARD_KEEP, {})
         forward_all = dict(solved)
-        assert sorted(forward_all) == sorted(FORWARD_KEEP)
+        assert sorted(forward_all) == [1, 2, 3, 60, 64, 88, 96, 120, 128, 256]  # the anchors
         for k in FORWARD_KEEP:
             alone = _sparse_solutions(sweep._system, rows[:, :k], [k], {})
-            assert solved[-1][0] == k
-            assert np.array_equal(solved[-1][1], forward_all[k]), k
+            assert solved[-1][0] == kernel_solve._anchor(k)
+            assert np.array_equal(solved[-1][1], forward_all[kernel_solve._anchor(k)]), k
             assert np.array_equal(alone[k], together[k]), k
 
     def test_sparse_solves_run_no_levinson_pass(self, monkeypatch):
@@ -796,6 +797,106 @@ class TestConjugateGradientForward:
         for field, rhs in ((L_field, L_field.rhs(grid.midpoints[:k])), (g_field, np.ones(k))):
             oracle = dense_oracle(sweep.weights, alpha, k, rhs)
             assert np.max(np.abs(field.values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+EXTENDED_ORDERS = (17, 63, 65, 97, 101, 129, 130, 255)  # none an anchor
+
+
+class TestAnchoredForwardVectors:
+    """A kept order that is not an anchor extends its anchor's forward
+    vector by Levinson order steps and a conjugate-gradient polish; the
+    result depends on the column and the order only."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(min_value=1, max_value=2**17))
+    def test_anchor_rule(self, k):
+        anchor = kernel_solve._anchor(k)
+        assert anchor <= k
+        assert k - anchor < min(128, max(1, k / 8))
+        assert kernel_solve._anchor(anchor) == anchor
+
+    def test_audit_orders_are_anchors(self):
+        # the bound audit's default s and t sit at n / 2 and 5n / 8
+        for n in (2 ** p for p in range(6, 17)):
+            assert kernel_solve._anchor(n // 2) == n // 2
+            assert kernel_solve._anchor(5 * n // 8) == 5 * n // 8
+
+    def test_extended_orders_are_not_anchors(self):
+        assert all(kernel_solve._anchor(k) < k for k in EXTENDED_ORDERS)
+
+    @pytest.mark.parametrize("h", (*H_CORE, 0.7501))
+    def test_extended_vectors_match_levinson(self, h):
+        column = SweepSolver(Grid(1.0, 256), Alpha.from_h(h))._system
+        first = np.zeros((1, 256))
+        first[0, 0] = 1.0
+        levinson = {k: f[0] for k, f in kernel_solve._prefix_solutions(column, first, EXTENDED_ORDERS)}
+        forward = {}
+        kernel_solve._store_forward(column, EXTENDED_ORDERS, forward)
+        for k in EXTENDED_ORDERS:
+            # the bound of TestConjugateGradientForward
+            scale = np.max(np.abs(levinson[k]))
+            assert np.max(np.abs(forward[k] - levinson[k])) <= 4e-15 * scale, k
+
+    @pytest.mark.parametrize("horizon, h", [(1.0, 0.7501), (1.0, 0.85), (1.0, 1.0), (1e8, 0.9999)])
+    def test_extended_order_alone_equals_order_with_others(self, horizon, h):
+        # on [0, 1] the order steps alone meet the CG stop; at T = 1e8 the
+        # polish iterates
+        grid = Grid(horizon, 256)
+        sweep = SweepSolver(grid, Alpha.from_h(h))
+        rows = _three_rows(grid, sweep)
+        column = sweep._system
+        warm = {}
+        _sparse_solutions(column, rows, [40, 97], warm)  # holds 96 and 97
+        for k in EXTENDED_ORDERS:
+            anchor = kernel_solve._anchor(k)
+            alone = _sparse_solutions(column, rows[:, :k], [k], {})[k]
+            memo = {}
+            _sparse_solutions(column, rows, [anchor], memo)  # holds the anchor only
+            # EXTENDED_ORDERS puts 97 and 101, and 129 and 130, on one anchor
+            cases = (([anchor, k], {}), ([3, k, 256], {}), (EXTENDED_ORDERS, {}), ([k], warm), ([k], memo))
+            for keep, forward in cases:
+                assert np.array_equal(_sparse_solutions(column, rows, keep, forward)[k], alone), (k, keep)
+
+    def test_breakdown_in_the_order_steps_names_the_order(self):
+        # toeplitz(column[:16]) is the identity, so the CG solve at anchor 16
+        # passes; toeplitz(column) has eigenvalues 1 +- 2, and the step to
+        # order 17 meets beta = 1 - 2**2
+        column = np.zeros(17)
+        column[[0, 16]] = 1.0, 2.0
+        forward = {}
+        with pytest.raises(NumericalError, match=re.escape("broke down at order 17 (beta = -3.000e+00)")):
+            _sparse_solutions(column, np.ones((1, 17)), [17], forward)
+        assert sorted(forward) == [16]
+
+    def test_polish_at_the_iteration_cap_names_the_order(self, monkeypatch):
+        # at T = 1e8 the polish of order 520 from anchor 512 needs 6 iterations
+        sweep = SweepSolver(Grid(1e8, 1024), Alpha.from_h(0.9999))
+        sweep.g_sweep([512])
+        monkeypatch.setattr(kernel_solve, "_CG_MAX_ITER", 1)
+        with pytest.raises(NumericalError, match="order 520 did not converge in 1 iterations"):
+            sweep.g_sweep([520])
+        assert sorted(sweep._forward) == [512]
+        monkeypatch.undo()
+        assert np.array_equal(sweep.g_field(520).values,
+                              SweepSolver(sweep.grid, sweep.alpha).g_field(520).values)
+
+    def test_extended_bits_do_not_depend_on_blas_threads(self):
+        # the order steps' dot products run past OpenBLAS's threading
+        # threshold of 10000 entries here (12300 rides anchor 12288)
+        src = str(Path(kernel_solve.__file__).resolve().parents[1])
+        probe = ("import hashlib; from mfbm.quadrature import Alpha, Grid; "
+                 "from mfbm.kernel_solve import SweepSolver, _store_forward; "
+                 "column = SweepSolver(Grid(1.0, 16384), Alpha.from_h(0.85))._system; "
+                 "forward = {}; _store_forward(column, [12300], forward); "
+                 "print(hashlib.sha256(forward[12300].tobytes()).hexdigest())")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                    text=True, check=True, timeout=120)
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1
 
 
 def _is_3_smooth(n):

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mfbm import kernel_solve
-from mfbm.quadrature import Alpha, Grid, edge_fit, riesz_moment
+from mfbm import kernel_solve, regularity
+from mfbm.quadrature import Alpha, Grid, edge_fit, integrate_with_edge, riesz_moment
 from mfbm.kernel_solve import SweepSolver
 from mfbm.gaussian_paths import BLOCK, simulate_ensemble
 from mfbm.regularity import (
@@ -213,6 +213,119 @@ class TestReducedMomentReference:
         got = [second_moment_reduced(fields[ks], fields[kt]) for ks, kt in pairs]
         want = [closure_reduced_moment(fields[ks], fields[kt]) for ks, kt in pairs]
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def per_kernel_edge_weighted_integral(values, grid, beta, first, edge, kernels):
+    """quadrature.edge_weighted_integral with one riesz_moment call per
+    kernel for the cell moments, not slices of the first-cell moments."""
+    nodes = grid.nodes
+    n_interior = edge - first - min(2, edge - first)
+    lo, hi = nodes[first:edge], nodes[first + 1:edge + 1]
+    smooth = sum(sign * riesz_moment(lo, hi, nodes[u], beta) for sign, u in kernels)
+    lo, hi = lo[n_interior:], hi[n_interior:]
+    exact = riesz_moment(lo, hi, nodes[edge], 2.0 * beta)
+    frozen = riesz_moment(lo, hi, nodes[edge], beta)
+    mids = grid.midpoints[first + n_interior:edge]
+    singular = sum(sign * (exact if u == edge else (nodes[u] - mids) ** (-beta) * frozen)
+                   for sign, u in kernels)
+    c, d = edge_fit(values[n_interior:], beta, grid.h)
+    interior = float(values[:n_interior] @ smooth[:n_interior])
+    return interior + float(np.sum(c * singular + d * smooth[n_interior:]))
+
+
+def per_kernel_reduced_moment(L_s, L_t):
+    grid, a = L_s.grid, L_s.alpha.value
+    ks, kt = L_s.s_index, L_t.s_index
+    i1 = per_kernel_edge_weighted_integral(L_t.values[:ks] - L_s.values, grid, a, 0, ks, [(1, kt)])
+    i2 = per_kernel_edge_weighted_integral(L_s.values, grid, a, 0, ks, [(1, ks), (-1, kt)])
+    i3 = per_kernel_edge_weighted_integral(L_t.values[ks:kt], grid, a, ks, kt, [(1, kt)])
+    return float(-L_s.alpha.coeff * (i1 + i2 + i3))
+
+
+def per_lag_gram_moment(L_s, L_t, weights):
+    """second_moment_gram as three phi_cross_gram calls, each with its own
+    Toeplitz product."""
+    def cross(L_a, L_b):
+        grid, alpha, ka = L_a.grid, L_a.alpha, L_a.s_index
+        beta = 2.0 * alpha.value if ka == L_b.s_index else alpha.value
+        t1 = integrate_with_edge(L_a.values * L_b.values[:ka], grid, ka, beta)
+        inner = kernel_solve.toeplitz_matvec(weights.column, L_b.values)[:ka]
+        return t1 + alpha.coeff * integrate_with_edge(L_a.values * inner, grid, ka, beta)
+
+    return cross(L_t, L_t) + cross(L_s, L_s) - 2.0 * cross(L_s, L_t)
+
+
+class TestSharedMomentTerms:
+    """The variogram computes each moment term once: one Toeplitz product
+    per field and one base moment on the Gram route, and the reduced
+    route's cell moments as slices of one vector per grid and exponent."""
+
+    @pytest.mark.parametrize("h", [0.76, 0.85, 1.0])
+    def test_gram_values_equal_the_per_lag_loop(self, monkeypatch, h):
+        products = []
+        product = regularity.toeplitz_matvec
+
+        def counting(column, values):
+            products.append(values.size)
+            return product(column, values)
+
+        monkeypatch.setattr(regularity, "toeplitz_matvec", counting)
+        variogram = build_variogram(h, 0.5, 6, 1024, method="gram")
+        assert len(products) == 7  # the base field and 6 lags
+        monkeypatch.undo()
+        grid = Grid(1.0, 1024)
+        sweep = SweepSolver(grid, Alpha.from_h(h))
+        indices = [512, *(512 + round(lag / grid.h) for lag in variogram.lags)]
+        fields = sweep.L_sweep(indices)
+        loop = [per_lag_gram_moment(fields[512], fields[k], sweep.weights) for k in indices[1:]]
+        assert np.array_equal(variogram.values, loop)
+        assert [second_moment_gram(fields[512], fields[k], sweep.weights) for k in indices[1:]] == loop
+
+    @pytest.mark.parametrize("horizon", [1.0, 7.3])
+    @pytest.mark.parametrize("h", [0.76, 0.85, 0.9, 1.0])
+    def test_reduced_moments_equal_per_kernel_moments(self, h, horizon):
+        n = 1024
+        pairs = [(1, 2), (2, 5), (n // 2, n // 2 + 8), (n // 2, 3 * n // 4), (n // 4, n)]
+        fields = SweepSolver(Grid(horizon, n), Alpha.from_h(h)).L_sweep({k for pair in pairs for k in pair})
+        got = np.array([second_moment_reduced(fields[ks], fields[kt]) for ks, kt in pairs])
+        want = np.array([per_kernel_reduced_moment(fields[ks], fields[kt]) for ks, kt in pairs])
+        if horizon == 1.0:
+            # h = 2**-10: every node difference is exact, so are the slices
+            assert np.array_equal(got, want)
+        else:
+            # the per-kernel copy takes node differences of rounded nodes,
+            # off by up to 4e-14 (relative) per cell next to an edge, and
+            # the moment differences of I2 cancel: at most 3.0e-13 was
+            # measured (H = 1, s = T / 2, t = 3T / 4)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision longdouble")
+    @pytest.mark.parametrize("h", [0.76, 0.85, 1.0])
+    def test_first_cell_moments_are_the_uniform_cell_moments(self, h):
+        # against the cells [j h, (j + 1) h] of the exact uniform grid, in
+        # extended precision, each error measured on the scale of the two
+        # antiderivative terms it is the difference of: a slice entry is
+        # within a few ulps, a per-cell moment from the rounded nodes is
+        # off by up to u ulps next to the edge
+        grid, a = Grid(7.3, 1024), Alpha.from_h(h).value
+        nodes, moments = grid.nodes, grid.first_cell_moments(a)
+        step, p = np.longdouble(grid.h), 1 - np.longdouble(a)
+        for u in (1, 520, 1024):
+            j = np.arange(u, dtype=np.longdouble)
+            exact = (((u - j) * step) ** p - ((u - j - 1) * step) ** p) / p
+            scale = ((u - j) * step) ** p / p
+            assert np.max(np.abs(moments[u - 1::-1] - exact) / scale) <= 1e-15, u
+            per_cell = riesz_moment(nodes[:u], nodes[1:u + 1], nodes[u], a)
+            if u > 1:
+                assert np.max(np.abs(per_cell - exact) / scale) > 1e-14, u
+
+    def test_first_cell_moments_are_made_once_and_read_only(self):
+        grid = Grid(1.0, 64)
+        moments = grid.first_cell_moments(Alpha.from_h(0.85))
+        assert grid.first_cell_moments(Alpha.from_h(0.85).value) is moments
+        assert np.array_equal(moments, riesz_moment(0.0, grid.h, grid.nodes[1:], Alpha.from_h(0.85)))
+        with pytest.raises(ValueError, match="read-only"):
+            moments[0] = 0.0
 
 
 class TestVariogram:
