@@ -288,7 +288,7 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--H", type=float, required=True)
-        p.add_argument("--t0", type=float, default=0.5, help="base point (default T/2 = 0.5)")
+        p.add_argument("--t0", type=float, default=0.5, help="base point (default 0.5)")
         p.add_argument("--lags", type=int, default=6, help="number of dyadic lags (default 6)")
         # monte_carlo, as manifests record it, parses too
         p.add_argument("--method", type=lambda text: text.replace("-", "_"),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .kernel_solve import KernelField, SweepSolver
-from .quadrature import Alpha, Grid
+from .quadrature import Alpha, Grid, _dot
 from .gaussian_paths import SamplePath
 
 __all__ = [
@@ -74,7 +74,7 @@ def _integrals(path: SamplePath, fields: Mapping[int, KernelField]):
     for pos, k in enumerate(ks, start=1):
         if fields[k].grid is not grid and not np.array_equal(fields[k].grid.nodes, grid.nodes):
             raise ValueError(f"field at index {k} solved on a different grid")
-        integrals[pos] = float(fields[k].values @ increments[:k])
+        integrals[pos] = _dot(fields[k].values, increments[:k])
     return np.array([0] + ks, dtype=int), integrals
 
 

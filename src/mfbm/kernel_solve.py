@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .exceptions import NumericalError
-from .quadrature import Alpha, Grid, build_weight_matrix, edge_fit, riesz_moment
+from .quadrature import Alpha, Grid, _dot, build_weight_matrix, edge_fit, riesz_moment
 
 __all__ = [
     "KernelField",
@@ -222,16 +222,6 @@ def _checked(column, rows, solved):
         yield from block.items()
 
 
-def _dot(u, v) -> float:
-    """u . v by BLAS, in pieces of at most 8192 entries: OpenBLAS splits a
-    longer dot product over its threads, which changes its rounding, so
-    the bits would depend on the thread count past 10000 entries."""
-    piece = 8192
-    if u.size <= piece:
-        return float(u.dot(v))
-    return sum(float(u[i:i + piece].dot(v[i:i + piece])) for i in range(0, u.size, piece))
-
-
 def _forward_step(f, k, lag, work):
     """The Levinson-Durbin order step: grow f[:k], the forward vector
     T_k^-1 e_1, in place to f[:k + 1] = T_(k+1)^-1 e_1, and return the new
@@ -302,7 +292,7 @@ def _prefix_solutions(column, rows, keep):
                 lag = lags[size - 1 - k:]
                 backward = _forward_step(f, k, lag, f_work)
                 for j, x_j in enumerate(x_rows):
-                    gap[j, 0] = rows[j, k] - lag.dot(x_j[:k])
+                    gap[j, 0] = rows[j, k] - _dot(lag, x_j[:k])
                 head, work = x[:, :k + 1], x_work[:, :k + 1]
                 np.multiply(gap, backward, work)
                 head += work

@@ -88,12 +88,11 @@ class Grid:
         return self.horizon / self.cells
 
     def node_index(self, t: float, name: str = "t") -> int:
-        """Index of the node equal to `t` within 1e-9 of a cell width;
-        rejects off-grid values."""
-        if not np.isfinite(t):
-            raise ValueError(f"{name}={t} is not a grid node (h={self.h})")
-        k = int(round(t / self.h))
-        if k < 0 or k > self.cells or abs(k * self.h - t) > 1e-9 * self.h:
+        """Index of the node equal to `t` within 1e-9 of a cell width.  A `t`
+        outside [0, T] is refused as :meth:`nearest_node_index` refuses it,
+        and one inside but off the grid as not a node."""
+        k = self.nearest_node_index(t, name)
+        if abs(k * self.h - t) > 1e-9 * self.h:
             raise ValueError(f"{name}={t} is not a grid node (h={self.h})")
         return k
 
@@ -226,6 +225,16 @@ def integrate_with_edge(values, grid: Grid, upper_index: int, beta: float) -> fl
     return bulk + edge
 
 
+def _dot(u, v) -> float:
+    """u . v by BLAS, in pieces of at most 8192 entries: OpenBLAS splits a
+    longer dot product over its threads, which changes its rounding, so
+    the bits would depend on the thread count past 10000 entries."""
+    piece = 8192
+    if u.size <= piece:
+        return float(u.dot(v))
+    return sum(float(u[i:i + piece].dot(v[i:i + piece])) for i in range(0, u.size, piece))
+
+
 def edge_weighted_integral(values, grid: Grid, beta: float, first: int, edge: int, kernels) -> float:
     """Integral over the cells first .. edge - 1 of v(tau) times the sum of
     sign * (t_u - tau)**(-beta) over the (sign, u) pairs in `kernels`.
@@ -255,5 +264,5 @@ def edge_weighted_integral(values, grid: Grid, beta: float, first: int, edge: in
     singular = sum(sign * (exact if u == edge else (nodes[u] - mids) ** (-beta) * frozen)
                    for sign, u in kernels)
     c, d = edge_fit(values[n_interior:], beta, grid.h)
-    interior = float(values[:n_interior] @ smooth[:n_interior])
+    interior = _dot(values[:n_interior], smooth[:n_interior])
     return interior + float(np.sum(c * singular + d * smooth[n_interior:]))

@@ -80,22 +80,25 @@ def _cross_moment(L_s: KernelField, L_t: KernelField, inner_t: np.ndarray) -> fl
     return t1 + alpha.coeff * t2
 
 
-def second_moment_gram(L_s: KernelField, L_t: KernelField, weights: WeightMatrix) -> float:
-    """E(phi_t - phi_s)^2 assembled from the three Gram moments, with s and
-    t the upper limits of L_s and L_t."""
-    _check_pair(L_s, L_t, weights)
-    if L_s.s_index == L_t.s_index:
-        return 0.0
-    v_ss = _cross_moment(L_s, L_s, toeplitz_matvec(weights.column, L_s.values))
-    return _gram_increment(L_s, L_t, v_ss, toeplitz_matvec(weights.column, L_t.values))
+def second_moment_gram(L_s: KernelField, fields, weights: WeightMatrix) -> np.ndarray:
+    """E(phi_t - phi_s)^2 for each field L_t of `fields`, in order, assembled
+    from the three Gram moments, with s and t the upper limits of L_s and L_t.
 
-
-def _gram_increment(L_s: KernelField, L_t: KernelField, v_ss: float, inner_t: np.ndarray) -> float:
-    """v_tt + v_ss - 2 v_st for a checked pair with s < t, given the base
-    moment v_ss = E[phi_s^2] and inner_t = W L_t, which v_tt and v_st share."""
-    v_tt = _cross_moment(L_t, L_t, inner_t)
-    v_st = _cross_moment(L_s, L_t, inner_t)
-    return v_tt + v_ss - 2.0 * v_st
+    Every pair and the weight matrix are checked before any product is
+    taken.  W L_s and the base moment E[phi_s^2] are taken once, and W L_t
+    once per field, shared by its v_tt and v_st; a field at s gives 0.
+    """
+    fields = list(fields)
+    for L_t in fields:
+        _check_pair(L_s, L_t, weights)
+    values = np.zeros(len(fields))
+    later = [(i, L_t) for i, L_t in enumerate(fields) if L_t.s_index > L_s.s_index]
+    if later:
+        v_ss = _cross_moment(L_s, L_s, toeplitz_matvec(weights.column, L_s.values))
+        for i, L_t in later:
+            inner_t = toeplitz_matvec(weights.column, L_t.values)
+            values[i] = _cross_moment(L_t, L_t, inner_t) + v_ss - 2.0 * _cross_moment(L_s, L_t, inner_t)
+    return values
 
 
 def second_moment_reduced(L_s: KernelField, L_t: KernelField) -> float:
@@ -250,9 +253,8 @@ def build_variogram(
     the grid.  Deterministic methods ('gram', 'reduced') evaluate the
     moment formulas; 'monte_carlo' estimates the same quantities from a
     common path ensemble (same paths for every lag, simulated on a grid
-    refined by `mc_refine`) and reports standard errors.  The Gram route
-    takes each field's Toeplitz product and the base moment once for all
-    lags (the bits of :func:`second_moment_gram` per lag).  A value that is
+    refined by `mc_refine`) and reports standard errors.  The Gram route is
+    one :func:`second_moment_gram` call over every lag.  A value that is
     not finite and positive (the Gram moments underflow at T = 1e300) is a
     NumericalError.
     """
@@ -285,14 +287,11 @@ def build_variogram(
         sweep = SweepSolver(grid, alpha)
         indices = sorted({k0, *[k0 + c for c in lag_cells]})
         fields = sweep.L_sweep(indices)
-        base = fields[k0]
+        base, lag_fields = fields[k0], [fields[k0 + c] for c in lag_cells]
         if method == "reduced":
-            values = np.array([second_moment_reduced(base, fields[k0 + c]) for c in lag_cells])
+            values = np.array([second_moment_reduced(base, field) for field in lag_fields])
         else:
-            # one Toeplitz product per field and one base moment, shared by every lag
-            inner = {k: toeplitz_matvec(sweep.weights.column, field.values) for k, field in fields.items()}
-            v_ss = _cross_moment(base, base, inner[k0])
-            values = np.array([_gram_increment(base, fields[k0 + c], v_ss, inner[k0 + c]) for c in lag_cells])
+            values = second_moment_gram(base, lag_fields, sweep.weights)
     bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
     if bad.size:
         raise NumericalError(f"variogram value {values[bad[0]]:.3e} at lag {lags[bad[0]]:g} is not "

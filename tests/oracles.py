@@ -1,10 +1,17 @@
-"""Test-only oracles: closed forms and identity checks the library does not need.
+"""Test-only oracles: closed forms and identity checks the library does not
+need, and the BLAS thread probe.
 
 Imported by the tests that use them (pytest puts this directory on
 sys.path); pytest collects no tests from this module.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import mfbm
 from mfbm.exceptions import NumericalError
 from mfbm.kernel_solve import SweepSolver
 
@@ -49,3 +56,19 @@ def check_L_from_g(sweep: SweepSolver, s_index: int, dt: float) -> float:
     fd = (g_plus.values[:n_keep] - g_minus.values[:n_keep]) / (2.0 * step * grid.h * g_ss)
     ref = l_ref.values[:n_keep]
     return float(np.max(np.abs(fd - ref) / np.abs(ref)))
+
+
+def blas_thread_digests(probe: str) -> set:
+    """The lines that `probe`, Python source run in a fresh interpreter,
+    prints at 1 and at 2 BLAS threads (OPENBLAS_NUM_THREADS and
+    OMP_NUM_THREADS), as a set: one line when the bits it digests do not
+    depend on the thread count."""
+    src = str(Path(mfbm.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, check=True, timeout=120)
+        digests.add(result.stdout.strip())
+    return digests

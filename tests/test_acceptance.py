@@ -64,7 +64,7 @@ def test_criterion_02_formula_equivalence(sweeps_n512):
             ks, kt = grid.nearest_node_index(s), grid.nearest_node_index(t)
             l_s, l_t = sweep.L_field(ks), sweep.L_field(kt)
             reduced = second_moment_reduced(l_s, l_t)
-            gram = second_moment_gram(l_s, l_t, sweep.weights)
+            gram = second_moment_gram(l_s, [l_t], sweep.weights)[0]
             rel = abs(gram - reduced) / abs(reduced)
             worst = max(worst, rel)
             details.append(f"H={h}({s},{t}):{rel:.2%}")
@@ -148,7 +148,7 @@ def test_criterion_06_monte_carlo_vs_deterministic(sweeps_n512):
     k_t = grid.nearest_node_index(0.6)
     l_s, l_t = sweep.L_field(k_s), sweep.L_field(k_t)
     var_target = phi_cross_gram(l_s, l_s, sweep.weights)
-    incr_gram = second_moment_gram(l_s, l_t, sweep.weights)
+    incr_gram = second_moment_gram(l_s, [l_t], sweep.weights)[0]
     incr_reduced = second_moment_reduced(l_s, l_t)
     incr_vals, var_mc = mc_increment_variances(h, k_s, [k_t], grid, seed=2026,
                                                n_paths=n_paths, refine=2)

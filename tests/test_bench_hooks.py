@@ -50,3 +50,11 @@ def test_traced_cli_runs(spans, tmp_path):
     assert "kernel_solve.sweep" in {span.kind for span in audit.spans}
     assert audit.residual_samples
     assert audit.max_rel_residual() <= 1e-10
+
+
+def test_traced_gram_variogram_records_its_moments(spans, tmp_path):
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        assert main(["variogram", "--method", "gram", "--H", "0.85", "--n", "256", "--lags", "4",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert {"regularity.variogram", "regularity.moment"} <= {span.kind for span in tracer.spans}

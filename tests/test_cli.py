@@ -189,7 +189,20 @@ class TestBadInput:
                      "--out-dir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "Traceback" not in err and f"t0={base_point} is not a grid node" in err
+        assert "Traceback" not in err and f"t0={base_point} is outside [0, 1.0]" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, options, message", [
+        ("variogram", ["--t0", "2"], "error: t0=2.0 is outside [0, 1.0]"),
+        ("variogram", ["--t0", "-0.5"], "error: t0=-0.5 is outside [0, 1.0]"),
+        # holder's default base point 0.5 does not follow --T
+        ("holder", ["--T", "0.25"], "error: t0=0.5 is outside [0, 0.25]"),
+    ])
+    def test_base_point_off_the_horizon(self, tmp_path, capsys, command, options, message):
+        code = main([command, "--H", "0.85", "--n", "256", *options, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err
         assert not list(tmp_path.iterdir())
 
     def test_base_point_off_a_tiny_grid(self, tmp_path, capsys):

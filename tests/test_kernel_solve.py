@@ -1,9 +1,5 @@
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +21,7 @@ from mfbm.kernel_solve import (
     solve_D,
     solve_q,
 )
-from oracles import check_L_from_g
+from oracles import blas_thread_digests, check_L_from_g
 
 ALPHA0 = Alpha(0.0)
 ALPHA85 = Alpha.from_h(0.85)
@@ -761,19 +757,21 @@ class TestConjugateGradientForward:
     def test_bits_do_not_depend_on_blas_threads(self):
         # OpenBLAS splits a dot product over threads above 10000 entries,
         # which changes its rounding; order 12288 is past that
-        src = str(Path(kernel_solve.__file__).resolve().parents[1])
         probe = ("import hashlib; from mfbm.quadrature import Alpha, Grid; "
                  "from mfbm.kernel_solve import SweepSolver, _cg_forward; "
                  "column = SweepSolver(Grid(1.0, 16384), Alpha.from_h(0.85))._system; "
                  "print(hashlib.sha256(_cg_forward(column, 12288).tobytes()).hexdigest())")
-        digests = set()
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                                    text=True, check=True, timeout=120)
-            digests.add(result.stdout.strip())
-        assert len(digests) == 1
+        assert len(blas_thread_digests(probe)) == 1
+
+    def test_prefix_bits_do_not_depend_on_blas_threads(self):
+        # the row step's dot product, like the order step's, runs past the
+        # threading threshold from order 10001
+        probe = ("import hashlib; import numpy as np; from mfbm.quadrature import Alpha, Grid; "
+                 "from mfbm.kernel_solve import SweepSolver, _prefix_solutions; "
+                 "column = SweepSolver(Grid(1.0, 16384), Alpha.from_h(0.85))._system; "
+                 "x = dict(_prefix_solutions(column, np.ones((1, 12300)), [12300]))[12300]; "
+                 "print(hashlib.sha256(x.tobytes()).hexdigest())")
+        assert len(blas_thread_digests(probe)) == 1
 
     @pytest.mark.parametrize("h", (0.7501, 0.95, 0.999))
     def test_long_horizon_converges_within_the_cap(self, h):
@@ -883,20 +881,12 @@ class TestAnchoredForwardVectors:
     def test_extended_bits_do_not_depend_on_blas_threads(self):
         # the order steps' dot products run past OpenBLAS's threading
         # threshold of 10000 entries here (12300 rides anchor 12288)
-        src = str(Path(kernel_solve.__file__).resolve().parents[1])
         probe = ("import hashlib; from mfbm.quadrature import Alpha, Grid; "
                  "from mfbm.kernel_solve import SweepSolver, _store_forward; "
                  "column = SweepSolver(Grid(1.0, 16384), Alpha.from_h(0.85))._system; "
                  "forward = {}; _store_forward(column, [12300], forward); "
                  "print(hashlib.sha256(forward[12300].tobytes()).hexdigest())")
-        digests = set()
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                                    text=True, check=True, timeout=120)
-            digests.add(result.stdout.strip())
-        assert len(digests) == 1
+        assert len(blas_thread_digests(probe)) == 1
 
 
 def _is_3_smooth(n):

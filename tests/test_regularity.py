@@ -20,6 +20,7 @@ from mfbm.regularity import (
     second_moment_gram,
     second_moment_reduced,
 )
+from oracles import blas_thread_digests
 
 
 def degenerate_case_moment(s, t):
@@ -63,14 +64,14 @@ class TestDegenerateOracle:
         l_s = sweep_h1.L_field(grid.node_index(s))
         l_t = sweep_h1.L_field(grid.node_index(t))
         expected = degenerate_case_moment(s, t)
-        gram = second_moment_gram(l_s, l_t, sweep_h1.weights)
+        gram = second_moment_gram(l_s, [l_t], sweep_h1.weights)[0]
         reduced = second_moment_reduced(l_s, l_t)
         assert gram == pytest.approx(expected, abs=1e-10)
         assert reduced == pytest.approx(expected, abs=1e-10)
 
     def test_equal_arguments_vanish(self, sweep_h1):
         field = sweep_h1.L_field(128)
-        assert second_moment_gram(field, field, sweep_h1.weights) == 0.0
+        assert second_moment_gram(field, [field], sweep_h1.weights)[0] == 0.0
 
 
 class TestSecondMoments:
@@ -79,7 +80,7 @@ class TestSecondMoments:
         l_s = sweep_h85.L_field(256)
         l_t = sweep_h85.L_field(grid.nearest_node_index(0.6))
         assert second_moment_reduced(l_s, l_t) > 0.0
-        assert second_moment_gram(l_s, l_t, sweep_h85.weights) > 0.0
+        assert second_moment_gram(l_s, [l_t], sweep_h85.weights)[0] > 0.0
 
     def test_formula_agreement_two_percent(self, sweep_h85):
         grid = sweep_h85.grid
@@ -87,7 +88,7 @@ class TestSecondMoments:
             ks, kt = grid.nearest_node_index(s), grid.nearest_node_index(t)
             l_s, l_t = sweep_h85.L_field(ks), sweep_h85.L_field(kt)
             reduced = second_moment_reduced(l_s, l_t)
-            gram = second_moment_gram(l_s, l_t, sweep_h85.weights)
+            gram = second_moment_gram(l_s, [l_t], sweep_h85.weights)[0]
             assert abs(gram - reduced) <= 0.02 * abs(reduced)
 
     def test_self_convergence_order(self):
@@ -113,12 +114,12 @@ class TestSecondMoments:
     def test_rejects_reversed_limits(self, sweep_h85):
         l_s, l_t = sweep_h85.L_field(256), sweep_h85.L_field(320)
         with pytest.raises(ValueError, match="need s <= t"):
-            second_moment_gram(l_t, l_s, sweep_h85.weights)
+            second_moment_gram(l_t, [l_s], sweep_h85.weights)
 
     def test_rejects_mismatched_grids(self, sweep_h85):
         other = SweepSolver(Grid(1.0, 256), Alpha.from_h(0.85))
         with pytest.raises(ValueError):
-            second_moment_gram(other.L_field(128), sweep_h85.L_field(512), sweep_h85.weights)
+            second_moment_gram(other.L_field(128), [sweep_h85.L_field(512)], sweep_h85.weights)
 
     def test_rejects_weights_of_another_exponent(self, sweep_h1):
         # W at H = 1 on H = 0.85 fields of the same upper limits
@@ -127,7 +128,7 @@ class TestSecondMoments:
         with pytest.raises(ValueError, match="different exponents"):
             phi_cross_gram(l_half, l_one, sweep_h1.weights)
         with pytest.raises(ValueError, match="different exponents"):
-            second_moment_gram(l_half, l_one, sweep_h1.weights)
+            second_moment_gram(l_half, [l_one], sweep_h1.weights)
 
     def test_rejects_weights_of_another_grid(self, sweep_h85):
         other = SweepSolver(Grid(1.0, 256), Alpha.from_h(0.85))
@@ -135,7 +136,48 @@ class TestSecondMoments:
         with pytest.raises(ValueError, match="different grids"):
             phi_cross_gram(l_s, l_t, other.weights)
         with pytest.raises(ValueError, match="different grids"):
-            second_moment_gram(l_s, l_s, other.weights)
+            second_moment_gram(l_s, [l_s], other.weights)
+
+
+class TestGramOverFields:
+    """One second_moment_gram call serves every field: the base products
+    once, one Toeplitz product per field, each value that of its own call."""
+
+    def test_one_call_equals_a_call_per_field(self, sweep_h85):
+        fields = sweep_h85.L_sweep([256, 264, 288, 320, 384, 512])
+        base = fields[256]
+        others = [fields[k] for k in (512, 256, 264, 384, 256, 288, 320)]
+        values = second_moment_gram(base, others, sweep_h85.weights)
+        assert np.array_equal(values, [second_moment_gram(base, [field], sweep_h85.weights)[0]
+                                       for field in others])
+        # a field at s gives exactly 0, the others a positive moment
+        assert values[1] == 0.0 and values[4] == 0.0
+        assert np.all(np.delete(values, [1, 4]) > 0.0)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("cells, h, index, message", [
+        (256, 0.85, 200, "different grids"),
+        (512, 0.9, 300, "different exponents"),
+        (512, 0.85, 128, "need s <= t"),
+    ], ids=["grid", "exponent", "earlier"])
+    def test_a_foreign_field_anywhere_is_refused_before_any_product(
+            self, monkeypatch, sweep_h85, position, cells, h, index, message):
+        products = []
+        monkeypatch.setattr(regularity, "toeplitz_matvec", lambda column, values: products.append(1))
+        fields = [sweep_h85.L_field(320), sweep_h85.L_field(384)]
+        fields.insert(position, SweepSolver(Grid(1.0, cells), Alpha.from_h(h)).L_field(index))
+        with pytest.raises(ValueError, match=message):
+            second_moment_gram(sweep_h85.L_field(256), fields, sweep_h85.weights)
+        assert products == []
+
+    @pytest.mark.parametrize("cells, h", [(256, 0.85), (512, 0.9)], ids=["grid", "exponent"])
+    def test_a_foreign_weight_matrix_is_refused_before_any_product(self, monkeypatch, sweep_h85, cells, h):
+        weights = SweepSolver(Grid(1.0, cells), Alpha.from_h(h)).weights
+        products = []
+        monkeypatch.setattr(regularity, "toeplitz_matvec", lambda column, values: products.append(1))
+        with pytest.raises(ValueError, match="weight matrix and kernel fields"):
+            second_moment_gram(sweep_h85.L_field(256), [sweep_h85.L_field(320)], weights)
+        assert products == []
 
 
 def closure_reduced_moment(L_s, L_t):
@@ -279,7 +321,7 @@ class TestSharedMomentTerms:
         fields = sweep.L_sweep(indices)
         loop = [per_lag_gram_moment(fields[512], fields[k], sweep.weights) for k in indices[1:]]
         assert np.array_equal(variogram.values, loop)
-        assert [second_moment_gram(fields[512], fields[k], sweep.weights) for k in indices[1:]] == loop
+        assert second_moment_gram(fields[512], [fields[k] for k in indices[1:]], sweep.weights).tolist() == loop
 
     @pytest.mark.parametrize("horizon", [1.0, 7.3])
     @pytest.mark.parametrize("h", [0.76, 0.85, 0.9, 1.0])
@@ -346,6 +388,15 @@ class TestVariogram:
         assert v_mc.stderr is not None
         z = np.abs(v_mc.values - v_red.values) / v_mc.stderr
         assert np.max(z) < 3.0
+
+    def test_reduced_bits_do_not_depend_on_blas_threads(self):
+        # at n = 2**15 the base field has 16384 cells: the interior dot
+        # product of each boundary integral runs past OpenBLAS's threading
+        # threshold of 10000 entries
+        probe = ("import hashlib; from mfbm.regularity import build_variogram; "
+                 "values = build_variogram(0.85, 0.5, 6, 32768, method='reduced').values; "
+                 "print(hashlib.sha256(values.tobytes()).hexdigest())")
+        assert len(blas_thread_digests(probe)) == 1
 
     def test_under_resolved_lag_rejected(self):
         with pytest.raises(ValueError):
